@@ -145,8 +145,10 @@ class CCF:
         """
         if isinstance(workload, ShuffleModel):
             return workload
-        use_skew = self.skew_handling and strategy != "hash"
-        return workload.shuffle_model(skew_handling=use_skew)
+        return workload.shuffle_model(skew_handling=self._uses_skew(strategy))
+
+    def _uses_skew(self, strategy: str) -> bool:
+        return self.skew_handling and strategy != "hash"
 
     def assign(self, model: ShuffleModel, strategy: str) -> np.ndarray:
         """Compute the assignment vector for one strategy."""
@@ -183,7 +185,9 @@ class CCF:
         self, workload: ShuffleWorkload | ShuffleModel, strategy: str = "ccf"
     ) -> ExecutionPlan:
         """Produce a timed, evaluated execution plan for one operator."""
-        model = self.model_for(workload, strategy)
+        return self._timed_plan(self.model_for(workload, strategy), strategy)
+
+    def _timed_plan(self, model: ShuffleModel, strategy: str) -> ExecutionPlan:
         start = time.perf_counter()
         dest = self.assign(model, strategy)
         elapsed = time.perf_counter() - start
@@ -196,7 +200,17 @@ class CCF:
         workload: ShuffleWorkload | ShuffleModel,
         strategies: tuple[str, ...] = DEFAULT_STRATEGIES,
     ) -> PlanComparison:
-        """Plan the same workload under several strategies (paper Fig. 4)."""
-        return PlanComparison(
-            plans={s: self.plan(workload, s) for s in strategies}
-        )
+        """Plan the same workload under several strategies (paper Fig. 4).
+
+        Each distinct model is built once: ``hash`` plans against the raw
+        model, and the skew-handled strategies share one skew-handled
+        model (models are never modified after construction).
+        """
+        models: dict[bool, ShuffleModel] = {}
+        plans = {}
+        for s in strategies:
+            key = self._uses_skew(s)
+            if key not in models:
+                models[key] = self.model_for(workload, s)
+            plans[s] = self._timed_plan(models[key], s)
+        return PlanComparison(plans=plans)

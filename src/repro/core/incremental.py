@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.heuristic import _top2
+from repro.core.heuristic import _Loads
 
 __all__ = ["IncrementalPlanner"]
 
@@ -64,8 +64,10 @@ class IncrementalPlanner:
             raise ValueError("n_nodes must be positive")
         self.n = n_nodes
         self.locality_tiebreak = locality_tiebreak
-        self._send = self._init_load(initial_send, "initial_send")
-        self._recv = self._init_load(initial_recv, "initial_recv")
+        self._loads = _Loads(
+            self._init_load(initial_send, "initial_send"),
+            self._init_load(initial_recv, "initial_recv"),
+        )
         self._count = 0
         if allowed is None:
             self._allowed = np.ones(self.n, dtype=bool)
@@ -108,13 +110,12 @@ class IncrementalPlanner:
     @property
     def bottleneck_bytes(self) -> float:
         """Current objective ``T`` over everything assigned so far."""
-        return float(
-            max(self._send.max(initial=0.0), self._recv.max(initial=0.0))
-        )
+        loads = self._loads
+        return float(max(loads.send.max(initial=0.0), loads.recv.max(initial=0.0)))
 
     def loads(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the current (send, recv) byte loads."""
-        return self._send.copy(), self._recv.copy()
+        return self._loads.send.copy(), self._loads.recv.copy()
 
     def peek(self, chunk_bytes: np.ndarray) -> tuple[int, float]:
         """Destination Algorithm 1 would pick, without committing.
@@ -126,47 +127,17 @@ class IncrementalPlanner:
             raise ValueError(f"chunk vector must have shape ({self.n},)")
         if (col < 0).any():
             raise ValueError("chunk bytes must be non-negative")
-        if self.n == 1:
-            return 0, self.bottleneck_bytes
-        if self._allowed.sum() == 1:
-            d = int(np.flatnonzero(self._allowed)[0])
-            s_k = float(col.sum())
-            send = self._send + col
-            send[d] -= col[d]
-            recv_d = self._recv[d] + (s_k - col[d])
-            return d, float(max(send.max(), max(self._recv.max(), recv_d)))
-
-        s_k = float(col.sum())
-        base_send = self._send + col
-        m1, a1, m2 = _top2(base_send)
-        max_send = np.full(self.n, m1)
-        max_send[a1] = max(m2, self._send[a1])
-
-        r1, b1, r2 = _top2(self._recv)
-        max_recv_others = np.full(self.n, r1)
-        max_recv_others[b1] = r2
-        recv_candidate = self._recv + (s_k - col)
-        max_recv = np.maximum(max_recv_others, recv_candidate)
-
-        t_d = np.maximum(max_send, max_recv)
-        t_masked = np.where(self._allowed, t_d, np.inf)
-        if self.locality_tiebreak:
-            t_min = t_masked.min()
-            ties = np.flatnonzero(
-                (t_masked <= t_min * (1 + 1e-12) + 1e-9) & self._allowed
-            )
-            d = int(ties[np.argmax(col[ties])])
-        else:
-            d = int(t_masked.argmin())
-        return d, float(t_d[d])
+        # Disallowed nodes score ``inf``: never the minimum, never tied.
+        t = self._loads.scores(col, float(col.sum()))
+        scored = t if self._allowed.all() else np.where(self._allowed, t, np.inf)
+        d = self._loads.pick(scored, col, self.locality_tiebreak)
+        return d, float(t[d])
 
     def assign(self, chunk_bytes: np.ndarray) -> int:
         """Route one partition and commit its loads; returns the node."""
         col = np.asarray(chunk_bytes, dtype=float)
         d, _ = self.peek(col)
-        s_k = float(col.sum())
-        self._send += col
-        self._send[d] -= col[d]
-        self._recv[d] += s_k - col[d]
+        # ``peek`` just scored ``col``, as ``commit`` requires.
+        self._loads.commit(d, col, float(col.sum()))
         self._count += 1
         return d

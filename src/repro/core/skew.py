@@ -119,7 +119,8 @@ class PartialDuplication:
         """
         h_full = np.asarray(h_full, dtype=float)
         n, _ = h_full.shape
-        zeros = np.zeros_like(h_full)
+        if h_skew_local is None or h_broadcast is None:
+            zeros = np.zeros_like(h_full)
         h_skew_local = zeros if h_skew_local is None else np.asarray(h_skew_local, float)
         h_broadcast = zeros if h_broadcast is None else np.asarray(h_broadcast, float)
         for nm, m in (("h_skew_local", h_skew_local), ("h_broadcast", h_broadcast)):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.heuristic import _top2
 from repro.core.model import ShuffleModel
 from repro.network.topology import TwoLevelTopology
 
@@ -110,18 +111,6 @@ def evaluate_on_topology(
         uplink_seconds=float(uplink_seconds),
         traffic=metrics.traffic,
     )
-
-
-def _top2(values: np.ndarray) -> tuple[float, int, float]:
-    a1 = int(values.argmax())
-    m1 = float(values[a1])
-    if values.shape[0] == 1:
-        return m1, a1, -np.inf
-    prev = values[a1]
-    values[a1] = -np.inf
-    m2 = float(values.max())
-    values[a1] = prev
-    return m1, a1, m2
 
 
 def ccf_heuristic_topology(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.framework import CCF, DEFAULT_STRATEGIES, PlanComparison
 from repro.core.model import ShuffleModel
+from repro.core.skew import PartialDuplication
 from repro.workloads.analytic import AnalyticJoinWorkload
 
 
@@ -92,6 +93,46 @@ class TestCompare:
         cmp = CCF().compare(workload)
         assert "ccf" in cmp
         assert cmp["ccf"].strategy == "ccf"
+
+
+class TestCompareBuildsEachModelOnce:
+    @pytest.fixture
+    def skewed(self):
+        return AnalyticJoinWorkload(n_nodes=12, scale_factor=0.5, skew=0.3)
+
+    @pytest.fixture
+    def apply_calls(self, monkeypatch):
+        calls = []
+        original = PartialDuplication.apply
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PartialDuplication, "apply", counted)
+        return calls
+
+    def test_skew_pass_runs_once(self, skewed, apply_calls):
+        CCF().compare(skewed, strategies=("hash", "mini", "ccf"))
+        assert len(apply_calls) == 1
+
+    def test_mini_and_ccf_share_the_skew_handled_model(self, skewed):
+        cmp = CCF().compare(skewed, strategies=("hash", "mini", "ccf"))
+        assert cmp["mini"].model is cmp["ccf"].model
+        assert cmp["hash"].model is not cmp["ccf"].model
+        assert cmp["hash"].model.v0.sum() == 0.0
+        assert cmp["hash"].model.local_bytes_pre == 0.0
+        assert cmp["ccf"].model.v0.sum() > 0.0
+
+    @pytest.mark.parametrize("skew_handling", [True, False])
+    def test_plans_equal_single_plans(self, skewed, skew_handling):
+        ccf = CCF(skew_handling=skew_handling)
+        cmp = ccf.compare(skewed, strategies=("hash", "mini", "ccf"))
+        for s in ("hash", "mini", "ccf"):
+            alone = ccf.plan(skewed, s)
+            np.testing.assert_array_equal(cmp[s].dest, alone.dest)
+            assert cmp.traffic(s) == alone.traffic
+            assert cmp.cct(s) == alone.cct
 
 
 class TestPlanComparisonStandalone:

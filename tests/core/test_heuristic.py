@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.heuristic import ccf_heuristic, ccf_heuristic_reference
+from repro.core.incremental import IncrementalPlanner
 from repro.core.model import ShuffleModel
 from repro.core.strategies import hash_assignment, mini_assignment
 from tests.conftest import random_model
@@ -47,6 +50,99 @@ class TestVectorizedMatchesReference:
         np.testing.assert_array_equal(
             ccf_heuristic(m), ccf_heuristic_reference(m)
         )
+
+
+@st.composite
+def tie_heavy_models(draw):
+    """Small models with chunks and loads in 0..3: ties everywhere.
+
+    Equal loads, a send-side argmax that is also the recv-side argmax,
+    and all-zero columns all turn up often at these sizes.
+    """
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(0, 9))
+    small = st.integers(0, 3)
+    h = np.array(draw(st.lists(small, min_size=n * p, max_size=n * p)),
+                 dtype=float).reshape(n, p)
+    kwargs = {}
+    if draw(st.booleans()):
+        v0 = np.array(draw(st.lists(small, min_size=n * n, max_size=n * n)),
+                      dtype=float).reshape(n, n)
+        np.fill_diagonal(v0, 0.0)
+        kwargs["v0"] = v0
+    if draw(st.booleans()):
+        for name in ("extra_send", "extra_recv"):
+            kwargs[name] = np.array(
+                draw(st.lists(small, min_size=n, max_size=n)), dtype=float)
+    return ShuffleModel(h=h, rate=1.0, **kwargs)
+
+
+def brute_force_seconds(model, egress, ingress, *, sort_partitions,
+                        locality_tiebreak):
+    """O(n^2) per partition: rebuild both load vectors for every ``d``."""
+    h = model.h
+    send, recv = model.initial_loads()
+    send, recv = send.copy(), recv.copy()
+    order = (np.argsort(-h.max(axis=0), kind="stable") if sort_partitions
+             else np.arange(model.p))
+    dest = np.zeros(model.p, dtype=np.int64)
+    for k in order:
+        col, s_k = h[:, k], h[:, k].sum()
+        t = np.empty(model.n)
+        for d in range(model.n):
+            s = send + col
+            s[d] = send[d]
+            r = recv.copy()
+            r[d] += s_k - col[d]
+            t[d] = max((s / egress).max(), (r / ingress).max())
+        if locality_tiebreak:
+            ties = [d for d in range(model.n)
+                    if t[d] <= t.min() * (1 + 1e-12) + 1e-9]
+            d = max(ties, key=lambda j: (col[j], -j))
+        else:
+            d = int(t.argmin())
+        dest[k] = d
+        send += col
+        send[d] -= col[d]
+        recv[d] += s_k - col[d]
+    return dest
+
+
+class TestStepBitIdentity:
+    """The top-2 step picks what a per-destination evaluation picks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_models(), st.booleans(), st.booleans())
+    def test_matches_reference(self, m, sort_p, loc):
+        fast = ccf_heuristic(m, sort_partitions=sort_p, locality_tiebreak=loc)
+        slow = ccf_heuristic_reference(
+            m, sort_partitions=sort_p, locality_tiebreak=loc
+        )
+        np.testing.assert_array_equal(fast, slow)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_models(), st.booleans(), st.booleans(), st.data())
+    def test_hetero_rates_match_brute_force(self, m, sort_p, loc, data):
+        rates = st.lists(st.integers(1, 4), min_size=m.n, max_size=m.n)
+        egress = np.array(data.draw(rates), dtype=float)
+        ingress = np.array(data.draw(rates), dtype=float)
+        fast = ccf_heuristic(m, sort_partitions=sort_p, locality_tiebreak=loc,
+                             egress_rates=egress, ingress_rates=ingress)
+        slow = brute_force_seconds(m, egress, ingress, sort_partitions=sort_p,
+                                   locality_tiebreak=loc)
+        np.testing.assert_array_equal(fast, slow)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_models(), st.booleans())
+    def test_sorted_feed_planner_matches(self, m, loc):
+        send0, recv0 = m.initial_loads()
+        planner = IncrementalPlanner(m.n, initial_send=send0,
+                                     initial_recv=recv0, locality_tiebreak=loc)
+        streamed = np.zeros(m.p, dtype=np.int64)
+        for k in np.argsort(-m.h.max(axis=0), kind="stable"):
+            streamed[k] = planner.assign(m.h[:, k])
+        np.testing.assert_array_equal(
+            streamed, ccf_heuristic(m, locality_tiebreak=loc))
 
 
 class TestQuality:
