@@ -477,20 +477,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark the simulator hot path (reference vs incremental)",
+        help="benchmark event-horizon batching (batch_events off vs on) "
+        "on large service-mode fleets",
     )
     bench.add_argument(
         "--quick", action="store_true",
-        help="small-mix smoke subset (CI); keys are a subset of the full run",
+        help="one small fleet case (CI smoke); its key is in the full run",
     )
     bench.add_argument(
         "--out", type=str, default="BENCH_simulator.json",
         help="where to write the JSON payload ('-' for stdout only)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repeats per case, best wall time wins (default 3: "
-        "single draws make the speedup ratio too noisy to gate on)",
     )
     bench.add_argument(
         "--check", metavar="BASELINE", type=str, default=None,
@@ -1480,7 +1476,7 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark the simulator hot path and emit BENCH_simulator.json."""
+    """Benchmark event-horizon batching and emit BENCH_simulator.json."""
     import json
 
     from repro.experiments.hotpath import (
@@ -1491,7 +1487,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     payload = run_bench(
         quick=args.quick,
-        repeats=args.repeats,
         progress=lambda msg: print(f"  {msg}", file=sys.stderr),
     )
     text = json.dumps(payload, indent=1)
@@ -1507,11 +1502,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     s = payload["summary"]
     ident = "yes" if s["all_bit_identical"] else "NO -- INVESTIGATE"
     print(
-        f"{s['n_cases']} cases; epoch-throughput speedup "
+        f"{s['n_cases']} fleet cases; batch_events off/on speedup "
         f"{s['min_speedup']:.2f}x..{s['max_speedup']:.2f}x "
-        f"(geomean {s['geomean_speedup']:.2f}x); "
-        f"{s['n_fleet_cases']} fleet cases (event-horizon geomean "
-        f"{s['fleet_geomean_speedup']:.2f}x); bit-identical: {ident}",
+        f"(geomean {s['geomean_speedup']:.2f}x); bit-identical: {ident}",
         file=chat,
     )
     if not s["all_bit_identical"]:

@@ -1,49 +1,33 @@
-"""Hot-path benchmark harness for the coflow simulator (``ccf bench``).
+"""Event-horizon benchmark harness for the coflow simulator (``ccf bench``).
 
-Times the simulator's vectorized epoch loop (``incremental=True``, the
-default) against the original per-flow/per-mask reference path
-(``incremental=False``) on the canonical 50-port x 200-coflow mix, and
-verifies on every run that the two produce **bit-identical**
-``SimulationResult``s -- same CCT floats, same epoch counts, same failure
-logs -- across the tier-1 scenarios (plain, chaos, noise, on_abort).
+Runs large-fleet service-mode cases (10^4+ offered flows through
+``run_service`` under overload with a bounded-queue admission policy)
+twice: with event-horizon batching off (``batch_events=False``, a fresh
+allocation every epoch) and on (the default, which reuses a rate
+allocation while the scheduler declares it valid).  Every run checks
+that the two sides produce **bit-identical** ``SimulationResult``s --
+same CCT floats, same epoch counts, same failure logs -- so the speedup
+is a pure performance win.
 
-The emitted ``BENCH_simulator.json`` has five sections:
+The emitted ``BENCH_simulator.json`` has two sections:
 
-``cases``
-    End-to-end epoch throughput (epochs/sec) per scheduler x scenario,
-    reference vs incremental, with the bit-identity verdict.
 ``fleet``
-    Large-fleet service-mode cases (10^4+ flows through ``run_service``
-    under overload with a bounded-queue admission policy) timing the
-    event-horizon path (``batch_events=True``) against the plain epoch
-    loop (``batch_events=False``); both sides run the incremental
-    kernels, so the ratio isolates the rate-reuse win.  Bit-identity is
-    checked the same way as ``cases``.
-``scaling``
-    Wall time against problem size (n_coflows, and the resulting
-    n_flows) for one scheduler, showing how the two paths scale.
-``micro``
-    Component microbenchmarks of the three rewritten hot spots --
-    noise-view construction, per-coflow aggregation, and the admission
-    queue -- timed in isolation.  These are where the epoch loop spent
-    its redundant work; the end-to-end ratio is smaller because the
-    bit-identity constraint pins the waterfill's sequential arithmetic,
-    which both paths must execute step for step.
+    Per case: wall time and epochs/sec with batching ``off`` and
+    ``on``, the off/on ``speedup`` and the bit-identity verdict.
 ``summary``
     Aggregates used by the CI regression gate.
 
-The harness is deliberately deterministic (fixed workload seeds, fixed
-chaos schedule, fixed noise seed) so that two runs on the same machine
-differ only by timer noise; ``check_regression`` compares each case's
-reference/incremental speedup against a committed baseline with a
-configurable tolerance (the ratio cancels machine-speed drift that
-absolute epochs/sec cannot).
+The harness is deterministic (fixed arrival seeds and retry cadence),
+so two runs on the same machine differ only by timer noise;
+``check_regression`` compares each case's off/on speedup against a
+committed baseline with a configurable tolerance (the ratio cancels
+machine-speed drift that absolute epochs/sec cannot).  Absolute
+per-layer timings of the whole pipeline live in ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import platform
 import time
 from dataclasses import dataclass
@@ -52,210 +36,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.noise import NoisyEstimates
 from repro.core.resilience import Backoff
-from repro.network import CoflowSimulator, Fabric
-from repro.network.dynamics import FabricDynamics, RateEvent
-from repro.network.events import FlowGroups
-from repro.network.flow import Coflow, Flow
-from repro.network.schedulers import make_scheduler
 from repro.service.arrivals import ArrivalConfig, ArrivalStream
 from repro.service.loop import ServiceConfig, run_service
-from repro.workloads.coflowmix import CoflowMixConfig, generate_coflow_mix
 
 __all__ = [
-    "CaseSpec",
     "FleetSpec",
-    "default_cases",
     "fleet_cases",
-    "run_case",
     "run_fleet_case",
-    "run_micro",
     "run_bench",
     "check_regression",
+    "load_baseline",
 ]
-
-SCENARIOS = ("plain", "chaos", "noise", "on_abort")
-
-#: Canonical benchmark mix (the ISSUE's 50-node x 200-coflow target).
-FULL_MIX = dict(n_ports=50, n_coflows=200, arrival_rate=40.0, seed=1)
-
-#: Small mix used by ``--quick`` (CI smoke) -- its case keys are a
-#: subset of the full baseline's, so quick runs can be checked against
-#: the committed full JSON.
-QUICK_MIX = dict(n_ports=20, n_coflows=60, arrival_rate=8.0, seed=3)
-
-
-@dataclass(frozen=True)
-class CaseSpec:
-    """One benchmark case: a scheduler on a scenario on a mix."""
-
-    scheduler: str
-    scenario: str
-    n_ports: int
-    n_coflows: int
-    arrival_rate: float
-    seed: int
-
-    @property
-    def key(self) -> str:
-        return (
-            f"{self.scheduler}/{self.scenario}/"
-            f"p{self.n_ports}c{self.n_coflows}"
-            f"a{self.arrival_rate:g}s{self.seed}"
-        )
-
-
-def default_cases(*, quick: bool = False) -> list[CaseSpec]:
-    """The benchmark matrix.
-
-    Quick mode runs the small mix only (two schedulers, two scenarios);
-    the full run covers four schedulers x four scenarios on the
-    canonical mix *plus* every quick case, so the quick keys always
-    exist in a full baseline.
-    """
-    quick_cases = [
-        CaseSpec(s, sc, **QUICK_MIX)
-        for s in ("sebf", "fair")
-        for sc in ("plain", "noise")
-    ]
-    if quick:
-        return quick_cases
-    full_cases = [
-        CaseSpec(s, sc, **FULL_MIX)
-        for s in ("sebf", "dclas", "fair", "wss")
-        for sc in SCENARIOS
-    ]
-    return quick_cases + full_cases
-
-
-def _mix(spec: CaseSpec) -> list[Coflow]:
-    cfg = CoflowMixConfig(
-        n_ports=spec.n_ports,
-        n_coflows=spec.n_coflows,
-        arrival_rate=spec.arrival_rate,
-        seed=spec.seed,
-    )
-    return generate_coflow_mix(cfg)
-
-
-def _chaos() -> FabricDynamics:
-    """Fixed failure/recovery schedule (ports exist in every mix used)."""
-    return FabricDynamics(
-        [
-            RateEvent.failure(2.0e7, 3),
-            RateEvent.recovery(5.0e7, 3, egress=1.0, ingress=1.0),
-            RateEvent.failure(8.0e7, 11),
-            RateEvent.recovery(1.1e8, 11, egress=1.0, ingress=1.0),
-            RateEvent.failure(1.4e8, 7),
-            RateEvent.recovery(1.7e8, 7, egress=1.0, ingress=1.0),
-        ]
-    )
-
-
-def _retry_factory(base: int) -> Callable[[int, float], list[Coflow]]:
-    """Deterministic ``on_abort`` callback: resubmit at half volume."""
-    originals: dict[int, Coflow] = {}
-
-    def remember(coflows: Sequence[Coflow]) -> None:
-        for c in coflows:
-            originals[c.coflow_id] = c
-
-    def resubmit(cid: int, now: float) -> list[Coflow]:
-        orig = originals.get(cid)
-        if orig is None or cid >= base:  # don't retry a retry
-            return []
-        clone = Coflow(
-            flows=[
-                Flow(f.src, f.dst, f.volume * 0.5) for f in orig.flows
-            ],
-            arrival_time=now,
-            coflow_id=base + cid,
-            name=f"retry-{cid}",
-        )
-        originals[clone.coflow_id] = clone
-        return [clone]
-
-    resubmit.remember = remember  # type: ignore[attr-defined]
-    return resubmit
-
-
-def _build(spec: CaseSpec, *, incremental: bool):
-    """Simulator + run kwargs for one case (fresh state every call)."""
-    coflows = _mix(spec)
-    kwargs: dict = {}
-    sim_kwargs: dict = {"incremental": incremental}
-    if spec.scenario == "chaos":
-        sim_kwargs["dynamics"] = _chaos()
-        sim_kwargs["recovery"] = "retry"
-    elif spec.scenario == "noise":
-        sim_kwargs["estimate_noise"] = NoisyEstimates(
-            sigma=0.3, censor_fraction=0.1, seed=7
-        )
-    elif spec.scenario == "on_abort":
-        sim_kwargs["dynamics"] = _chaos()
-        sim_kwargs["recovery"] = "abort"
-        cb = _retry_factory(base=1_000_000)
-        cb.remember(coflows)  # type: ignore[attr-defined]
-        kwargs["on_abort"] = cb
-    fabric = Fabric(n_ports=spec.n_ports, rate=1.0)
-    sim = CoflowSimulator(
-        fabric, make_scheduler(spec.scheduler), **sim_kwargs
-    )
-    return sim, coflows, kwargs
-
-
-def _fingerprint(result) -> dict:
-    """Everything that must match bit-for-bit between the two paths."""
-    return {
-        "ccts": dict(sorted(result.ccts.items())),
-        "completion_times": dict(sorted(result.completion_times.items())),
-        "n_epochs": result.n_epochs,
-        "failed_coflows": sorted(result.failed_coflows),
-        "failures": [
-            (r.kind, r.time, r.flows) for r in result.failures
-        ],
-    }
-
-
-def run_case(spec: CaseSpec, *, repeats: int = 1) -> dict:
-    """Time both paths on one case; best-of-``repeats`` wall time."""
-    out: dict = {
-        "scheduler": spec.scheduler,
-        "scenario": spec.scenario,
-        "n_ports": spec.n_ports,
-        "n_coflows": spec.n_coflows,
-        "arrival_rate": spec.arrival_rate,
-        "seed": spec.seed,
-    }
-    prints: dict[str, dict] = {}
-    for label, incremental in (("ref", False), ("inc", True)):
-        best = math.inf
-        result = None
-        for _ in range(max(1, repeats)):
-            sim, coflows, kwargs = _build(spec, incremental=incremental)
-            t0 = time.perf_counter()
-            result = sim.run(coflows, **kwargs)
-            best = min(best, time.perf_counter() - t0)
-        prints[label] = _fingerprint(result)
-        out[label] = {
-            "wall_s": round(best, 4),
-            "epochs_per_sec": round(result.n_epochs / best, 2),
-        }
-    out["n_flows"] = int(
-        sum(len(c.flows) for c in _mix(spec))
-    )
-    out["n_epochs"] = prints["inc"]["n_epochs"]
-    out["bit_identical"] = prints["ref"] == prints["inc"]
-    out["speedup"] = round(
-        out["ref"]["wall_s"] / out["inc"]["wall_s"], 3
-    )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Large-fleet service-mode cases (event-horizon batching)
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -305,8 +97,8 @@ _FLEET_BACKOFF = dict(
 def fleet_cases(*, quick: bool = False) -> list[FleetSpec]:
     """The large-fleet matrix (10^4+ offered flows per full case).
 
-    As with :func:`default_cases`, the quick (CI smoke) case is also
-    part of the full set so its key exists in a full baseline.
+    The quick (CI smoke) case is also part of the full set, so its key
+    exists in a full baseline.
     """
     quick_cases = [
         FleetSpec(
@@ -369,13 +161,26 @@ def _fleet_config(spec: FleetSpec, *, batch_events: bool) -> ServiceConfig:
     )
 
 
-def run_fleet_case(spec: FleetSpec, *, repeats: int = 1) -> dict:
-    """Time ``batch_events`` on vs off on one fleet case.
+def _fingerprint(result) -> dict:
+    """Everything that must match bit-for-bit between the two sides."""
+    return {
+        "ccts": dict(sorted(result.ccts.items())),
+        "completion_times": dict(sorted(result.completion_times.items())),
+        "n_epochs": result.n_epochs,
+        "failed_coflows": sorted(result.failed_coflows),
+        "failures": [
+            (r.kind, r.time, r.flows) for r in result.failures
+        ],
+    }
 
-    Both sides run the incremental kernels (the PR 3 path); the ratio
-    therefore isolates the event-horizon rate reuse.  ``n_flows`` counts
-    the *offered* flows of the arrival stream -- admission sheds some of
-    them, identically on both sides.
+
+def run_fleet_case(spec: FleetSpec) -> dict:
+    """Time ``batch_events`` off vs on on one fleet case.
+
+    ``n_flows`` counts the *offered* flows of the arrival stream --
+    admission sheds some of them, identically on both sides.  Each run
+    lasts seconds to tens of seconds, so one draw per side keeps timer
+    noise a rounding error.
     """
     out: dict = {
         "scheduler": spec.scheduler,
@@ -391,184 +196,23 @@ def run_fleet_case(spec: FleetSpec, *, repeats: int = 1) -> dict:
     arrival = _fleet_config(spec, batch_events=True).arrival
     out["n_flows"] = int(sum(len(c) for c in ArrivalStream(arrival)))
     prints: dict[str, dict] = {}
-    for label, batch in (("ref", False), ("inc", True)):
-        best = math.inf
-        result = None
-        report = None
-        for _ in range(max(1, repeats)):
-            config = _fleet_config(spec, batch_events=batch)
-            t0 = time.perf_counter()
-            report, result, _controller = run_service(config)
-            best = min(best, time.perf_counter() - t0)
+    for label, batch in (("off", False), ("on", True)):
+        config = _fleet_config(spec, batch_events=batch)
+        t0 = time.perf_counter()
+        report, result, _controller = run_service(config)
+        wall = time.perf_counter() - t0
         prints[label] = _fingerprint(result)
         out[label] = {
-            "wall_s": round(best, 4),
-            "epochs_per_sec": round(result.n_epochs / best, 2),
+            "wall_s": round(wall, 4),
+            "epochs_per_sec": round(result.n_epochs / wall, 2),
         }
-    out["n_epochs"] = prints["inc"]["n_epochs"]
+    out["n_epochs"] = prints["on"]["n_epochs"]
     out["completed"] = report.completed
     out["shed"] = report.shed
     out["deferrals"] = report.deferrals
-    out["bit_identical"] = prints["ref"] == prints["inc"]
-    out["speedup"] = round(out["ref"]["wall_s"] / out["inc"]["wall_s"], 3)
+    out["bit_identical"] = prints["off"] == prints["on"]
+    out["speedup"] = round(out["off"]["wall_s"] / out["on"]["wall_s"], 3)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Component microbenchmarks
-# ---------------------------------------------------------------------------
-
-
-def _micro_noise_view(n_flows: int = 2000, loops: int = 200) -> dict:
-    """Noise-view build: per-flow memoized loop vs factor-column multiply."""
-    rng = np.random.default_rng(0)
-    cids = rng.integers(0, 200, size=n_flows)
-    srcs = rng.integers(0, 50, size=n_flows)
-    dsts = rng.integers(0, 50, size=n_flows)
-    remaining = rng.uniform(1e6, 1e8, size=n_flows)
-    noise = NoisyEstimates(sigma=0.3, censor_fraction=0.1, seed=7)
-    memo = {
-        (int(c), int(s), int(d)): noise.flow_factor(int(c), int(s), int(d))
-        for c, s, d in zip(cids, srcs, dsts)
-    }
-    keys = list(zip(cids.tolist(), srcs.tolist(), dsts.tolist()))
-
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        np.array([memo[k] for k in keys]) * remaining
-    ref = (time.perf_counter() - t0) / loops
-
-    column = np.array([memo[k] for k in keys])
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        remaining * column
-    inc = (time.perf_counter() - t0) / loops
-    return {
-        "what": "scheduler_view noise factors, per epoch "
-        f"({n_flows} flows)",
-        "ref_us": round(ref * 1e6, 2),
-        "inc_us": round(inc * 1e6, 2),
-        "speedup": round(ref / inc, 1),
-    }
-
-
-def _micro_aggregates(
-    n_flows: int = 2000, n_coflows: int = 200, loops: int = 200
-) -> dict:
-    """Per-coflow volume sums: boolean-mask scans vs FlowGroups."""
-    rng = np.random.default_rng(0)
-    cids = np.sort(rng.integers(0, n_coflows, size=n_flows))
-    remaining = rng.uniform(1e6, 1e8, size=n_flows)
-    unique = np.unique(cids)
-
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        [float(remaining[cids == c].sum()) for c in unique]
-    ref = (time.perf_counter() - t0) / loops
-
-    groups = FlowGroups(cids)
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        groups.value_sums(remaining)
-    inc = (time.perf_counter() - t0) / loops
-    return {
-        "what": "per-coflow remaining-volume sums, per epoch "
-        f"({n_coflows} coflows x {n_flows} flows)",
-        "ref_us": round(ref * 1e6, 2),
-        "inc_us": round(inc * 1e6, 2),
-        "speedup": round(ref / inc, 1),
-    }
-
-
-def _micro_bottlenecks(
-    n_flows: int = 2000, n_coflows: int = 200, n_ports: int = 50,
-    loops: int = 100,
-) -> dict:
-    """SEBF priority keys: per-coflow masked bincounts vs one keyed bincount."""
-    rng = np.random.default_rng(0)
-    cids = np.sort(rng.integers(0, n_coflows, size=n_flows))
-    srcs = rng.integers(0, n_ports, size=n_flows)
-    dsts = rng.integers(0, n_ports, size=n_flows)
-    remaining = rng.uniform(1e6, 1e8, size=n_flows)
-    unique = np.unique(cids)
-
-    def ref_keys() -> list[float]:
-        out = []
-        for c in unique:
-            mask = cids == c
-            send = np.bincount(
-                srcs[mask], weights=remaining[mask], minlength=n_ports
-            )
-            recv = np.bincount(
-                dsts[mask], weights=remaining[mask], minlength=n_ports
-            )
-            out.append(float(max(send.max(), recv.max())))
-        return out
-
-    groups = FlowGroups(cids)
-
-    def inc_keys() -> list[float]:
-        k = groups.n_groups
-        cell = groups.inverse * n_ports
-        send = np.bincount(
-            cell + srcs, weights=remaining, minlength=k * n_ports
-        ).reshape(k, n_ports)
-        recv = np.bincount(
-            cell + dsts, weights=remaining, minlength=k * n_ports
-        ).reshape(k, n_ports)
-        return np.maximum(send.max(axis=1), recv.max(axis=1)).tolist()
-
-    assert ref_keys() == inc_keys()
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        ref_keys()
-    ref = (time.perf_counter() - t0) / loops
-    t0 = time.perf_counter()
-    for _ in range(loops):
-        inc_keys()
-    inc = (time.perf_counter() - t0) / loops
-    return {
-        "what": "per-coflow bottleneck loads (scheduler priority keys), "
-        f"per epoch ({n_coflows} coflows x {n_flows} flows)",
-        "ref_us": round(ref * 1e6, 2),
-        "inc_us": round(inc * 1e6, 2),
-        "speedup": round(ref / inc, 1),
-    }
-
-
-def run_micro() -> dict:
-    return {
-        "noise_view": _micro_noise_view(),
-        "coflow_aggregates": _micro_aggregates(),
-        "coflow_bottlenecks": _micro_bottlenecks(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Top level
-# ---------------------------------------------------------------------------
-
-
-def _scaling(repeats: int = 1) -> list[dict]:
-    """Wall time against mix size (sebf, plain scenario)."""
-    rows = []
-    for n_coflows in (50, 100, 200):
-        spec = CaseSpec(
-            "sebf", "plain",
-            n_ports=50, n_coflows=n_coflows, arrival_rate=40.0, seed=1,
-        )
-        case = run_case(spec, repeats=repeats)
-        rows.append(
-            {
-                "n_coflows": n_coflows,
-                "n_flows": case["n_flows"],
-                "n_epochs": case["n_epochs"],
-                "ref_wall_s": case["ref"]["wall_s"],
-                "inc_wall_s": case["inc"]["wall_s"],
-                "speedup": case["speedup"],
-            }
-        )
-    return rows
 
 
 def _geomean(values: Sequence[float]) -> float:
@@ -578,37 +222,19 @@ def _geomean(values: Sequence[float]) -> float:
 def run_bench(
     *,
     quick: bool = False,
-    repeats: int = 1,
-    with_scaling: bool | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
-    """Run the full harness and return the BENCH_simulator.json payload."""
+    """Run the harness and return the BENCH_simulator.json payload."""
     say = progress or (lambda _msg: None)
-    cases: dict[str, dict] = {}
-    for spec in default_cases(quick=quick):
-        say(f"case {spec.key} ...")
-        cases[spec.key] = run_case(spec, repeats=repeats)
     fleet: dict[str, dict] = {}
-    for fspec in fleet_cases(quick=quick):
-        say(f"case {fspec.key} ...")
-        # Fleet runs last tens of seconds each, so timer noise is a
-        # rounding error; best-of-1 keeps the full bench's wall time
-        # bounded.
-        fleet[fspec.key] = run_fleet_case(fspec, repeats=1)
-    say("microbenchmarks ...")
-    micro = run_micro()
-    scaling: list[dict] = []
-    if with_scaling is None:
-        with_scaling = not quick
-    if with_scaling:
-        say("size scaling ...")
-        scaling = _scaling(repeats=repeats)
+    for spec in fleet_cases(quick=quick):
+        say(f"case {spec.key} ...")
+        fleet[spec.key] = run_fleet_case(spec)
     from repro.obs.header import repro_header
 
-    speedups = [c["speedup"] for c in cases.values()]
-    fleet_speedups = [c["speedup"] for c in fleet.values()]
-    payload = {
-        "schema": 1,
+    speedups = [c["speedup"] for c in fleet.values()]
+    return {
+        "schema": 2,
         "generated_by": "ccf bench" + (" --quick" if quick else ""),
         "repro": repro_header(),
         "platform": {
@@ -616,68 +242,63 @@ def run_bench(
             "numpy": np.__version__,
             "machine": platform.machine(),
         },
-        "config": {"quick": quick, "repeats": repeats},
-        "cases": cases,
+        "config": {"quick": quick},
         "fleet": fleet,
-        "scaling": scaling,
-        "micro": micro,
         "summary": {
-            "n_cases": len(cases),
-            "n_fleet_cases": len(fleet),
+            "n_cases": len(fleet),
             "all_bit_identical": all(
-                c["bit_identical"]
-                for c in (*cases.values(), *fleet.values())
+                c["bit_identical"] for c in fleet.values()
             ),
             "min_speedup": min(speedups),
             "max_speedup": max(speedups),
             "geomean_speedup": round(_geomean(speedups), 3),
-            "fleet_geomean_speedup": round(
-                _geomean(fleet_speedups), 3
-            ),
-            "micro_min_speedup": min(
-                m["speedup"] for m in micro.values()
-            ),
         },
     }
-    return payload
 
 
 def check_regression(
     current: dict, baseline: dict, *, tolerance: float = 0.3
 ) -> list[str]:
-    """Compare each case's hot-path speedup against a baseline.
+    """Compare each fleet case's off/on speedup against a baseline.
 
     Returns a list of human-readable problems (empty = gate passes).
     Absolute epochs/sec tracks the machine's clock as much as the code
     (a loaded CI runner measures 30%+ below an idle one on identical
-    trees), so the gate compares the reference/incremental *speedup*
-    instead: both paths are timed seconds apart in the same process, so
-    machine-speed drift cancels while a slowdown of the vectorized path
+    trees), so the gate compares the ``batch_events`` off/on *speedup*
+    instead: both sides are timed seconds apart in the same process, so
+    machine-speed drift cancels while a slowdown of the batched path
     alone still shows.  A case regresses when its speedup falls more
     than ``tolerance`` (fraction) below the baseline's for the same
-    key; a broken bit-identity verdict is always a failure.
+    key; a broken bit-identity verdict is always a failure, and so is a
+    payload none of whose keys appear in the baseline (the gate would
+    otherwise pass having compared nothing).
     """
     problems: list[str] = []
-    for section in ("cases", "fleet"):
-        base_cases = baseline.get(section, {})
-        for key, case in current.get(section, {}).items():
-            if not case.get("bit_identical", False):
-                problems.append(
-                    f"{key}: reference/incremental results differ"
-                )
-            base = base_cases.get(key)
-            if base is None:
-                continue
-            cur_speedup = case["speedup"]
-            base_speedup = base["speedup"]
-            if cur_speedup < base_speedup * (1.0 - tolerance):
-                problems.append(
-                    f"{key}: speedup {cur_speedup:.2f}x is more than "
-                    f"{tolerance:.0%} below baseline "
-                    f"{base_speedup:.2f}x "
-                    f"({case['inc']['epochs_per_sec']:.1f} epochs/s now "
-                    f"vs {base['inc']['epochs_per_sec']:.1f} recorded)"
-                )
+    base_cases = baseline.get("fleet", {})
+    current_cases = current.get("fleet", {})
+    matched = 0
+    for key, case in current_cases.items():
+        if not case.get("bit_identical", False):
+            problems.append(f"{key}: batch_events off/on results differ")
+        base = base_cases.get(key)
+        if base is None:
+            continue
+        matched += 1
+        cur_speedup = case["speedup"]
+        base_speedup = base["speedup"]
+        if cur_speedup < base_speedup * (1.0 - tolerance):
+            problems.append(
+                f"{key}: speedup {cur_speedup:.2f}x is more than "
+                f"{tolerance:.0%} below baseline "
+                f"{base_speedup:.2f}x "
+                f"({case['on']['epochs_per_sec']:.1f} epochs/s now "
+                f"vs {base['on']['epochs_per_sec']:.1f} recorded)"
+            )
+    if not matched:
+        problems.append(
+            f"none of the {len(current_cases)} current case(s) has a key "
+            f"in the baseline's {len(base_cases)}: nothing was compared"
+        )
     return problems
 
 

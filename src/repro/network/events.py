@@ -131,12 +131,11 @@ class SchedulingContext:
     covering only active flows.  A scheduler returns an array of rates
     (bytes/second) aligned with these arrays.
 
-    ``groups`` (optional) is the simulator's cached :class:`FlowGroups`
-    over ``coflow_ids``; when present, the per-coflow queries and the bulk
-    aggregate methods answer from it instead of scanning the full arrays.
-    When absent, every method falls back to the original mask-based
-    reference implementation -- the equivalence property tests and the
-    hot-path benchmark run both paths against each other.
+    ``groups`` is the :class:`FlowGroups` index over ``coflow_ids``; the
+    per-coflow queries and the bulk aggregate methods answer from it
+    instead of scanning the full arrays.  The simulator passes its cached
+    instance (rebuilt only when the active flow set changes); a context
+    built without one derives it on construction.
     """
 
     time: float
@@ -148,21 +147,20 @@ class SchedulingContext:
     progress: dict[int, CoflowProgress] = field(default_factory=dict)
     groups: FlowGroups | None = None
 
+    def __post_init__(self) -> None:
+        self.groups = self.groups or FlowGroups(self.coflow_ids)
+
     @property
     def n_flows(self) -> int:
         return int(self.srcs.shape[0])
 
     def active_coflow_ids(self) -> list[int]:
         """Distinct coflow ids with at least one active flow, ascending."""
-        if self.groups is not None:
-            return [int(c) for c in self.groups.unique_cids]
-        return [int(c) for c in np.unique(self.coflow_ids)]
+        return [int(c) for c in self.groups.unique_cids]
 
     def flows_of(self, coflow_id: int) -> np.ndarray:
         """Indices (into the flat arrays) of the coflow's active flows."""
-        if self.groups is not None:
-            return self.groups.indices_of(coflow_id)
-        return np.nonzero(self.coflow_ids == coflow_id)[0]
+        return self.groups.indices_of(coflow_id)
 
     def remaining_volume(self, coflow_id: int) -> float:
         """Total unfinished bytes of one coflow."""
@@ -170,33 +168,22 @@ class SchedulingContext:
 
     def remaining_volumes(self) -> list[float]:
         """Remaining bytes of every active coflow, ``active_coflow_ids`` order."""
-        if self.groups is not None:
-            return self.groups.value_sums(self.remaining)
-        return [self.remaining_volume(c) for c in self.active_coflow_ids()]
+        return self.groups.value_sums(self.remaining)
 
     def coflow_rate_sums(self, rates: np.ndarray) -> list[float]:
         """Aggregate rate of every active coflow, ``active_coflow_ids`` order."""
-        if self.groups is not None:
-            return self.groups.value_sums(rates)
-        return [
-            float(rates[self.coflow_ids == c].sum())
-            for c in self.active_coflow_ids()
-        ]
+        return self.groups.value_sums(rates)
 
     def remaining_bottlenecks(self) -> list[float]:
         """Gamma of every active coflow's remainder, ``active_coflow_ids`` order.
 
-        Vectorized over all coflows at once when ``groups`` is cached: one
-        combined bincount keyed by ``group * n_ports + port`` accumulates
-        every (coflow, port) load cell in ascending flow order -- the same
-        order the per-coflow :meth:`remaining_bottleneck` bincount uses,
-        so the sums (and the resulting Gammas) are bit-identical.
+        Vectorized over all coflows at once: one combined bincount keyed
+        by ``group * n_ports + port`` accumulates every (coflow, port) load
+        cell in ascending flow order -- the same order the per-coflow
+        :meth:`remaining_bottleneck` bincount uses, so the sums (and the
+        resulting Gammas) are bit-identical.
         """
         g = self.groups
-        if g is None:
-            return [
-                self.remaining_bottleneck(c) for c in self.active_coflow_ids()
-            ]
         k = g.n_groups
         n = self.fabric.n_ports
         cell = g.inverse * n

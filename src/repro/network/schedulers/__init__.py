@@ -30,7 +30,7 @@ from repro.network.schedulers.approx import (
     LPOrderingScheduler,
     WeightedApproxScheduler,
 )
-from repro.network.schedulers.base import CoflowScheduler, maxmin_fill
+from repro.network.schedulers.base import CoflowScheduler
 from repro.network.schedulers.dclas import DCLASScheduler
 from repro.network.schedulers.deadline import DeadlineScheduler
 from repro.network.schedulers.fair import FairSharingScheduler
@@ -89,5 +89,4 @@ __all__ = [
     "WSSScheduler",
     "WeightedApproxScheduler",
     "make_scheduler",
-    "maxmin_fill",
 ]

@@ -1,26 +1,16 @@
-"""Scheduler interface and shared rate-allocation primitives.
+"""Scheduler interface and shared rate-allocation kernels.
 
-Two implementations of each primitive live here:
-
-``maxmin_fill_reference`` / ``madd_rates_reference``
-    The original split-residual implementations, kept verbatim.  The
-    simulator's reference path (``incremental=False``) routes through
-    them so ``ccf bench`` measures the seed's true cost, and the
-    property tests pin the fast kernels against them bit-for-bit.
-
-``maxmin_fill_fast`` / ``madd_rates_fast``
-    Combined-port rewrites: egress cell ``p`` and ingress cell
-    ``n_ports + p`` share one residual vector, halving the bincounts,
-    divisions, minima and clamps per waterfill iteration.  The frozen
-    flows are *compressed out* of the working arrays instead of masked,
-    and the unweighted per-port counts are maintained by integer
-    subtraction instead of recounted.  Every transformation preserves
-    the exact float semantics of the reference (see the inline notes),
-    so the allocations -- and therefore simulated CCTs -- are
-    bit-identical.
-
-The public ``maxmin_fill`` / ``madd_rates`` keep the original split
-signature and delegate to the fast kernels.
+``maxmin_fill_fast`` / ``madd_rates_fast`` are the waterfill and MADD
+primitives every rate-allocating discipline builds on.  They work on a
+combined-port layout: egress cell ``p`` and ingress cell ``n_ports + p``
+share one residual vector, halving the bincounts, divisions, minima and
+clamps per waterfill iteration.  The frozen flows are *compressed out*
+of the working arrays instead of masked, and the unweighted per-port
+counts are maintained as integers instead of recounted.  Every
+transformation preserves the exact float semantics of the textbook
+split-residual formulation (see the inline notes); the test suite keeps
+that formulation as an oracle (``tests/oracles.py``) and pins the
+kernels against it bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +23,6 @@ from repro.network.events import SchedulingContext
 
 __all__ = [
     "CoflowScheduler",
-    "maxmin_fill",
-    "madd_rates",
-    "maxmin_fill_reference",
-    "madd_rates_reference",
     "maxmin_fill_fast",
     "madd_rates_fast",
 ]
@@ -104,130 +90,6 @@ class CoflowScheduler(ABC):
         return f"{type(self).__name__}()"
 
 
-def maxmin_fill_reference(
-    srcs: np.ndarray,
-    dsts: np.ndarray,
-    res_out: np.ndarray,
-    res_in: np.ndarray,
-    *,
-    subset: np.ndarray | None = None,
-    rates: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Progressive-filling (weighted) max-min fair allocation.
-
-    Distributes the residual port capacities ``res_out`` / ``res_in``
-    (modified in place) among the flows given by ``subset`` (indices into
-    ``srcs``/``dsts``; all flows when ``None``).  Existing ``rates`` are
-    incremented, supporting use as a backfill pass after a priority pass.
-
-    Progressive filling raises the rate of all unfrozen flows uniformly
-    (or proportionally to ``weights`` -- the weighted max-min of priority
-    classes) until some port saturates, freezes the flows crossing that
-    port, and repeats -- the classical waterfilling algorithm.
-
-    This is the original implementation; :func:`maxmin_fill_fast` computes
-    the same allocation (bit-for-bit) with far fewer array operations.
-    """
-    n_flows = srcs.shape[0]
-    if rates is None:
-        rates = np.zeros(n_flows)
-    if subset is None:
-        subset = np.arange(n_flows)
-    if subset.size == 0:
-        return rates
-    if weights is None:
-        w_all = np.ones(n_flows)
-    else:
-        w_all = np.asarray(weights, dtype=float)
-        if w_all.shape != (n_flows,):
-            raise ValueError(f"weights must have shape ({n_flows},)")
-        if (w_all <= 0).any():
-            raise ValueError("weights must be strictly positive")
-
-    n_ports = res_out.shape[0]
-    active = np.ones(subset.size, dtype=bool)
-    s_src = srcs[subset]
-    s_dst = dsts[subset]
-    s_w = w_all[subset]
-
-    # Each iteration saturates >= 1 port, so the loop runs <= 2 * n_ports times.
-    while active.any():
-        cnt_out = np.bincount(
-            s_src[active], weights=s_w[active], minlength=n_ports
-        )
-        cnt_in = np.bincount(
-            s_dst[active], weights=s_w[active], minlength=n_ports
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share_out = np.where(cnt_out > 0, res_out / cnt_out, np.inf)
-            share_in = np.where(cnt_in > 0, res_in / cnt_in, np.inf)
-        step = min(share_out.min(), share_in.min())
-        if not np.isfinite(step):  # pragma: no cover - defensive
-            break
-        step = max(step, 0.0)
-        idx = subset[active]
-        rates[idx] += step * s_w[active]
-        res_out -= step * cnt_out
-        res_in -= step * cnt_in
-        np.maximum(res_out, 0.0, out=res_out)
-        np.maximum(res_in, 0.0, out=res_in)
-        # A port is saturated when its residual is (numerically) zero.
-        sat_out = (cnt_out > 0) & (res_out <= 1e-9)
-        sat_in = (cnt_in > 0) & (res_in <= 1e-9)
-        newly_frozen = sat_out[s_src] | sat_in[s_dst]
-        if not (newly_frozen & active).any():
-            break
-        active &= ~newly_frozen
-    return rates
-
-
-def madd_rates_reference(
-    srcs: np.ndarray,
-    dsts: np.ndarray,
-    remaining: np.ndarray,
-    res_out: np.ndarray,
-    res_in: np.ndarray,
-    subset: np.ndarray,
-    rates: np.ndarray,
-) -> bool:
-    """Minimum-Allocation-for-Desired-Duration for one coflow (Varys §4).
-
-    Gives every flow of the coflow rate ``remaining / Gamma`` where
-    ``Gamma`` is the coflow's effective bottleneck against the *residual*
-    capacities, so all flows finish together at the earliest possible time
-    without hogging bandwidth.  Updates ``rates`` and the residual arrays in
-    place.  Returns ``False`` when the coflow is blocked (some required port
-    has no residual capacity).
-
-    This is the original implementation; :func:`madd_rates_fast` computes
-    the same allocation (bit-for-bit) on a combined residual vector.
-    """
-    if subset.size == 0:
-        return True
-    n_ports = res_out.shape[0]
-    send = np.bincount(srcs[subset], weights=remaining[subset], minlength=n_ports)
-    recv = np.bincount(dsts[subset], weights=remaining[subset], minlength=n_ports)
-    need_out = send > 0
-    need_in = recv > 0
-    if (res_out[need_out] <= 1e-9).any() or (res_in[need_in] <= 1e-9).any():
-        return False
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = max(
-            (send[need_out] / res_out[need_out]).max(initial=0.0),
-            (recv[need_in] / res_in[need_in]).max(initial=0.0),
-        )
-    if gamma <= 0:
-        return True
-    alloc = remaining[subset] / gamma
-    rates[subset] += alloc
-    res_out -= np.bincount(srcs[subset], weights=alloc, minlength=n_ports)
-    res_in -= np.bincount(dsts[subset], weights=alloc, minlength=n_ports)
-    np.maximum(res_out, 0.0, out=res_out)
-    np.maximum(res_in, 0.0, out=res_in)
-    return True
-
-
 #: Subset size below which the per-coflow kernels drop to plain-Python
 #: scalar arithmetic: for a handful of flows the cost of a numpy call
 #: (~1-2us each) dwarfs the arithmetic, and scalar IEEE doubles follow
@@ -247,7 +109,7 @@ def _maxmin_small_zero(
 ) -> np.ndarray:
     """Scalar waterfill for a small subset whose rates start at zero.
 
-    Mirrors the reference iteration exactly: integer per-port counts,
+    Mirrors the oracle's iteration exactly: integer per-port counts,
     ``share = res / cnt`` per busy port, one uniform ``step`` (the exact
     minimum), ``res -= step * cnt`` per cell, clamp, freeze.  Because the
     subset's rates are all zero on entry, the per-iteration ``rates[i] +=
@@ -318,7 +180,7 @@ def _madd_small(
     subset: np.ndarray,
     rates: np.ndarray,
 ) -> bool:
-    """Scalar MADD for a small coflow; bit-identical to the reference.
+    """Scalar MADD for a small coflow; bit-identical to the oracle.
 
     Per-port loads accumulate in flow order (same sequence as the
     bincount), the blocked test and ``Gamma`` cover exactly the ports
@@ -374,11 +236,19 @@ def maxmin_fill_fast(
     weights: np.ndarray | None = None,
     zero_rates: bool = False,
 ) -> np.ndarray:
-    """Combined-port progressive filling, bit-identical to the reference.
+    """Progressive-filling (weighted) max-min fair allocation.
+
+    Distributes the residual port capacities ``res`` (modified in place)
+    among the flows given by ``subset`` (indices into ``srcs``; all flows
+    when ``None``).  Existing ``rates`` are incremented, supporting use
+    as a backfill pass after a priority pass.  Progressive filling raises
+    the rate of all unfrozen flows uniformly (or proportionally to
+    ``weights``) until some port saturates, freezes the flows crossing
+    that port, and repeats -- the classical waterfilling algorithm.
 
     ``dsts_off`` is ``dsts + n_ports`` and ``res`` the length ``2 *
-    n_ports`` concatenation of the egress and ingress residuals (modified
-    in place).  Why each rewrite keeps the exact reference floats:
+    n_ports`` concatenation of the egress and ingress residuals.  Why
+    each rewrite keeps the split-residual oracle's exact floats:
 
     - One bincount over ``[srcs..., dsts_off...]`` hits disjoint cells
       for the two halves, accumulating each cell in flow order exactly
@@ -388,14 +258,14 @@ def maxmin_fill_fast(
       int->float promotion in the divides is exact too.
     - Frozen flows are removed from the working arrays; the survivors
       keep their relative order, so recomputed weighted bincounts
-      accumulate in the reference order.
+      accumulate in the oracle's order.
     - ``min`` / ``max`` never round, so one minimum over the combined
-      share vector equals the reference's ``min(out.min(), in.min())``.
-    - ``rates[idx] += step`` equals the reference's ``+= step * 1.0``.
+      share vector equals the oracle's ``min(out.min(), in.min())``.
+    - ``rates[idx] += step`` equals the oracle's ``+= step * 1.0``.
 
     ``zero_rates=True`` promises the subset's rates are all zero on
     entry (automatic when ``rates`` is None).  That unlocks the *level*
-    shortcut: the reference's per-iteration ``rates[idx] += step`` then
+    shortcut: the oracle's per-iteration ``rates[idx] += step`` then
     accumulates ``0 + s1 + ... + sk`` per flow, which is the exact same
     left-associated addition sequence as a running scalar level, so each
     flow's rate can be written once when it freezes.  (Weighted fills
@@ -509,14 +379,21 @@ def madd_rates_fast(
     subset: np.ndarray,
     rates: np.ndarray,
 ) -> bool:
-    """Combined-port MADD, bit-identical to the reference.
+    """Minimum-Allocation-for-Desired-Duration for one coflow (Varys §4).
+
+    Gives every flow of the coflow rate ``remaining / Gamma`` where
+    ``Gamma`` is the coflow's effective bottleneck against the *residual*
+    capacities, so all flows finish together at the earliest possible
+    time without hogging bandwidth.  Updates ``rates`` and ``res`` in
+    place.  Returns ``False`` when the coflow is blocked (some required
+    port has no residual capacity).
 
     Same conventions as :func:`maxmin_fill_fast`: ``dsts_off = dsts +
     n_ports`` and ``res`` is the combined residual vector (modified in
     place).  The single bincount reaches disjoint cells for the egress
     and ingress halves in flow order, the blocked test is an
     order-independent ``any``, and one ``max`` over the combined loads
-    equals the reference's max of the two per-side maxima.
+    equals the oracle's max of the two per-side maxima.
     """
     if subset.size == 0:
         return True
@@ -542,46 +419,3 @@ def madd_rates_fast(
     )
     np.maximum(res, 0.0, out=res)
     return True
-
-
-def maxmin_fill(
-    srcs: np.ndarray,
-    dsts: np.ndarray,
-    res_out: np.ndarray,
-    res_in: np.ndarray,
-    *,
-    subset: np.ndarray | None = None,
-    rates: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Split-residual front door for :func:`maxmin_fill_fast`.
-
-    Keeps the original signature (and in-place residual semantics) while
-    delegating the waterfill to the combined-port kernel.
-    """
-    n_ports = res_out.shape[0]
-    res = np.concatenate((res_out, res_in))
-    out = maxmin_fill_fast(
-        srcs, dsts + n_ports, res, subset=subset, rates=rates, weights=weights
-    )
-    res_out[:] = res[:n_ports]
-    res_in[:] = res[n_ports:]
-    return out
-
-
-def madd_rates(
-    srcs: np.ndarray,
-    dsts: np.ndarray,
-    remaining: np.ndarray,
-    res_out: np.ndarray,
-    res_in: np.ndarray,
-    subset: np.ndarray,
-    rates: np.ndarray,
-) -> bool:
-    """Split-residual front door for :func:`madd_rates_fast`."""
-    n_ports = res_out.shape[0]
-    res = np.concatenate((res_out, res_in))
-    ok = madd_rates_fast(srcs, dsts + n_ports, remaining, res, subset, rates)
-    res_out[:] = res[:n_ports]
-    res_in[:] = res[n_ports:]
-    return ok

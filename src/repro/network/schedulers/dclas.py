@@ -17,11 +17,7 @@ import math
 import numpy as np
 
 from repro.network.events import SchedulingContext
-from repro.network.schedulers.base import (
-    CoflowScheduler,
-    maxmin_fill_fast,
-    maxmin_fill_reference,
-)
+from repro.network.schedulers.base import CoflowScheduler, maxmin_fill_fast
 
 __all__ = ["DCLASScheduler"]
 
@@ -94,27 +90,12 @@ class DCLASScheduler(CoflowScheduler):
                 c,
             ),
         )
-        if ctx.groups is None:
-            res_out = ctx.fabric.egress_rates.copy()
-            res_in = ctx.fabric.ingress_rates.copy()
-            if self.queue_weight_decay > 0:
-                self._reserve_weighted_shares(
-                    ctx, order, res_out, res_in, rates
-                )
-            for cid in order:
-                maxmin_fill_reference(
-                    ctx.srcs, ctx.dsts, res_out, res_in,
-                    subset=ctx.flows_of(cid), rates=rates,
-                )
-            return rates
         dsts_off = ctx.dsts + ctx.fabric.n_ports
         res = np.concatenate(
             (ctx.fabric.egress_rates, ctx.fabric.ingress_rates)
         )
         if self.queue_weight_decay > 0:
-            self._reserve_weighted_shares_fast(
-                ctx, order, dsts_off, res, rates
-            )
+            self._reserve_weighted_shares(ctx, order, dsts_off, res, rates)
             zero = False  # reservations already wrote these flows' rates
         else:
             zero = True  # each subset is written exactly once, from zero
@@ -129,17 +110,17 @@ class DCLASScheduler(CoflowScheduler):
         self,
         ctx: SchedulingContext,
         order: list[int],
-        res_out: np.ndarray,
-        res_in: np.ndarray,
+        dsts_off: np.ndarray,
+        res: np.ndarray,
         rates: np.ndarray,
     ) -> None:
         """Give lower queues a guaranteed slice before the priority pass.
 
         Non-empty queues get capacity shares proportional to
-        ``decay ** q`` on every port; each queue distributes its slice
-        max-min among its coflows' flows.  The subsequent FIFO pass then
-        consumes whatever the reservations left, preserving work
-        conservation.
+        ``decay ** q`` on every port of the combined egress/ingress
+        residual ``res``; each queue distributes its slice max-min among
+        its coflows' flows.  The subsequent FIFO pass then consumes
+        whatever the reservations left, preserving work conservation.
         """
         queues: dict[int, list[int]] = {}
         for cid in order:
@@ -152,51 +133,11 @@ class DCLASScheduler(CoflowScheduler):
         # Slices are fractions of the capacity available *before* any
         # reservation; computing them against the shrinking residual
         # would compound the shares and starve low queues anyway.
-        base_out = res_out.copy()
-        base_in = res_in.copy()
+        base = res.copy()
         for q, cids in sorted(queues.items()):
             frac = weights[q] / total
             # A private slice of the fabric for this queue (capped by
             # whatever is actually still free).
-            slice_out = np.minimum(base_out * frac, res_out)
-            slice_in = np.minimum(base_in * frac, res_in)
-            before_out = slice_out.copy()
-            before_in = slice_in.copy()
-            idx = np.concatenate([ctx.flows_of(c) for c in cids])
-            maxmin_fill_reference(
-                ctx.srcs, ctx.dsts, slice_out, slice_in,
-                subset=idx, rates=rates,
-            )
-            res_out -= before_out - slice_out
-            res_in -= before_in - slice_in
-            np.maximum(res_out, 0.0, out=res_out)
-            np.maximum(res_in, 0.0, out=res_in)
-
-    def _reserve_weighted_shares_fast(
-        self,
-        ctx: SchedulingContext,
-        order: list[int],
-        dsts_off: np.ndarray,
-        res: np.ndarray,
-        rates: np.ndarray,
-    ) -> None:
-        """Combined-residual twin of :meth:`_reserve_weighted_shares`.
-
-        Identical arithmetic on the concatenated egress/ingress vector:
-        the slice, fill, consumption and clamp are elementwise, so
-        operating on the combined array gives the reference floats.
-        """
-        queues: dict[int, list[int]] = {}
-        for cid in order:
-            q = self.queue_of(ctx.progress[cid].sent_bytes)
-            queues.setdefault(q, []).append(cid)
-        if len(queues) <= 1:
-            return
-        weights = {q: self.queue_weight_decay ** q for q in queues}
-        total = sum(weights.values())
-        base = res.copy()
-        for q, cids in sorted(queues.items()):
-            frac = weights[q] / total
             slice_res = np.minimum(base * frac, res)
             before = slice_res.copy()
             idx = np.concatenate([ctx.flows_of(c) for c in cids])

@@ -19,11 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network.events import SchedulingContext
-from repro.network.schedulers.base import (
-    CoflowScheduler,
-    maxmin_fill_fast,
-    maxmin_fill_reference,
-)
+from repro.network.schedulers.base import CoflowScheduler, maxmin_fill_fast
 
 __all__ = ["DeadlineScheduler"]
 
@@ -56,13 +52,8 @@ class DeadlineScheduler(CoflowScheduler):
         return self._admitted.get(coflow_id)
 
     def allocate(self, ctx: SchedulingContext) -> np.ndarray:
-        if ctx.groups is None:
-            return self._allocate_reference(ctx)
-        # Combined-residual fast path: the per-coflow reservation becomes
-        # one bincount over the concatenated egress+ingress cells (same
-        # per-cell accumulation order), and admission compares the same
-        # loads against the same residuals -- decisions and allocations
-        # match the reference bit-for-bit.
+        # Residual capacities live in one combined egress+ingress vector:
+        # each coflow's reservation is one bincount over its cells.
         rates = np.zeros(ctx.n_flows)
         n = ctx.fabric.n_ports
         dsts_off = ctx.dsts + n
@@ -83,7 +74,7 @@ class DeadlineScheduler(CoflowScheduler):
             idx = ctx.flows_of(cid)
             time_left = prog.absolute_deadline - ctx.time
             if cid not in self._admitted:
-                self._admitted[cid] = self._admissible_fast(
+                self._admitted[cid] = self._admissible(
                     ctx, dsts_off, idx, time_left, res
                 )
             if not self._admitted[cid]:
@@ -123,91 +114,18 @@ class DeadlineScheduler(CoflowScheduler):
             )
         return rates
 
-    def _allocate_reference(self, ctx: SchedulingContext) -> np.ndarray:
-        """Original split-residual implementation (reference path)."""
-        rates = np.zeros(ctx.n_flows)
-        res_out = ctx.fabric.egress_rates.copy()
-        res_in = ctx.fabric.ingress_rates.copy()
-        n = ctx.fabric.n_ports
-
-        deadline_ids = [
-            c
-            for c in ctx.active_coflow_ids()
-            if ctx.progress[c].deadline is not None
-        ]
-        deadline_ids.sort(key=lambda c: (ctx.progress[c].arrival_time, c))
-
-        for cid in deadline_ids:
-            prog = ctx.progress[cid]
-            idx = ctx.flows_of(cid)
-            time_left = prog.absolute_deadline - ctx.time
-            if cid not in self._admitted:
-                self._admitted[cid] = self._admissible(
-                    ctx, idx, time_left, res_out, res_in
-                )
-            if not self._admitted[cid]:
-                continue  # best-effort via backfill
-            if time_left <= 0:
-                # Past-deadline admitted coflow (only possible through
-                # float dust): drain at line rate via backfill.
-                continue
-            need = ctx.remaining[idx] / time_left
-            rates[idx] += need
-            res_out -= np.bincount(ctx.srcs[idx], weights=need, minlength=n)
-            res_in -= np.bincount(ctx.dsts[idx], weights=need, minlength=n)
-            np.maximum(res_out, 0.0, out=res_out)
-            np.maximum(res_in, 0.0, out=res_in)
-
-        if self.backfill:
-            maxmin_fill_reference(
-                ctx.srcs, ctx.dsts, res_out, res_in, rates=rates
-            )
-        else:
-            # Work conservation for non-guaranteed traffic only.
-            guaranteed = np.array(
-                [
-                    self._admitted.get(int(c), False)
-                    for c in ctx.coflow_ids
-                ]
-            )
-            besteffort = np.flatnonzero(~guaranteed)
-            maxmin_fill_reference(
-                ctx.srcs, ctx.dsts, res_out, res_in,
-                subset=besteffort, rates=rates,
-            )
-        return rates
-
     @staticmethod
     def _admissible(
-        ctx: SchedulingContext,
-        idx: np.ndarray,
-        time_left: float,
-        res_out: np.ndarray,
-        res_in: np.ndarray,
-    ) -> bool:
-        """Can the coflow's minimum-rate demand fit in the residual caps?"""
-        if time_left <= 0:
-            return False
-        n = ctx.fabric.n_ports
-        need = ctx.remaining[idx] / time_left
-        out = np.bincount(ctx.srcs[idx], weights=need, minlength=n)
-        inb = np.bincount(ctx.dsts[idx], weights=need, minlength=n)
-        return bool((out <= res_out * (1 + 1e-9)).all()
-                    and (inb <= res_in * (1 + 1e-9)).all())
-
-    @staticmethod
-    def _admissible_fast(
         ctx: SchedulingContext,
         dsts_off: np.ndarray,
         idx: np.ndarray,
         time_left: float,
         res: np.ndarray,
     ) -> bool:
-        """Combined-residual twin of :meth:`_admissible`.
+        """Can the coflow's minimum-rate demand fit in the residual caps?
 
-        One bincount over the concatenated cells carries the same loads,
-        and the elementwise capacity comparison over the combined vector
-        is the conjunction of the reference's two ``all`` checks.
+        One bincount over the combined egress+ingress cells carries the
+        per-port loads, compared elementwise against ``res``.
         """
         if time_left <= 0:
             return False

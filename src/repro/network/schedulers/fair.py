@@ -11,11 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network.events import SchedulingContext
-from repro.network.schedulers.base import (
-    CoflowScheduler,
-    maxmin_fill_fast,
-    maxmin_fill_reference,
-)
+from repro.network.schedulers.base import CoflowScheduler, maxmin_fill_fast
 
 __all__ = ["FairSharingScheduler"]
 
@@ -41,27 +37,13 @@ class FairSharingScheduler(CoflowScheduler):
     def allocate(self, ctx: SchedulingContext) -> np.ndarray:
         weights = None
         if self.use_weights and ctx.n_flows:
-            if ctx.groups is not None:
-                # One progress lookup per coflow, broadcast to the flow
-                # axis -- same values as the per-flow comprehension below.
-                g = ctx.groups
-                weights = g.expand(
-                    np.array(
-                        [ctx.progress[int(c)].weight for c in g.unique_cids]
-                    )
-                )
-            else:
-                weights = np.array(
-                    [ctx.progress[int(c)].weight for c in ctx.coflow_ids]
-                )
+            # One progress lookup per coflow, broadcast to the flow axis.
+            g = ctx.groups
+            weights = g.expand(
+                np.array([ctx.progress[int(c)].weight for c in g.unique_cids])
+            )
             if np.all(weights == 1.0):
                 weights = None
-        if ctx.groups is None:
-            res_out = ctx.fabric.egress_rates.copy()
-            res_in = ctx.fabric.ingress_rates.copy()
-            return maxmin_fill_reference(
-                ctx.srcs, ctx.dsts, res_out, res_in, weights=weights
-            )
         res = np.concatenate(
             (ctx.fabric.egress_rates, ctx.fabric.ingress_rates)
         )

@@ -15,9 +15,7 @@ from repro.network.events import SchedulingContext
 from repro.network.schedulers.base import (
     CoflowScheduler,
     madd_rates_fast,
-    madd_rates_reference,
     maxmin_fill_fast,
-    maxmin_fill_reference,
 )
 
 __all__ = ["OrderedCoflowScheduler", "FIFOScheduler", "SCFScheduler", "NCFScheduler"]
@@ -60,20 +58,6 @@ class OrderedCoflowScheduler(CoflowScheduler):
         rates = np.zeros(ctx.n_flows)
         keys = self.priority_keys(ctx)
         order = sorted(keys, key=lambda c: (*keys[c], c))
-        if ctx.groups is None:
-            # Reference path: original split-residual kernels.
-            res_out = ctx.fabric.egress_rates.copy()
-            res_in = ctx.fabric.ingress_rates.copy()
-            for cid in order:
-                madd_rates_reference(
-                    ctx.srcs, ctx.dsts, ctx.remaining, res_out, res_in,
-                    ctx.flows_of(cid), rates,
-                )
-            if self.backfill:
-                maxmin_fill_reference(
-                    ctx.srcs, ctx.dsts, res_out, res_in, rates=rates
-                )
-            return rates
         dsts_off = ctx.dsts + ctx.fabric.n_ports
         res = np.concatenate(
             (ctx.fabric.egress_rates, ctx.fabric.ingress_rates)
@@ -119,11 +103,5 @@ class NCFScheduler(OrderedCoflowScheduler):
         return (int(ctx.flows_of(coflow_id).size),)
 
     def priority_keys(self, ctx: SchedulingContext) -> dict[int, tuple]:
-        if ctx.groups is not None:
-            return {
-                int(c): (int(n),)
-                for c, n in zip(ctx.groups.unique_cids, ctx.groups.counts)
-            }
-        return {
-            c: (int(ctx.flows_of(c).size),) for c in ctx.active_coflow_ids()
-        }
+        g = ctx.groups
+        return {int(c): (int(n),) for c, n in zip(g.unique_cids, g.counts)}

@@ -30,17 +30,12 @@ class SequentialScheduler(CoflowScheduler):
         if ctx.n_flows == 0:
             return rates
         # Deterministic order: (coflow arrival, coflow id, src, dst).
-        if ctx.groups is not None:
-            g = ctx.groups
-            arrivals = g.expand(
-                np.array(
-                    [ctx.progress[int(c)].arrival_time for c in g.unique_cids]
-                )
+        g = ctx.groups
+        arrivals = g.expand(
+            np.array(
+                [ctx.progress[int(c)].arrival_time for c in g.unique_cids]
             )
-        else:
-            arrivals = np.array(
-                [ctx.progress[int(c)].arrival_time for c in ctx.coflow_ids]
-            )
+        )
         order = np.lexsort((ctx.dsts, ctx.srcs, ctx.coflow_ids, arrivals))
         head = int(order[0])
         rates[head] = min(

@@ -16,11 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network.events import SchedulingContext
-from repro.network.schedulers.base import (
-    CoflowScheduler,
-    maxmin_fill_fast,
-    maxmin_fill_reference,
-)
+from repro.network.schedulers.base import CoflowScheduler, maxmin_fill_fast
 
 __all__ = ["WSSScheduler"]
 
@@ -36,13 +32,10 @@ class WSSScheduler(CoflowScheduler):
             ctx.active_coflow_ids(),
             key=lambda c: (ctx.progress[c].arrival_time, c),
         )
-        if ctx.groups is None:
-            return self._allocate_reference(ctx, order, rates)
-        # Combined-residual fast path: one bincount/divide/min per coflow
-        # over the concatenated egress+ingress vector.  Each cell still
-        # accumulates its flows in order and ``min`` over the combined
-        # shares equals ``min(out_min, in_min)``, so the alphas -- and
-        # allocations -- match the reference bit-for-bit.
+        # Proportional shares scaled to the tightest port constraint
+        # (alpha-scaling: rate_f = alpha * w_f with alpha maximal), one
+        # bincount/divide/min per coflow over the combined egress+ingress
+        # residual vector.
         dsts_off = ctx.dsts + ctx.fabric.n_ports
         res = np.concatenate(
             (ctx.fabric.egress_rates, ctx.fabric.ingress_rates)
@@ -75,37 +68,4 @@ class WSSScheduler(CoflowScheduler):
             np.maximum(res, 0.0, out=res)
         # Work conservation: spread any leftover bandwidth.
         maxmin_fill_fast(ctx.srcs, dsts_off, res, rates=rates)
-        return rates
-
-    def _allocate_reference(
-        self, ctx: SchedulingContext, order: list[int], rates: np.ndarray
-    ) -> np.ndarray:
-        """Original split-residual implementation (reference path)."""
-        res_out = ctx.fabric.egress_rates.copy()
-        res_in = ctx.fabric.ingress_rates.copy()
-        n = ctx.fabric.n_ports
-        for cid in order:
-            idx = ctx.flows_of(cid)
-            weights = ctx.remaining[idx]
-            total = weights.sum()
-            if total <= 0:
-                continue
-            # Proportional shares, scaled to the tightest port constraint
-            # (alpha-scaling: rate_f = alpha * w_f with alpha maximal).
-            out = np.bincount(ctx.srcs[idx], weights=weights, minlength=n)
-            inb = np.bincount(ctx.dsts[idx], weights=weights, minlength=n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alpha_out = np.where(out > 0, res_out / out, np.inf).min()
-                alpha_in = np.where(inb > 0, res_in / inb, np.inf).min()
-            alpha = min(alpha_out, alpha_in)
-            if not np.isfinite(alpha) or alpha <= 0:
-                continue
-            alloc = alpha * weights
-            rates[idx] += alloc
-            res_out -= np.bincount(ctx.srcs[idx], weights=alloc, minlength=n)
-            res_in -= np.bincount(ctx.dsts[idx], weights=alloc, minlength=n)
-            np.maximum(res_out, 0.0, out=res_out)
-            np.maximum(res_in, 0.0, out=res_in)
-        # Work conservation: spread any leftover bandwidth.
-        maxmin_fill_reference(ctx.srcs, ctx.dsts, res_out, res_in, rates=rates)
         return rates

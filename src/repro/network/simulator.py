@@ -312,16 +312,6 @@ class CoflowSimulator:
         how much schedule quality a discipline loses to inaccurate flow
         information -- non-clairvoyant disciplines (D-CLAS) are immune by
         construction.
-    incremental:
-        When True (default) the epoch loop runs its vectorized hot path:
-        per-coflow flow groups are cached across epochs (rebuilt only
-        when the active-flow set changes), the scheduler receives that
-        cache through ``SchedulingContext.groups``, and the noise view
-        multiplies a flow-aligned factor column instead of looping per
-        flow.  When False the original per-flow/per-mask reference path
-        runs instead.  Both paths are bit-identical by construction --
-        the equivalence is pinned by property tests and re-checked by
-        the ``ccf bench`` harness, which times one against the other.
     batch_events:
         When True (default) the epoch loop runs event-horizon batching:
         after each allocation the scheduler reports how long the rate
@@ -382,7 +372,6 @@ class CoflowSimulator:
         dynamics: "FabricDynamics | None" = None,
         recovery: "RecoveryPolicy | str | None" = None,
         estimate_noise: "NoisyEstimates | None" = None,
-        incremental: bool = True,
         batch_events: bool = True,
         instrumentation: "Instrumentation | None" = None,
         wall_clock_budget_s: float | None = None,
@@ -406,7 +395,6 @@ class CoflowSimulator:
         self.wall_clock_budget_s = wall_clock_budget_s
         self.stall_epochs = stall_epochs or 0
         self.dynamics = dynamics
-        self.incremental = incremental
         self.batch_events = batch_events
         self.instrumentation = (
             instrumentation
@@ -632,7 +620,6 @@ class CoflowSimulator:
                 admit(on_abort(cid, now), now)
 
         fl = ActiveFlows.empty()
-        incremental = self.incremental
 
         noise = self.estimate_noise
         # Factors are memoized per coflow so a whole coflow's entries can
@@ -642,7 +629,7 @@ class CoflowSimulator:
         # Debug/test handle: lets callers verify entries are evicted as
         # coflows leave the system instead of accumulating over the run.
         self._noise_factors = noise_factors
-        if noise is not None and incremental:
+        if noise is not None:
             # Activate the flow-aligned factor column; rows appended by
             # the recovery layer arrive as NaN and are filled lazily.
             fl.view_factor = np.empty(0)
@@ -661,29 +648,19 @@ class CoflowSimulator:
             """Remaining volumes as the discipline sees them (maybe noisy)."""
             if noise is None:
                 return flows.remaining
+            # One multiply over the cached factor column; only rows the
+            # recovery layer appended since the last epoch (NaN sentinel)
+            # hit the per-flow memo.
             vf = flows.view_factor
-            if vf is not None:
-                # Vectorized path: one multiply over the cached factor
-                # column; only rows the recovery layer appended since the
-                # last epoch (NaN sentinel) hit the per-flow memo.
-                missing = np.isnan(vf)
-                if missing.any():
-                    for i in np.flatnonzero(missing):
-                        vf[i] = flow_noise_factor(
-                            int(flows.cids[i]),
-                            int(flows.srcs[i]),
-                            int(flows.dsts[i]),
-                        )
-                out = flows.remaining * vf
-            else:
-                out = np.empty(flows.size)
-                for i in range(flows.size):
-                    out[i] = flows.remaining[i] * flow_noise_factor(
+            missing = np.isnan(vf)
+            if missing.any():
+                for i in np.flatnonzero(missing):
+                    vf[i] = flow_noise_factor(
                         int(flows.cids[i]),
                         int(flows.srcs[i]),
                         int(flows.dsts[i]),
                     )
-            return np.maximum(out, _ESTIMATE_FLOOR)
+            return np.maximum(flows.remaining * vf, _ESTIMATE_FLOOR)
 
         # FlowGroups cache: the grouping only depends on flow identity, so
         # it survives every epoch that neither appends nor removes flows.
@@ -936,7 +913,7 @@ class CoflowSimulator:
                 remaining=scheduler_view(fl),
                 coflow_ids=fl.cids,
                 progress=progress,
-                groups=current_groups() if incremental else None,
+                groups=current_groups(),
             )
             if (
                 batch
@@ -1054,16 +1031,10 @@ class CoflowSimulator:
             # Drain volumes and credit attained service per coflow.
             delivered = rates * dt
             fl.remaining = fl.remaining - delivered
-            if incremental:
-                g = current_groups()
-                sums = g.value_sums(delivered)
-                for gi, cid in enumerate(g.unique_cids):
-                    progress[int(cid)].sent_bytes += sums[gi]
-            else:
-                for cid in np.unique(fl.cids):
-                    progress[int(cid)].sent_bytes += float(
-                        delivered[fl.cids == cid].sum()
-                    )
+            g = current_groups()
+            sums = g.value_sums(delivered)
+            for gi, cid in enumerate(g.unique_cids):
+                progress[int(cid)].sent_bytes += sums[gi]
             t += dt
 
             done = fl.remaining <= _VOLUME_EPS
@@ -1073,26 +1044,13 @@ class CoflowSimulator:
                     if recovery is not None
                     else set()
                 )
-                if incremental:
-                    g = current_groups()
-                    complete_mask = g.all_done_mask(done)
-                    for gi in np.flatnonzero(complete_mask):
-                        cid = int(g.unique_cids[gi])
-                        if cid in suspended_cids:
-                            # Other flows of this coflow are parked on a
-                            # dead port; the coflow is not finished yet.
-                            continue
-                        complete(cid, t)
-                else:
-                    for cid in np.unique(fl.cids[done]):
-                        cid = int(cid)
-                        if (~done & (fl.cids == cid)).any():
-                            continue
-                        if cid in suspended_cids:
-                            # Other flows of this coflow are parked on a
-                            # dead port; the coflow is not finished yet.
-                            continue
-                        complete(cid, t)
+                for gi in np.flatnonzero(g.all_done_mask(done)):
+                    cid = int(g.unique_cids[gi])
+                    if cid in suspended_cids:
+                        # Other flows of this coflow are parked on a
+                        # dead port; the coflow is not finished yet.
+                        continue
+                    complete(cid, t)
                 # Flows of incomplete coflows that drained to zero are
                 # removed either way; parked siblings keep the coflow open.
                 fl.keep(~done)

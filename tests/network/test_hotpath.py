@@ -11,7 +11,7 @@ Covers the epoch-loop defects fixed alongside the hot-path rewrite:
   finishes instantly on admission (CCT exactly 0), like ``width == 0``;
 
 plus exact-equality checks of the combined-port / scalar scheduler
-kernels against the reference implementations they replace.
+kernels against the split-residual oracles in ``tests/oracles.py``.
 """
 
 import numpy as np
@@ -22,12 +22,8 @@ from repro.network import CoflowSimulator, Fabric
 from repro.network.dynamics import FabricDynamics, RateEvent
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import make_scheduler
-from repro.network.schedulers.base import (
-    madd_rates_fast,
-    madd_rates_reference,
-    maxmin_fill_fast,
-    maxmin_fill_reference,
-)
+from repro.network.schedulers.base import madd_rates_fast, maxmin_fill_fast
+from tests.oracles import madd_rates_reference, maxmin_fill_reference
 
 
 def _mix(n=12, n_ports=6, base=0.0, step=0.375):
@@ -74,16 +70,6 @@ class TestNoiseMemoEviction:
         )
         res = sim.run(_mix())
         assert res.failed_coflows  # the scenario really aborts someone
-        assert sim._noise_factors == {}
-
-    def test_memo_evicted_reference_path_too(self):
-        sim = CoflowSimulator(
-            Fabric(n_ports=6, rate=1.0),
-            make_scheduler("sebf"),
-            estimate_noise=NoisyEstimates(sigma=0.4, seed=3),
-            incremental=False,
-        )
-        sim.run(_mix())
         assert sim._noise_factors == {}
 
 
@@ -189,7 +175,7 @@ def _random_case(rng, n_flows, n_ports):
 
 
 class TestKernelEquivalence:
-    """Fast kernels must reproduce the reference floats exactly."""
+    """Fast kernels must reproduce the oracle floats exactly."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("weighted", [False, True])

@@ -7,7 +7,7 @@ from repro.network.events import CoflowProgress, SchedulingContext
 from repro.network.fabric import Fabric
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import make_scheduler
-from repro.network.schedulers.base import madd_rates, maxmin_fill
+from repro.network.schedulers.base import madd_rates_fast, maxmin_fill_fast
 from repro.network.schedulers.dclas import DCLASScheduler
 from repro.network.simulator import CoflowSimulator
 
@@ -40,14 +40,17 @@ def make_ctx(flows, n_ports=3, rate=1.0, sent=None, arrivals=None):
 
 
 class TestMaxMinFill:
+    """The kernels take ``dsts + n_ports`` and one combined residual
+    vector: egress capacities first, then ingress."""
+
     def test_single_flow_gets_line_rate(self):
         srcs, dsts = np.array([0]), np.array([1])
-        rates = maxmin_fill(srcs, dsts, np.ones(2), np.ones(2))
+        rates = maxmin_fill_fast(srcs, dsts + 2, np.ones(4))
         assert rates[0] == pytest.approx(1.0)
 
     def test_two_flows_share_common_egress(self):
         srcs, dsts = np.array([0, 0]), np.array([1, 2])
-        rates = maxmin_fill(srcs, dsts, np.ones(3), np.ones(3))
+        rates = maxmin_fill_fast(srcs, dsts + 3, np.ones(6))
         np.testing.assert_allclose(rates, [0.5, 0.5])
 
     def test_classic_maxmin_example(self):
@@ -55,22 +58,21 @@ class TestMaxMinFill:
         # A: 0->1, B: 0->2, C: 2->1. Ingress 1 shared by A and C.
         srcs = np.array([0, 0, 2])
         dsts = np.array([1, 2, 1])
-        rates = maxmin_fill(srcs, dsts, np.ones(3), np.ones(3))
+        rates = maxmin_fill_fast(srcs, dsts + 3, np.ones(6))
         np.testing.assert_allclose(rates, [0.5, 0.5, 0.5])
 
     def test_subset_restriction(self):
         srcs = np.array([0, 0])
         dsts = np.array([1, 2])
-        rates = maxmin_fill(
-            srcs, dsts, np.ones(3), np.ones(3), subset=np.array([1])
+        rates = maxmin_fill_fast(
+            srcs, dsts + 3, np.ones(6), subset=np.array([1])
         )
         assert rates[0] == 0.0 and rates[1] == pytest.approx(1.0)
 
     def test_increments_existing_rates(self):
         srcs, dsts = np.array([0]), np.array([1])
         rates = np.array([0.3])
-        out = maxmin_fill(srcs, dsts, np.array([0.7, 0.7]), np.array([0.7, 0.7]),
-                          rates=rates)
+        out = maxmin_fill_fast(srcs, dsts + 2, np.full(4, 0.7), rates=rates)
         assert out[0] == pytest.approx(1.0)
 
     def test_respects_port_capacity(self):
@@ -79,8 +81,7 @@ class TestMaxMinFill:
         m = 30
         srcs = rng.integers(0, n, m)
         dsts = (srcs + 1 + rng.integers(0, n - 1, m)) % n
-        res_out, res_in = np.ones(n), np.ones(n)
-        rates = maxmin_fill(srcs, dsts, res_out, res_in)
+        rates = maxmin_fill_fast(srcs, dsts + n, np.ones(2 * n))
         out = np.bincount(srcs, weights=rates, minlength=n)
         inb = np.bincount(dsts, weights=rates, minlength=n)
         assert (out <= 1 + 1e-9).all() and (inb <= 1 + 1e-9).all()
@@ -92,8 +93,8 @@ class TestMADD:
         dsts = np.array([1, 1])
         rem = np.array([3.0, 1.0])
         rates = np.zeros(2)
-        ok = madd_rates(srcs, dsts, rem, np.ones(3), np.ones(3),
-                        np.array([0, 1]), rates)
+        ok = madd_rates_fast(srcs, dsts + 3, rem, np.ones(6),
+                             np.array([0, 1]), rates)
         assert ok
         # Gamma = 4 (ingress port 1); rates are rem / 4.
         np.testing.assert_allclose(rates, [0.75, 0.25])
@@ -103,14 +104,16 @@ class TestMADD:
         srcs, dsts = np.array([0]), np.array([1])
         rem = np.array([1.0])
         rates = np.zeros(1)
-        ok = madd_rates(srcs, dsts, rem, np.array([0.0, 1.0]), np.ones(2),
-                        np.array([0]), rates)
+        # Egress port 0 is exhausted.
+        ok = madd_rates_fast(srcs, dsts + 2, rem,
+                             np.array([0.0, 1.0, 1.0, 1.0]),
+                             np.array([0]), rates)
         assert not ok and rates[0] == 0.0
 
     def test_empty_subset_ok(self):
-        ok = madd_rates(
+        ok = madd_rates_fast(
             np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
-            np.ones(2), np.ones(2), np.empty(0, np.int64), np.empty(0),
+            np.ones(4), np.empty(0, np.int64), np.empty(0),
         )
         assert ok
 

@@ -6,7 +6,7 @@ import pytest
 from repro.network.fabric import Fabric
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import make_scheduler
-from repro.network.schedulers.base import maxmin_fill
+from repro.network.schedulers.base import maxmin_fill_fast
 from repro.network.simulator import CoflowSimulator
 
 
@@ -20,19 +20,19 @@ class TestCoflowWeight:
 
 
 class TestWeightedMaxMin:
+    """The kernel takes ``dsts + n_ports`` and one combined residual."""
+
     def test_two_to_one_split(self):
         srcs, dsts = np.array([0, 0]), np.array([1, 2])
-        rates = maxmin_fill(
-            srcs, dsts, np.ones(3), np.ones(3),
-            weights=np.array([2.0, 1.0]),
+        rates = maxmin_fill_fast(
+            srcs, dsts + 3, np.ones(6), weights=np.array([2.0, 1.0])
         )
         np.testing.assert_allclose(rates, [2 / 3, 1 / 3])
 
     def test_weights_only_matter_under_contention(self):
         srcs, dsts = np.array([0, 1]), np.array([1, 2])  # disjoint egress
-        rates = maxmin_fill(
-            srcs, dsts, np.ones(3), np.ones(3),
-            weights=np.array([5.0, 1.0]),
+        rates = maxmin_fill_fast(
+            srcs, dsts + 3, np.ones(6), weights=np.array([5.0, 1.0])
         )
         # Flow 0 is capped by ingress port 1 it shares with... nothing:
         # both flows can run at line rate regardless of weights.
@@ -41,19 +41,17 @@ class TestWeightedMaxMin:
     def test_validation(self):
         srcs, dsts = np.array([0]), np.array([1])
         with pytest.raises(ValueError, match="shape"):
-            maxmin_fill(srcs, dsts, np.ones(2), np.ones(2),
-                        weights=np.ones(3))
+            maxmin_fill_fast(srcs, dsts + 2, np.ones(4), weights=np.ones(3))
         with pytest.raises(ValueError, match="positive"):
-            maxmin_fill(srcs, dsts, np.ones(2), np.ones(2),
-                        weights=np.zeros(1))
+            maxmin_fill_fast(srcs, dsts + 2, np.ones(4), weights=np.zeros(1))
 
     def test_unweighted_unchanged(self):
         rng = np.random.default_rng(0)
         srcs = rng.integers(0, 4, 12)
         dsts = (srcs + 1 + rng.integers(0, 3, 12)) % 4
-        plain = maxmin_fill(srcs, dsts, np.ones(4), np.ones(4))
-        ones = maxmin_fill(
-            srcs, dsts, np.ones(4), np.ones(4), weights=np.ones(12)
+        plain = maxmin_fill_fast(srcs, dsts + 4, np.ones(8))
+        ones = maxmin_fill_fast(
+            srcs, dsts + 4, np.ones(8), weights=np.ones(12)
         )
         np.testing.assert_allclose(plain, ones)
 

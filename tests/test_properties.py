@@ -21,7 +21,7 @@ from repro.join.shuffle import execute_shuffle
 from repro.network.fabric import Fabric
 from repro.network.flow import coflow_from_matrix
 from repro.network.schedulers import make_scheduler
-from repro.network.schedulers.base import maxmin_fill
+from repro.network.schedulers.base import maxmin_fill_fast
 from repro.network.simulator import CoflowSimulator
 from repro.workloads.synthetic import adversarial_locality_instance
 from repro.workloads.zipf import zipf_weights
@@ -170,7 +170,7 @@ class TestSimulatorInvariants:
         rng = np.random.default_rng(seed)
         srcs = rng.integers(0, n, m)
         dsts = (srcs + 1 + rng.integers(0, n - 1, m)) % n
-        rates = maxmin_fill(srcs, dsts, np.ones(n), np.ones(n))
+        rates = maxmin_fill_fast(srcs, dsts + n, np.ones(2 * n))
         out = np.bincount(srcs, weights=rates, minlength=n)
         inb = np.bincount(dsts, weights=rates, minlength=n)
         assert (out <= 1 + 1e-6).all()

@@ -1,39 +1,69 @@
-"""Property-based tests (hypothesis) pinning the hot-path rewrite.
+"""Property-based tests (hypothesis) pinning the simulator hot path.
 
-The vectorized epoch loop (``incremental=True``) must be a pure
-performance change: across random fabrics, workloads, noise seeds and
-chaos schedules it has to produce the *bit-identical*
-``SimulationResult`` of the reference path -- same CCT floats, same
-epoch count, same failure log -- and the rewritten scheduler kernels
-must return the exact floats of the reference implementations for any
-input shape (full set, subsets above and below the scalar threshold,
-weighted fills, blocked MADD ports).
+The production kernels, context helpers and schedulers each have one
+implementation; ``tests/oracles.py`` keeps the split-residual and
+mask-based formulations they were derived from.  Across random fabrics,
+workloads, noise seeds and chaos schedules every scheduler allocation
+must equal its oracle's byte for byte, the FlowGroups-backed context
+queries must equal their mask scans, the noise view must equal the
+per-flow factor loop, and the kernels must return the oracle floats for
+any input shape (full set, subsets above and below the scalar
+threshold, weighted fills, blocked MADD ports).  Event-horizon batching
+(``batch_events``) must leave every result bit-identical.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.noise import NoisyEstimates
 from repro.network import CoflowSimulator, Fabric
 from repro.network.dynamics import FabricDynamics, RateEvent
+from repro.network.events import CoflowProgress, FlowGroups, SchedulingContext
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import make_scheduler
 from repro.network.schedulers.base import (
+    CoflowScheduler,
     madd_rates_fast,
-    madd_rates_reference,
     maxmin_fill_fast,
+)
+from tests.oracles import (
+    madd_rates_reference,
+    mask_all_done,
+    mask_context,
+    mask_value_sums,
     maxmin_fill_reference,
+    noise_view_reference,
+    reference_allocate,
 )
 
 SCHEDULERS = (
     "sebf", "dclas", "fair", "wss", "fifo", "scf", "ncf", "wcct5", "lpcct",
 )
 
+#: Disciplines and parameterizations beyond ``SCHEDULERS``' defaults
+#: that reach the remaining oracle branches: deadline admission (with and
+#: without backfill), the sequential worst case, and D-CLAS thresholds
+#: low enough for demotions and weighted queue reservations.
+VARIANTS = (
+    ("deadline", {}),
+    ("deadline", {"backfill": False}),
+    ("sequential", {}),
+    ("dclas", {"first_threshold": 1.0, "multiplier": 2.0}),
+    ("dclas", {"first_threshold": 1.0, "multiplier": 2.0,
+               "queue_weight_decay": 0.3}),
+)
+
 
 @st.composite
-def workloads(draw):
-    """A small random fabric + coflow set with staggered arrivals."""
+def workloads(draw, *, rich=False):
+    """A small random fabric + coflow set with staggered arrivals.
+
+    ``rich`` also draws per-coflow deadlines and weights.
+    """
     n_ports = draw(st.integers(3, 6))
     n_coflows = draw(st.integers(2, 8))
     coflows = []
@@ -50,8 +80,12 @@ def workloads(draw):
             )
             flows.append(Flow(src, dst, vol))
         arrival = draw(st.floats(0.0, 10.0, allow_nan=False))
+        extra = {}
+        if rich:
+            extra["deadline"] = draw(st.none() | st.floats(0.2, 20.0))
+            extra["weight"] = draw(st.sampled_from((1.0, 0.5, 2.0, 3.5)))
         coflows.append(
-            Coflow(flows=flows, arrival_time=arrival, coflow_id=cid)
+            Coflow(flows=flows, arrival_time=arrival, coflow_id=cid, **extra)
         )
     return n_ports, coflows
 
@@ -66,58 +100,110 @@ def _fingerprint(result):
     )
 
 
-def _run(n_ports, coflows, scheduler, *, incremental, dynamics=None,
-         recovery=None, noise=None, batch_events=True, source=None):
+def _run(n_ports, coflows, scheduler, *, dynamics=None, recovery=None,
+         noise=None, batch_events=True, source=None):
+    if isinstance(scheduler, str):
+        scheduler = make_scheduler(scheduler)
     sim = CoflowSimulator(
         Fabric(n_ports=n_ports, rate=1.0),
-        make_scheduler(scheduler),
+        scheduler,
         dynamics=dynamics,
         recovery=recovery,
         estimate_noise=noise,
-        incremental=incremental,
         batch_events=batch_events,
     )
     return sim.run(
-        [Coflow(list(c.flows), c.arrival_time, c.coflow_id)
-         for c in coflows],
+        [dataclasses.replace(c, flows=list(c.flows)) for c in coflows],
         source=source,
     )
 
 
+class _OracleChecked(CoflowScheduler):
+    """Runs a scheduler and asserts every allocation equals its oracle's.
+
+    The oracle runs on a twin instance, so stateful disciplines (sticky
+    deadline admissions, the wcct5/lpcct permutation cache) derive their
+    state from the mask-based queries instead of sharing the production
+    instance's.
+    """
+
+    def __init__(self, name, kwargs):
+        self.inner = make_scheduler(name, **kwargs)
+        self.twin = make_scheduler(name, **kwargs)
+        self.name = self.inner.name
+        self.clairvoyant = self.inner.clairvoyant
+        self.checked = 0
+
+    def allocate(self, ctx):
+        rates = self.inner.allocate(ctx)
+        expected = reference_allocate(self.twin, ctx)
+        assert rates.dtype == expected.dtype
+        assert rates.tobytes() == expected.tobytes()
+        self.checked += 1
+        return rates
+
+    def next_event_hint(self, ctx, rates):
+        return self.inner.next_event_hint(ctx, rates)
+
+    def rates_valid_until(self, ctx, rates):
+        return self.inner.rates_valid_until(ctx, rates)
+
+    def reset(self):
+        self.inner.reset()
+        self.twin.reset()
+
+
 class TestIncrementalBitIdentity:
+    """Every production allocation equals the oracle's, byte for byte.
+
+    The production path is the incremental one: FlowGroups cached across
+    epochs and combined-residual kernels.  Each run drives a scheduler
+    through the real epoch loop under :class:`_OracleChecked`.
+    """
+
     @settings(max_examples=30, deadline=None)
-    @given(workloads(), st.sampled_from(SCHEDULERS))
+    @given(workloads(rich=True), st.sampled_from(SCHEDULERS))
     def test_plain(self, wl, scheduler):
         n_ports, coflows = wl
-        ref = _run(n_ports, coflows, scheduler, incremental=False)
-        inc = _run(n_ports, coflows, scheduler, incremental=True)
-        assert _fingerprint(ref) == _fingerprint(inc)
+        sched = _OracleChecked(scheduler, {})
+        _run(n_ports, coflows, sched)
+        assert sched.checked > 0
+
+    @pytest.mark.parametrize(
+        "scheduler, kwargs", VARIANTS,
+        ids=["deadline", "deadline-no-backfill", "sequential",
+             "dclas-low-thresholds", "dclas-weighted-queues"],
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(wl=workloads(rich=True))
+    def test_variants(self, scheduler, kwargs, wl):
+        n_ports, coflows = wl
+        sched = _OracleChecked(scheduler, kwargs)
+        _run(n_ports, coflows, sched)
+        assert sched.checked > 0
 
     @settings(max_examples=20, deadline=None)
     @given(
         workloads(),
-        st.sampled_from(("sebf", "dclas", "fair")),
+        st.sampled_from(("sebf", "dclas", "fair", "scf", "wss")),
         st.integers(0, 2 ** 16),
         st.floats(0.05, 0.6),
         st.floats(0.0, 0.3),
     )
     def test_noisy_estimates(self, wl, scheduler, seed, sigma, censor):
         n_ports, coflows = wl
-        noise = dict(sigma=sigma, censor_fraction=censor, seed=seed)
-        ref = _run(
-            n_ports, coflows, scheduler,
-            incremental=False, noise=NoisyEstimates(**noise),
+        sched = _OracleChecked(scheduler, {})
+        _run(
+            n_ports, coflows, sched,
+            noise=NoisyEstimates(sigma=sigma, censor_fraction=censor,
+                                 seed=seed),
         )
-        inc = _run(
-            n_ports, coflows, scheduler,
-            incremental=True, noise=NoisyEstimates(**noise),
-        )
-        assert _fingerprint(ref) == _fingerprint(inc)
+        assert sched.checked > 0
 
     @settings(max_examples=20, deadline=None)
     @given(
-        workloads(),
-        st.sampled_from(("sebf", "fair", "wss")),
+        workloads(rich=True),
+        st.sampled_from(("sebf", "fair", "wss", "deadline", "dclas")),
         st.integers(0, 2),
         st.floats(0.5, 20.0),
         st.floats(1.0, 30.0),
@@ -133,15 +219,155 @@ class TestIncrementalBitIdentity:
                 fail_at + downtime, port, egress=1.0, ingress=1.0
             ),
         ]
-        ref = _run(
-            n_ports, coflows, scheduler, incremental=False,
+        sched = _OracleChecked(scheduler, {})
+        _run(
+            n_ports, coflows, sched,
             dynamics=FabricDynamics(list(events)), recovery=policy,
         )
-        inc = _run(
-            n_ports, coflows, scheduler, incremental=True,
-            dynamics=FabricDynamics(list(events)), recovery=policy,
+        assert sched.checked > 0
+
+
+class _ViewRecorder(CoflowScheduler):
+    """Records the ``remaining`` view at every allocation, then delegates."""
+
+    def __init__(self, name):
+        self.inner = make_scheduler(name)
+        self.name = self.inner.name
+        self.views = []
+
+    def allocate(self, ctx):
+        self.views.append(
+            (ctx.remaining.copy(), ctx.coflow_ids.copy(), ctx.srcs.copy(),
+             ctx.dsts.copy())
         )
-        assert _fingerprint(ref) == _fingerprint(inc)
+        return self.inner.allocate(ctx)
+
+    def next_event_hint(self, ctx, rates):
+        return self.inner.next_event_hint(ctx, rates)
+
+    def rates_valid_until(self, ctx, rates):
+        return self.inner.rates_valid_until(ctx, rates)
+
+
+class TestNoiseView:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        workloads(),
+        st.sampled_from(("fair", "dclas", "sequential")),
+        st.integers(0, 2 ** 16),
+        st.floats(0.05, 0.6),
+        st.floats(0.0, 0.3),
+    )
+    def test_matches_per_flow_oracle(self, wl, scheduler, seed, sigma,
+                                     censor):
+        # Non-clairvoyant disciplines ignore remaining volumes, so the
+        # noisy and the exact run allocate identically epoch by epoch and
+        # the exact run supplies the true volumes behind each noisy view.
+        n_ports, coflows = wl
+        noise = NoisyEstimates(sigma=sigma, censor_fraction=censor, seed=seed)
+        exact, noisy = _ViewRecorder(scheduler), _ViewRecorder(scheduler)
+        _run(n_ports, coflows, exact)
+        _run(n_ports, coflows, noisy, noise=noise)
+        assert len(exact.views) == len(noisy.views)
+        for (true, cids, srcs, dsts), (view, *_) in zip(
+            exact.views, noisy.views
+        ):
+            expected = noise_view_reference(true, cids, srcs, dsts, noise)
+            assert view.tobytes() == expected.tobytes()
+
+
+@st.composite
+def contexts(draw):
+    """A random active-flow snapshot with non-contiguous coflow ids."""
+    n_ports = draw(st.integers(1, 6))
+    pool = draw(
+        st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=6,
+                 unique=True)
+    )
+    n_flows = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    cids = rng.choice(np.array(pool, dtype=np.int64), size=n_flows)
+    egress = rng.uniform(0.0, 2.0, size=n_ports)
+    ingress = rng.uniform(0.0, 2.0, size=n_ports)
+    # Some dead ports: load routed through them has an infinite Gamma.
+    egress[rng.random(n_ports) < 0.2] = 0.0
+    ingress[rng.random(n_ports) < 0.2] = 0.0
+    return _context(
+        n_ports, cids,
+        rng.integers(0, n_ports, size=n_flows),
+        rng.integers(0, n_ports, size=n_flows),
+        rng.uniform(0.0, 10.0, size=n_flows),
+        egress, ingress,
+    ), rng.uniform(0.0, 3.0, size=n_flows)
+
+
+def _context(n_ports, cids, srcs, dsts, remaining, egress=None,
+             ingress=None):
+    fabric = Fabric(n_ports=n_ports, rate=1.0)
+    if egress is not None:
+        fabric.egress_rates[:] = egress
+        fabric.ingress_rates[:] = ingress
+    return SchedulingContext(
+        time=0.0,
+        fabric=fabric,
+        srcs=np.asarray(srcs, dtype=np.int64),
+        dsts=np.asarray(dsts, dtype=np.int64),
+        remaining=np.asarray(remaining, dtype=float),
+        coflow_ids=np.asarray(cids, dtype=np.int64),
+        progress={
+            int(c): CoflowProgress(int(c), 0.0, 1.0, 1)
+            for c in np.unique(cids)
+        },
+    )
+
+
+def _assert_matches_masks(ctx, rates):
+    ref = mask_context(ctx)
+    ids = ref.active_coflow_ids()
+    assert ctx.active_coflow_ids() == ids
+    for c in (*ids, -1):
+        got, want = ctx.flows_of(c), ref.flows_of(c)
+        assert got.tolist() == want.tolist()
+    assert ctx.remaining_volumes() == ref.remaining_volumes()
+    assert ctx.coflow_rate_sums(rates) == ref.coflow_rate_sums(rates)
+    assert ctx.remaining_bottlenecks() == ref.remaining_bottlenecks()
+    g = ctx.groups
+    assert g.value_sums(rates) == mask_value_sums(ctx.coflow_ids, rates)
+    done = rates < 1.5
+    assert g.all_done_mask(done).tolist() == mask_all_done(
+        ctx.coflow_ids, done
+    )
+
+
+class TestContextHelperOracles:
+    """FlowGroups-backed queries equal their mask scans exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(contexts())
+    def test_random(self, case):
+        ctx, rates = case
+        _assert_matches_masks(ctx, rates)
+        # The simulator passes its cached groups; equal answers either way.
+        cached = dataclasses.replace(ctx, groups=FlowGroups(ctx.coflow_ids))
+        _assert_matches_masks(cached, rates)
+
+    def test_built_without_groups_derives_them(self):
+        ctx = _context(3, [9, 2, 9], [0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
+        assert isinstance(ctx.groups, FlowGroups)
+        assert ctx.groups.unique_cids.tolist() == [2, 9]
+
+    def test_empty(self):
+        ctx = _context(2, [], [], [], [])
+        _assert_matches_masks(ctx, np.empty(0))
+        assert ctx.active_coflow_ids() == []
+        assert ctx.remaining_bottlenecks() == []
+
+    def test_single_coflow(self):
+        ctx = _context(
+            3, [5, 5, 5], [0, 1, 2], [1, 2, 0], [1.0, 0.5, 2.5]
+        )
+        _assert_matches_masks(ctx, np.array([0.2, 1.7, 0.4]))
+        assert ctx.remaining_bottlenecks() == [2.5]
 
 
 class _ScriptedSource:
@@ -204,10 +430,8 @@ class TestBatchEventsBitIdentity:
     @given(workloads(), st.sampled_from(SCHEDULERS))
     def test_plain(self, wl, scheduler):
         n_ports, coflows = wl
-        off = _run(n_ports, coflows, scheduler,
-                   incremental=True, batch_events=False)
-        on = _run(n_ports, coflows, scheduler,
-                  incremental=True, batch_events=True)
+        off = _run(n_ports, coflows, scheduler, batch_events=False)
+        on = _run(n_ports, coflows, scheduler, batch_events=True)
         assert _fingerprint(off) == _fingerprint(on)
 
     @settings(max_examples=20, deadline=None)
@@ -231,12 +455,12 @@ class TestBatchEventsBitIdentity:
         ]
         off = _run(
             n_ports, coflows, scheduler,
-            incremental=True, batch_events=False,
+            batch_events=False,
             dynamics=FabricDynamics(list(events)), recovery=policy,
         )
         on = _run(
             n_ports, coflows, scheduler,
-            incremental=True, batch_events=True,
+            batch_events=True,
             dynamics=FabricDynamics(list(events)), recovery=policy,
         )
         assert _fingerprint(off) == _fingerprint(on)
@@ -255,7 +479,7 @@ class TestBatchEventsBitIdentity:
             )
             runs.append(
                 _run(n_ports, initial, scheduler,
-                     incremental=True, batch_events=batch, source=src)
+                     batch_events=batch, source=src)
             )
         assert _fingerprint(runs[0]) == _fingerprint(runs[1])
 
@@ -285,7 +509,7 @@ class TestBatchEventsBitIdentity:
             runs.append(
                 _run(
                     n_ports, initial, scheduler,
-                    incremental=True, batch_events=batch, source=src,
+                    batch_events=batch, source=src,
                     dynamics=FabricDynamics(list(events)),
                     recovery="retry",
                 )

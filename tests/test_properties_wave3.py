@@ -19,7 +19,7 @@ from repro.join.multikey import KeyedRelation, execute_keyed_shuffle
 from repro.join.outer import semijoin_reduction
 from repro.join.partitioner import HashPartitioner
 from repro.join.relation import DistributedRelation
-from repro.network.schedulers.base import maxmin_fill
+from repro.network.schedulers.base import maxmin_fill_fast
 from repro.workloads.analytic import AnalyticJoinWorkload
 
 
@@ -35,8 +35,8 @@ class TestWeightedMaxMinProperties:
         srcs = rng.integers(0, n, m)
         dsts = (srcs + 1 + rng.integers(0, n - 1, m)) % n
         weights = rng.uniform(0.1, 5.0, m)
-        rates = maxmin_fill(
-            srcs, dsts, np.ones(n), np.ones(n), weights=weights
+        rates = maxmin_fill_fast(
+            srcs, dsts + n, np.ones(2 * n), weights=weights
         )
         out = np.bincount(srcs, weights=rates, minlength=n)
         inb = np.bincount(dsts, weights=rates, minlength=n)
@@ -54,8 +54,8 @@ class TestWeightedMaxMinProperties:
         srcs = np.zeros(m, dtype=np.int64)
         dsts = np.arange(1, n)
         weights = rng.uniform(0.5, 3.0, m)
-        rates = maxmin_fill(
-            srcs, dsts, np.ones(n), np.ones(n), weights=weights
+        rates = maxmin_fill_fast(
+            srcs, dsts + n, np.ones(2 * n), weights=weights
         )
         # Rates proportional to weights on the single bottleneck.
         ratio = rates / weights
