@@ -82,6 +82,15 @@ class _PermutationScheduler(OrderedCoflowScheduler):
     ) -> dict[int, int]:
         raise NotImplementedError
 
+    def coflow_order(self, ctx: SchedulingContext) -> list[int]:
+        order = super().coflow_order(ctx)
+        if len(order) < 2:
+            # The base skips priority_keys for a lone coflow; drop the
+            # cached set so the next multi-coflow set recomputes ranks
+            # from current volumes, as it would had this set been keyed.
+            self._order_key = None
+        return order
+
     def priority_keys(self, ctx: SchedulingContext) -> dict[int, tuple]:
         cids = [int(c) for c in ctx.active_coflow_ids()]
         key = tuple(cids)

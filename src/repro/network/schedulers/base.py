@@ -4,13 +4,15 @@
 primitives every rate-allocating discipline builds on.  They work on a
 combined-port layout: egress cell ``p`` and ingress cell ``n_ports + p``
 share one residual vector, halving the bincounts, divisions, minima and
-clamps per waterfill iteration.  The frozen flows are *compressed out*
-of the working arrays instead of masked, and the unweighted per-port
-counts are maintained as integers instead of recounted.  Every
-transformation preserves the exact float semantics of the textbook
-split-residual formulation (see the inline notes); the test suite keeps
-that formulation as an oracle (``tests/oracles.py``) and pins the
-kernels against it bit for bit.
+clamps per waterfill iteration.  The unweighted waterfill iterates over
+those ``2 * n_ports`` cells, not over the flows: a CSR index built once
+per call hands each saturated cell its flows, and rates are written
+once at the end.  The weighted waterfill compresses frozen flows out of
+its working arrays.  Every transformation preserves the exact float
+semantics of the textbook split-residual formulation (see the function
+docstrings); the test suite keeps that formulation as an oracle
+(``tests/oracles.py``) and pins the kernels against it bit for bit, on
+rates and residuals.
 """
 
 from __future__ import annotations
@@ -247,74 +249,185 @@ def maxmin_fill_fast(
     that port, and repeats -- the classical waterfilling algorithm.
 
     ``dsts_off`` is ``dsts + n_ports`` and ``res`` the length ``2 *
-    n_ports`` concatenation of the egress and ingress residuals.  Why
-    each rewrite keeps the split-residual oracle's exact floats:
-
-    - One bincount over ``[srcs..., dsts_off...]`` hits disjoint cells
-      for the two halves, accumulating each cell in flow order exactly
-      like the two separate bincounts.
-    - Unweighted per-port counts are whole numbers; maintaining them as
-      integers and subtracting the frozen flows' counts is exact, and
-      int->float promotion in the divides is exact too.
-    - Frozen flows are removed from the working arrays; the survivors
-      keep their relative order, so recomputed weighted bincounts
-      accumulate in the oracle's order.
-    - ``min`` / ``max`` never round, so one minimum over the combined
-      share vector equals the oracle's ``min(out.min(), in.min())``.
-    - ``rates[idx] += step`` equals the oracle's ``+= step * 1.0``.
+    n_ports`` concatenation of the egress and ingress residuals; one
+    vector op per iteration then covers both directions, and one
+    ``min`` over the combined share vector equals the oracle's
+    ``min(out.min(), in.min())`` (``min`` never rounds).
 
     ``zero_rates=True`` promises the subset's rates are all zero on
-    entry (automatic when ``rates`` is None).  That unlocks the *level*
-    shortcut: the oracle's per-iteration ``rates[idx] += step`` then
-    accumulates ``0 + s1 + ... + sk`` per flow, which is the exact same
-    left-associated addition sequence as a running scalar level, so each
-    flow's rate can be written once when it freezes.  (Weighted fills
-    still add per iteration: ``sum(s_j * w)`` and ``(sum s_j) * w``
-    round differently.)
+    entry (automatic when ``rates`` is None).  The oracle's
+    per-iteration ``rates[idx] += step`` then accumulates ``0 + s1 + ...
+    + sk`` per flow -- the same left-associated additions as a running
+    scalar level -- so each rate is the level at the flow's freeze
+    iteration.  Unweighted fills run in port-cell space
+    (:func:`_maxmin_cells`), weighted ones in flow space
+    (:func:`_maxmin_weighted`).
     """
     n_flows = srcs.shape[0]
     if rates is None:
         rates = np.zeros(n_flows)
         zero_rates = True
-    if (
-        zero_rates
-        and weights is None
-        and subset is not None
-        and 0 < subset.size <= _SCALAR_MAX
-    ):
-        return _maxmin_small_zero(srcs, dsts_off, res, subset, rates)
-    if weights is not None:
-        w_all = np.asarray(weights, dtype=float)
-        if w_all.shape != (n_flows,):
-            raise ValueError(f"weights must have shape ({n_flows},)")
-        if (w_all <= 0).any():
-            raise ValueError("weights must be strictly positive")
+    if weights is None:
+        if subset is None:
+            port = np.concatenate((srcs, dsts_off))
+        elif subset.size == 0:
+            return rates
+        elif zero_rates and subset.size <= _SCALAR_MAX:
+            return _maxmin_small_zero(srcs, dsts_off, res, subset, rates)
+        else:
+            port = np.concatenate((srcs[subset], dsts_off[subset]))
+        return _maxmin_cells(port, res, subset, rates, zero_rates)
+    w_all = np.asarray(weights, dtype=float)
+    if w_all.shape != (n_flows,):
+        raise ValueError(f"weights must have shape ({n_flows},)")
+    if (w_all <= 0).any():
+        raise ValueError("weights must be strictly positive")
+    return _maxmin_weighted(srcs, dsts_off, res, subset, rates, w_all)
+
+
+def _maxmin_cells(
+    port: np.ndarray,
+    res: np.ndarray,
+    subset: np.ndarray | None,
+    rates: np.ndarray,
+    zero_rates: bool,
+) -> np.ndarray:
+    """Unweighted waterfill that iterates over port cells, not flows.
+
+    ``port`` is ``[srcs..., dsts_off...]`` of the ``m`` filled flows, so
+    flow ``j`` owns endpoint slots ``j`` and ``m + j``.  Each iteration
+    does the oracle's per-cell float sequence on the ``2 * n_ports``
+    cells only -- ``share = res / cnt``, the minimum ``step``, ``res -=
+    step * cnt``, clamp, saturated cells -- because every cell still in
+    play holds an integer-valued count equal to a recount of its live
+    flows.  A CSR index built once (one ``argsort`` of ``port``) lists
+    each cell's endpoints with their far cell and their twin's CSR
+    position, so freezing a saturated cell subtracts its live flows from
+    their far cells (one bincount) and kills their twins.  A flow
+    freezes at the first iteration in which either endpoint saturates,
+    as in the oracle.  Memory is ``O(F + P)``.
+
+    Rates are written once at the end.  A flow frozen after ``k`` steps
+    gets ``r + s1 + ... + sk`` left-associated, the oracle's
+    per-iteration ``+= step * 1.0`` sequence: one gather of the running
+    level when ``zero_rates``, otherwise one slice add per step over the
+    flows sorted by freeze iteration.
+    """
+    two_m = port.shape[0]
+    m = two_m // 2
+    if m == 0:
+        return rates
+    two_n = res.shape[0]
+    size = np.bincount(port, minlength=two_n)
+    bounds = [0, *np.cumsum(size).tolist()]
+    slot = np.argsort(port, kind="stable")
+    cell = port[slot]
+    far = np.concatenate((port[m:], port[:m]))[slot]
+    csr_of = np.empty(two_m, dtype=np.intp)
+    csr_of[slot] = np.arange(two_m)
+    twin = np.concatenate((csr_of[m:], csr_of[:m]))[slot]
+    live = np.ones(two_m)
+    sat_at = np.full(two_m, two_n + 1, dtype=np.intp)  # step count at freeze
+    cnt = size.astype(float)
+    # Idle and saturated cells sit at +inf: they never set the step or
+    # saturate, and ``inf - step * cnt`` leaves them inert whatever
+    # their count.  A cell emptied through its far ends keeps its finite
+    # residual over a zero count (share +inf, hence the silenced divide
+    # warning) and so never changes again.
+    work = np.where(size > 0, res, np.inf)
+    share = np.empty(two_n)
+    steps: list[float] = []
+    with np.errstate(divide="ignore"):
+        while True:
+            np.divide(work, cnt, out=share)
+            step = share[share.argmin()]
+            if not step < np.inf:
+                break  # every flow frozen
+            step = max(step, 0.0)
+            steps.append(step)
+            work -= step * cnt
+            np.maximum(work, 0.0, out=work)
+            hit = work <= 1e-9
+            sat = hit.nonzero()[0]
+            # A saturated cell's residual is final: no live flow crosses
+            # it again.
+            if sat.size == 1:
+                c = sat.item()
+                res[c] = work[c]
+                work[c] = np.inf
+                pos = slice(bounds[c], bounds[c + 1])
+            elif sat.size:
+                res[sat] = work[sat]
+                work[sat] = np.inf
+                pos = hit[cell].nonzero()[0]
+            else:
+                break
+            sat_at[pos] = len(steps)
+            cnt -= np.bincount(far[pos], weights=live[pos], minlength=two_n)
+            live[twin[pos]] = 0.0
+    if steps:
+        # The oracle clamps idle cells too; every other cell not yet
+        # written holds its final residual in ``work``.
+        np.maximum(res, 0.0, out=res, where=size == 0)
+        np.copyto(res, work, where=work < np.inf)
+    by_slot = sat_at[csr_of]
+    frozen_after = np.minimum(by_slot[:m], by_slot[m:])
+    np.minimum(frozen_after, len(steps), out=frozen_after)
+    if zero_rates:
+        levels = [0.0]
+        for step in steps:
+            levels.append(levels[-1] + step)
+        vals = np.array(levels)[frozen_after]
+        if subset is None:
+            rates[:] = vals
+        else:
+            rates[subset] = vals
+        return rates
+    by_freeze = np.argsort(frozen_after, kind="stable")
+    # Step j (1-based) reaches the flows frozen after j or more steps.
+    first = np.cumsum(np.bincount(frozen_after)[:len(steps)]).tolist()
+    tgt = by_freeze if subset is None else subset[by_freeze]
+    vals = rates[tgt]
+    for step, lo in zip(steps, first):
+        vals[lo:] += step
+    rates[tgt] = vals
+    return rates
+
+
+def _maxmin_weighted(
+    srcs: np.ndarray,
+    dsts_off: np.ndarray,
+    res: np.ndarray,
+    subset: np.ndarray | None,
+    rates: np.ndarray,
+    w_all: np.ndarray,
+) -> np.ndarray:
+    """Weighted waterfill in flow space.
+
+    Frozen flows are compressed out of the working arrays; the survivors
+    keep their relative order, so each iteration's weighted bincount
+    over ``[srcs..., dsts_off...]`` accumulates every cell in the
+    oracle's flow order (the two halves hit disjoint cells).  Rates are
+    added per iteration: ``sum(s_j * w)`` and ``(sum s_j) * w`` round
+    differently.
+    """
     if subset is None:
         cur_idx: np.ndarray | None = None  # all flows; materialized lazily
         port = np.concatenate((srcs, dsts_off))
-        m = n_flows
-        cur_w = None if weights is None else w_all
+        cur_w = w_all
     else:
-        if subset.size == 0:
-            return rates
         cur_idx = subset
         port = np.concatenate((srcs[subset], dsts_off[subset]))
-        m = subset.shape[0]
-        cur_w = None if weights is None else w_all[subset]
+        cur_w = w_all[subset]
+    m = cur_w.shape[0]
     if m == 0:
         return rates
-
     two_n = res.shape[0]
     share = np.empty(two_n)
-    use_level = zero_rates and weights is None
-    level = 0.0
-    if cur_w is None:
-        cnt = np.bincount(port, minlength=two_n)
     while True:
-        if cur_w is not None:
-            cnt = np.bincount(
-                port, weights=np.concatenate((cur_w, cur_w)), minlength=two_n
-            )
+        cnt = np.bincount(
+            port, weights=np.concatenate((cur_w, cur_w)), minlength=two_n
+        )
         busy = cnt > 0
         share.fill(np.inf)
         np.divide(res, cnt, out=share, where=busy)
@@ -322,18 +435,10 @@ def maxmin_fill_fast(
         if not np.isfinite(step):  # pragma: no cover - defensive
             break
         step = max(step, 0.0)
-        if use_level:
-            level = level + step
-        elif cur_w is None:
-            if cur_idx is None:
-                rates += step
-            else:
-                rates[cur_idx] += step
+        if cur_idx is None:
+            rates += step * cur_w
         else:
-            if cur_idx is None:
-                rates += step * cur_w
-            else:
-                rates[cur_idx] += step * cur_w
+            rates[cur_idx] += step * cur_w
         res -= step * cnt
         np.maximum(res, 0.0, out=res)
         sat = busy & (res <= 1e-9)
@@ -341,33 +446,16 @@ def maxmin_fill_fast(
         frozen = fr2[:m] | fr2[m:]
         if not frozen.any():
             break
-        if use_level:
-            if cur_idx is None:
-                rates[np.flatnonzero(frozen)] = level
-            else:
-                rates[cur_idx[frozen]] = level
         keep = ~frozen
         port = port[np.concatenate((keep, keep))]
         if cur_idx is None:
             cur_idx = np.flatnonzero(keep)
         else:
             cur_idx = cur_idx[keep]
-        if cur_w is None:
-            # Integer counts of the surviving flows; recomputing equals
-            # subtracting the frozen flows' counts exactly.
-            cnt = np.bincount(port, minlength=two_n)
-        else:
-            cur_w = cur_w[keep]
+        cur_w = cur_w[keep]
         m = cur_idx.shape[0]
         if m == 0:
             break
-    if use_level:
-        # Survivors (loop left without freezing them) sit at the final
-        # level; frozen flows were written above.
-        if cur_idx is None:
-            rates.fill(level)
-        elif cur_idx.size:
-            rates[cur_idx] = level
     return rates
 
 

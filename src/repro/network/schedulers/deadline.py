@@ -11,7 +11,11 @@ best-effort traffic.
 
 The admission decision is made once, at the first epoch a coflow is seen
 (its arrival), and is sticky -- matching Varys, where clients are told at
-submission whether the deadline is guaranteed.
+submission whether the deadline is guaranteed.  A guarantee assumes the
+fabric keeps its capacity: when a port fails or slows under an admitted
+coflow so that its just-in-time demand no longer fits, the coflow's
+rates shrink uniformly to the largest share that does (it misses the
+deadline; a dead port leaves it at zero until the port returns).
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ class DeadlineScheduler(CoflowScheduler):
         ]
         deadline_ids.sort(key=lambda c: (ctx.progress[c].arrival_time, c))
 
+        reserved: set[int] = set()
         for cid in deadline_ids:
             prog = ctx.progress[cid]
             idx = ctx.flows_of(cid)
@@ -80,16 +85,28 @@ class DeadlineScheduler(CoflowScheduler):
             if not self._admitted[cid]:
                 continue  # best-effort via backfill
             if time_left <= 0:
-                # Past-deadline admitted coflow (only possible through
-                # float dust): drain at line rate via backfill.
+                # Past its deadline (float dust, or time lost to a failed
+                # port): served as best-effort traffic.
                 continue
+            reserved.add(cid)
             need = ctx.remaining[idx] / time_left
-            rates[idx] += need
-            res -= np.bincount(
-                np.concatenate((ctx.srcs[idx], dsts_off[idx])),
-                weights=np.concatenate((need, need)),
-                minlength=two_n,
+            cells = np.concatenate((ctx.srcs[idx], dsts_off[idx]))
+            load = np.bincount(
+                cells, weights=np.concatenate((need, need)), minlength=two_n
             )
+            if not (load <= res * (1 + 1e-9)).all():
+                # A port failed or slowed under the admitted coflow, so
+                # its deadline is lost: scale its demand down to the
+                # largest uniform share that fits (zero on a dead port).
+                busy = load > 0
+                with np.errstate(divide="ignore"):
+                    need = need / (load[busy] / res[busy]).max()
+                load = np.bincount(
+                    cells, weights=np.concatenate((need, need)),
+                    minlength=two_n,
+                )
+            rates[idx] += need
+            res -= load
             np.maximum(res, 0.0, out=res)
 
         if self.backfill:
@@ -98,15 +115,10 @@ class DeadlineScheduler(CoflowScheduler):
             # Work conservation for non-guaranteed traffic only.
             g = ctx.groups
             guaranteed = g.expand(
-                np.array(
-                    [
-                        self._admitted.get(int(c), False)
-                        for c in g.unique_cids
-                    ]
-                )
+                np.array([int(c) in reserved for c in g.unique_cids])
             )
             besteffort = np.flatnonzero(~guaranteed)
-            # Only guaranteed coflows were allocated above, so the
+            # Only reserved coflows were allocated above, so the
             # best-effort flows' rates are still zero.
             maxmin_fill_fast(
                 ctx.srcs, dsts_off, res,

@@ -54,10 +54,18 @@ class OrderedCoflowScheduler(CoflowScheduler):
         """
         return {c: self.priority_key(ctx, c) for c in ctx.active_coflow_ids()}
 
+    def coflow_order(self, ctx: SchedulingContext) -> list[int]:
+        """Active coflow ids in service order: lowest key first, ties
+        by id.  A lone coflow is its own order, so it skips the keys."""
+        cids = ctx.active_coflow_ids()
+        if len(cids) < 2:
+            return cids
+        keys = self.priority_keys(ctx)
+        return sorted(keys, key=lambda c: (*keys[c], c))
+
     def allocate(self, ctx: SchedulingContext) -> np.ndarray:
         rates = np.zeros(ctx.n_flows)
-        keys = self.priority_keys(ctx)
-        order = sorted(keys, key=lambda c: (*keys[c], c))
+        order = self.coflow_order(ctx)
         dsts_off = ctx.dsts + ctx.fabric.n_ports
         res = np.concatenate(
             (ctx.fabric.egress_rates, ctx.fabric.ingress_rates)

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.model import ShuffleModel
 from repro.network.fabric import Fabric
+
+# In CI a failing property test prints its ``@reproduce_failure`` blob,
+# so a falsifying example found on a runner can be replayed locally.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def brute_force_metrics(h: np.ndarray, dest: np.ndarray, v0: np.ndarray | None = None):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.network.events import CoflowProgress, SchedulingContext
 from repro.network.fabric import Fabric
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import (
@@ -108,3 +109,44 @@ class TestDeterminismAndReuse:
         cf = Coflow([Flow(0, 1, 5.0)], 0.0, coflow_id=0)
         res = CoflowSimulator(fabric, sched).run([cf])
         assert res.ccts[0] == pytest.approx(5.0)
+
+
+class TestLoneCoflowShortcut:
+    """A lone active coflow skips the ordering pass, yet the permutation
+    cache must still notice the active set changing through it."""
+
+    @staticmethod
+    def _ctx(volumes):
+        """One flow 0 -> 1 per coflow on a unit-rate 2-port fabric."""
+        cids = sorted(volumes)
+        return SchedulingContext(
+            time=0.0,
+            fabric=Fabric(n_ports=2, rate=1.0),
+            srcs=np.zeros(len(cids), dtype=np.int64),
+            dsts=np.ones(len(cids), dtype=np.int64),
+            remaining=np.array([volumes[c] for c in cids]),
+            coflow_ids=np.array(cids, dtype=np.int64),
+            progress={
+                c: CoflowProgress(
+                    coflow_id=c, arrival_time=0.0,
+                    total_volume=volumes[c], width=1,
+                )
+                for c in cids
+            },
+        )
+
+    @pytest.mark.parametrize("name", APPROX)
+    def test_set_change_through_lone_coflow_recomputes_ranks(self, name):
+        # Both coflows share port 0 -> 1, so the first in the order takes
+        # the whole port and the other gets nothing.
+        small_first = self._ctx({1: 1.0, 2: 10.0})
+        swapped = self._ctx({1: 10.0, 2: 1.0})
+        sched = make_scheduler(name)
+        assert sched.allocate(small_first).tolist() == [1.0, 0.0]
+        assert sched.allocate(self._ctx({2: 9.0})).tolist() == [1.0]
+        # {1, 2} -> {2} -> {1, 2}: the ranks come from today's volumes.
+        assert sched.allocate(swapped).tolist() == [0.0, 1.0]
+        # Without the set change in between, the cached order stands.
+        cached = make_scheduler(name)
+        cached.allocate(small_first)
+        assert cached.allocate(swapped).tolist() == [1.0, 0.0]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.network.dynamics import FabricDynamics, RateEvent
 from repro.network.fabric import Fabric
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers.deadline import DeadlineScheduler
@@ -74,6 +75,45 @@ class TestAdmission:
         ]
         res, sched = simulate([g, *noise], backfill=False)
         assert res.completion_times[0] <= 10.0 + 1e-6
+
+
+class TestCapacityLoss:
+    """A port that fails or slows under an admitted coflow voids its
+    guarantee; the coflow keeps the largest share that fits."""
+
+    def test_slowdown_scales_the_guarantee_to_fit(self):
+        # JIT rate 0.5 until port 0's egress drops to 0.25 at t = 2; the
+        # remaining 3 bytes then drain at 0.25, missing the deadline.
+        cf = Coflow([Flow(0, 1, 4.0)], deadline=8.0)
+        sched = DeadlineScheduler(backfill=False)
+        sim = CoflowSimulator(
+            Fabric(n_ports=3, rate=1.0), sched,
+            dynamics=FabricDynamics([RateEvent(2.0, 0, egress=0.25)]),
+        )
+        res = sim.run([cf])
+        assert sched.admitted(0) is True
+        assert res.ccts[0] == pytest.approx(14.0)
+
+    @pytest.mark.parametrize("backfill", [True, False])
+    def test_failure_and_retry_under_an_admitted_coflow(self, backfill):
+        # Port 0 fails at t = 1 and returns at t = 2; the retried flow of
+        # the admitted coflow then needs rate 2 on a unit port.
+        coflows = [
+            Coflow([Flow(0, 1, 2.0)], deadline=3.0),
+            Coflow([Flow(0, 1, 1.0)]),
+        ]
+        sched = DeadlineScheduler(backfill=backfill)
+        sim = CoflowSimulator(
+            Fabric(n_ports=3, rate=1.0), sched,
+            dynamics=FabricDynamics([
+                RateEvent.failure(1.0, 0),
+                RateEvent.recovery(2.0, 0, egress=1.0, ingress=1.0),
+            ]),
+            recovery="retry",
+        )
+        res = sim.run(coflows)
+        assert sched.admitted(0) is True
+        assert sorted(res.ccts) == [0, 1]
 
 
 class TestReset:

@@ -14,6 +14,8 @@ plus exact-equality checks of the combined-port / scalar scheduler
 kernels against the split-residual oracles in ``tests/oracles.py``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,10 @@ from repro.network.dynamics import FabricDynamics, RateEvent
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import make_scheduler
 from repro.network.schedulers.base import madd_rates_fast, maxmin_fill_fast
-from tests.oracles import madd_rates_reference, maxmin_fill_reference
+from tests.oracles import (
+    assert_fill_matches_reference,
+    madd_rates_reference,
+)
 
 
 def _mix(n=12, n_ports=6, base=0.0, step=0.375):
@@ -183,12 +188,9 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(seed)
         srcs, dsts, _, res_out, res_in = _random_case(rng, 40, 7)
         weights = rng.uniform(0.5, 3.0, size=40) if weighted else None
-        ref = maxmin_fill_reference(
-            srcs, dsts, res_out.copy(), res_in.copy(), weights=weights
+        assert_fill_matches_reference(
+            srcs, dsts, res_out, res_in, weights=weights
         )
-        res = np.concatenate((res_out.copy(), res_in.copy()))
-        fast = maxmin_fill_fast(srcs, dsts + 7, res, weights=weights)
-        assert (ref == fast).all()
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("size", [1, 3, 9, 33])
@@ -199,26 +201,37 @@ class TestKernelEquivalence:
         subset = np.sort(
             rng.choice(40, size=min(size, 40), replace=False)
         )
-        ref = maxmin_fill_reference(
-            srcs, dsts, res_out.copy(), res_in.copy(), subset=subset
+        assert_fill_matches_reference(
+            srcs, dsts, res_out, res_in, subset=subset,
+            rates=np.zeros(40), zero_rates=True,
         )
-        res = np.concatenate((res_out.copy(), res_in.copy()))
-        fast = maxmin_fill_fast(
-            srcs, dsts + 7, res, subset=subset, zero_rates=True
-        )
-        assert (ref == fast).all()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_maxmin_nonzero_rates_backfill(self, seed):
         rng = np.random.default_rng(200 + seed)
         srcs, dsts, _, res_out, res_in = _random_case(rng, 30, 6)
         rates0 = rng.uniform(0.0, 0.3, size=30)
-        ref = maxmin_fill_reference(
-            srcs, dsts, res_out.copy(), res_in.copy(), rates=rates0.copy()
+        assert_fill_matches_reference(
+            srcs, dsts, res_out, res_in, rates=rates0
         )
-        res = np.concatenate((res_out.copy(), res_in.copy()))
-        fast = maxmin_fill_fast(srcs, dsts + 6, res, rates=rates0.copy())
-        assert (ref == fast).all()
+
+    def test_maxmin_large_fabric(self):
+        """P = 1000, F = 6000: the fill matches the oracle on a fabric far
+        wider than the property tests draw, and its memory stays O(F + P)
+        -- its peak is below half of one P x P float array."""
+        rng = np.random.default_rng(7)
+        srcs, dsts, _, res_out, res_in = _random_case(rng, 6000, 1000)
+        rates = rng.uniform(0, 1e-3, 6000)
+        assert_fill_matches_reference(srcs, dsts, res_out, res_in, rates=rates)
+        res = np.concatenate((res_out, res_in))
+        rates = rates.copy()
+        tracemalloc.start()
+        try:
+            maxmin_fill_fast(srcs, dsts + 1000, res, rates=rates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000 * 8 // 2
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("size", [1, 2, 4, 6, 20])

@@ -18,6 +18,7 @@ import dataclasses
 import numpy as np
 
 from repro.network.events import SchedulingContext
+from repro.network.schedulers.base import maxmin_fill_fast
 from repro.network.schedulers.dclas import DCLASScheduler
 from repro.network.schedulers.deadline import DeadlineScheduler
 from repro.network.schedulers.fair import FairSharingScheduler
@@ -99,6 +100,28 @@ def maxmin_fill_reference(
             break
         active &= ~newly_frozen
     return rates
+
+
+def assert_fill_matches_reference(srcs, dsts, res_out, res_in, **kw):
+    """``maxmin_fill_fast`` returns the oracle's rates *and* residuals.
+
+    Callers keep filling on the residual after a fill (D-CLAS slices,
+    deadline and ordered backfill), so it must match byte for byte too.
+    ``kw`` goes to both kernels (``zero_rates`` to the fast one only);
+    the inputs are not modified.
+    """
+    n_ports = res_out.shape[0]
+    fast_kw = dict(kw)
+    kw.pop("zero_rates", None)
+    if kw.get("rates") is not None:
+        kw["rates"] = kw["rates"].copy()
+        fast_kw["rates"] = fast_kw["rates"].copy()
+    ro, ri = res_out.copy(), res_in.copy()
+    ref = maxmin_fill_reference(srcs, dsts, ro, ri, **kw)
+    res = np.concatenate((res_out, res_in))
+    fast = maxmin_fill_fast(srcs, dsts + n_ports, res, **fast_kw)
+    assert fast.tobytes() == ref.tobytes()
+    assert res.tobytes() == np.concatenate((ro, ri)).tobytes()
 
 
 def madd_rates_reference(
@@ -352,6 +375,7 @@ def _deadline(sched: DeadlineScheduler, ctx: MaskContext) -> np.ndarray:
         if ctx.progress[c].deadline is not None
     ]
     deadline_ids.sort(key=lambda c: (ctx.progress[c].arrival_time, c))
+    reserved = set()
     for cid in deadline_ids:
         idx = ctx.flows_of(cid)
         time_left = ctx.progress[cid].absolute_deadline - ctx.time
@@ -361,18 +385,27 @@ def _deadline(sched: DeadlineScheduler, ctx: MaskContext) -> np.ndarray:
             )
         if not admitted[cid] or time_left <= 0:
             continue
+        reserved.add(cid)
         need = ctx.remaining[idx] / time_left
+        out = np.bincount(ctx.srcs[idx], weights=need, minlength=n)
+        inb = np.bincount(ctx.dsts[idx], weights=need, minlength=n)
+        if not ((out <= res_out * (1 + 1e-9)).all()
+                and (inb <= res_in * (1 + 1e-9)).all()):
+            with np.errstate(divide="ignore"):
+                gamma = max((out[out > 0] / res_out[out > 0]).max(initial=0.0),
+                            (inb[inb > 0] / res_in[inb > 0]).max(initial=0.0))
+            need = need / gamma
+            out = np.bincount(ctx.srcs[idx], weights=need, minlength=n)
+            inb = np.bincount(ctx.dsts[idx], weights=need, minlength=n)
         rates[idx] += need
-        res_out -= np.bincount(ctx.srcs[idx], weights=need, minlength=n)
-        res_in -= np.bincount(ctx.dsts[idx], weights=need, minlength=n)
+        res_out -= out
+        res_in -= inb
         np.maximum(res_out, 0.0, out=res_out)
         np.maximum(res_in, 0.0, out=res_in)
     if sched.backfill:
         maxmin_fill_reference(ctx.srcs, ctx.dsts, res_out, res_in, rates=rates)
     else:
-        guaranteed = np.array(
-            [admitted.get(int(c), False) for c in ctx.coflow_ids]
-        )
+        guaranteed = np.array([int(c) in reserved for c in ctx.coflow_ids])
         maxmin_fill_reference(
             ctx.srcs, ctx.dsts, res_out, res_in,
             subset=np.flatnonzero(~guaranteed), rates=rates,

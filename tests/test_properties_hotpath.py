@@ -25,17 +25,13 @@ from repro.network.dynamics import FabricDynamics, RateEvent
 from repro.network.events import CoflowProgress, FlowGroups, SchedulingContext
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import make_scheduler
-from repro.network.schedulers.base import (
-    CoflowScheduler,
-    madd_rates_fast,
-    maxmin_fill_fast,
-)
+from repro.network.schedulers.base import CoflowScheduler, madd_rates_fast
 from tests.oracles import (
+    assert_fill_matches_reference,
     madd_rates_reference,
     mask_all_done,
     mask_context,
     mask_value_sums,
-    maxmin_fill_reference,
     noise_view_reference,
     reference_allocate,
 )
@@ -205,14 +201,17 @@ class TestIncrementalBitIdentity:
         workloads(rich=True),
         st.sampled_from(("sebf", "fair", "wss", "deadline", "dclas")),
         st.integers(0, 2),
-        st.floats(0.5, 20.0),
+        st.floats(0.01, 20.0),
         st.floats(1.0, 30.0),
         st.sampled_from(("retry", "replan", "abort")),
     )
     def test_chaos_schedule(
-        self, wl, scheduler, port, fail_at, downtime, policy
+        self, wl, scheduler, port, fail_delay, downtime, policy
     ):
         n_ports, coflows = wl
+        # The port fails strictly after the first arrival, so at least
+        # one allocation precedes any abort and gets checked.
+        fail_at = min(c.arrival_time for c in coflows) + fail_delay
         events = [
             RateEvent.failure(fail_at, port),
             RateEvent.recovery(
@@ -532,37 +531,79 @@ def kernel_cases(draw):
     return n_ports, srcs, dsts, remaining, res_out, res_in, subset
 
 
+@st.composite
+def fill_cases(draw):
+    """A waterfill input built to hit the cell-space kernel's edges.
+
+    Up to 64 ports; residuals drawn per cell from uniform values, zero
+    capacity, residuals at or below the 1e-9 saturation threshold and
+    dyadic values that make several cells saturate in one iteration;
+    parallel flows (repeated port pairs); any subset size.
+    """
+    n_ports = draw(st.integers(1, 64))
+    n_flows = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    srcs = rng.integers(0, n_ports, size=n_flows)
+    dsts = rng.integers(0, n_ports, size=n_flows)
+    n_dup = draw(st.integers(0, n_flows // 2))
+    if n_dup:
+        src_of = rng.integers(0, n_flows, size=n_dup)
+        dst_of = rng.integers(0, n_flows, size=n_dup)
+        srcs[dst_of] = srcs[src_of]
+        dsts[dst_of] = dsts[src_of]
+    kinds = [
+        rng.uniform(0.0, 2.0, size=2 * n_ports),
+        np.zeros(2 * n_ports),
+        rng.choice([1e-12, 1e-10, 5e-10, 1e-9], size=2 * n_ports),
+        rng.integers(1, 9, size=2 * n_ports) / 4.0,
+    ]
+    mix = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    pick = rng.choice(mix, size=2 * n_ports)
+    res = np.choose(pick, kinds)
+    k = draw(st.integers(1, n_flows))
+    subset = np.sort(rng.choice(n_flows, size=k, replace=False))
+    return srcs, dsts, res[:n_ports], res[n_ports:], subset
+
+
 class TestKernelProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(kernel_cases(), st.booleans())
+    """Rates and the residual left behind match the oracle bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fill_cases(), st.booleans())
     def test_maxmin_subset_exact(self, case, use_subset):
-        n_ports, srcs, dsts, _, res_out, res_in, subset = case
-        sub = subset if use_subset else None
-        ref = maxmin_fill_reference(
-            srcs, dsts, res_out.copy(), res_in.copy(), subset=sub
+        srcs, dsts, res_out, res_in, subset = case
+        assert_fill_matches_reference(
+            srcs, dsts, res_out, res_in,
+            subset=subset if use_subset else None,
+            rates=np.zeros(srcs.shape[0]), zero_rates=True,
         )
-        res = np.concatenate((res_out.copy(), res_in.copy()))
-        fast = maxmin_fill_fast(
-            srcs, dsts + n_ports, res, subset=sub, zero_rates=True
+
+    @settings(max_examples=80, deadline=None)
+    @given(fill_cases(), st.booleans(), st.integers(0, 2 ** 16), st.booleans())
+    def test_maxmin_backfill_exact(self, case, use_subset, rseed, dyadic):
+        """Non-zero starting rates, as after a MADD priority pass."""
+        srcs, dsts, res_out, res_in, subset = case
+        rng = np.random.default_rng(rseed)
+        n = srcs.shape[0]
+        if dyadic:
+            rates = rng.integers(0, 4, size=n) / 8.0
+        else:
+            rates = rng.uniform(0.0, 0.3, size=n) * (rng.random(n) < 0.7)
+        assert_fill_matches_reference(
+            srcs, dsts, res_out, res_in,
+            subset=subset if use_subset else None, rates=rates,
         )
-        assert (ref == fast).all()
 
     @settings(max_examples=40, deadline=None)
-    @given(kernel_cases(), st.integers(0, 2 ** 16))
+    @given(fill_cases(), st.integers(0, 2 ** 16))
     def test_maxmin_weighted_exact(self, case, wseed):
-        n_ports, srcs, dsts, _, res_out, res_in, subset = case
+        srcs, dsts, res_out, res_in, subset = case
         weights = np.random.default_rng(wseed).uniform(
             0.1, 5.0, size=srcs.shape[0]
         )
-        ref = maxmin_fill_reference(
-            srcs, dsts, res_out.copy(), res_in.copy(),
-            subset=subset, weights=weights,
+        assert_fill_matches_reference(
+            srcs, dsts, res_out, res_in, subset=subset, weights=weights,
         )
-        res = np.concatenate((res_out.copy(), res_in.copy()))
-        fast = maxmin_fill_fast(
-            srcs, dsts + n_ports, res, subset=subset, weights=weights
-        )
-        assert (ref == fast).all()
 
     @settings(max_examples=60, deadline=None)
     @given(kernel_cases())
