@@ -710,16 +710,24 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.network.io import save_coflows
     from repro.workloads.analytic import AnalyticJoinWorkload
 
-    workload = AnalyticJoinWorkload(
-        n_nodes=args.nodes,
-        scale_factor=args.scale_factor,
-        zipf_s=args.zipf,
-        skew=args.skew,
-    )
+    try:
+        workload = AnalyticJoinWorkload(
+            n_nodes=args.nodes,
+            scale_factor=args.scale_factor,
+            zipf_s=args.zipf,
+            skew=args.skew,
+        )
+    except ValueError as exc:
+        print(f"invalid workload: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     plan = CCF().plan(workload, args.strategy)
     print(plan.describe())
     if args.out:
-        save_coflows([plan.to_coflow()], args.out)
+        try:
+            save_coflows([plan.to_coflow()], args.out)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"coflow written to {args.out}")
     return 0
 
@@ -731,7 +739,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.network.schedulers import make_scheduler
     from repro.network.simulator import CoflowSimulator
 
-    coflows = load_coflows(args.coflow_file)
+    try:
+        coflows = load_coflows(args.coflow_file)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read coflow file {args.coflow_file}: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if not coflows:
         print("no coflows in file")
         return 1
@@ -1561,7 +1574,12 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from repro.network.schedulers import make_scheduler
     from repro.network.simulator import CoflowSimulator
 
-    coflows = load_coflows(args.coflow_file)
+    try:
+        coflows = load_coflows(args.coflow_file)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read coflow file {args.coflow_file}: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if not coflows:
         print("no coflows in file", file=sys.stderr)
         return 1

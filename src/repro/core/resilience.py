@@ -30,6 +30,7 @@ supervisor daemon.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -104,6 +105,7 @@ class CacheCorruption(ResilienceError):
 # -- retry / backoff ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def _jitter_factor(seed: int, attempt: int, jitter: float) -> float:
     """Deterministic jitter multiplier in ``[1 - jitter, 1 + jitter]``.
 
@@ -111,7 +113,9 @@ def _jitter_factor(seed: int, attempt: int, jitter: float) -> float:
     rather than drawn from a shared RNG, so the factor depends only on
     ``(seed, attempt, jitter)`` -- stable across processes, platforms
     and numpy versions, which keeps retry schedules reproducible and
-    testable.
+    testable.  Being a pure function of its arguments, it is memoized: a
+    fixed :class:`Backoff` has at most ``max_attempts`` distinct factors,
+    and a deferral-heavy service run asks for them thousands of times.
     """
     if jitter == 0.0:
         return 1.0

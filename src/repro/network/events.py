@@ -59,12 +59,13 @@ class FlowGroups:
     structure only depends on the *identity* of the active flows, not on
     their remaining volumes, so the simulator builds it once per
     ``ActiveFlows.version`` and reuses it across epochs until a flow is
-    appended or removed.
+    appended or removed.  When completed flows leave, it derives the
+    survivors' grouping with :meth:`kept` instead of rebuilding it.
 
     Numerical compatibility: ``indices_of`` returns exactly the array
     ``np.nonzero(coflow_ids == cid)[0]`` would (ascending order), and
     :meth:`value_sums` gathers each group into a contiguous buffer before
-    calling ``np.sum`` -- same elements, same order, same pairwise
+    reducing it with ``np.add`` -- same elements, same order, same pairwise
     summation tree as ``values[coflow_ids == cid].sum()`` -- so callers
     switching from masks to groups get bit-identical floats.
     """
@@ -82,6 +83,33 @@ class FlowGroups:
         )
         self.starts = np.concatenate(([0], np.cumsum(self.counts)))
         self._slot = {int(c): i for i, c in enumerate(self.unique_cids)}
+
+    def kept(self, mask: np.ndarray) -> "FlowGroups":
+        """The grouping of the flows where the boolean ``mask`` is True.
+
+        Field for field (dtypes included) what ``FlowGroups(coflow_ids[
+        mask])`` builds, derived without a sort: the kept flows keep
+        their relative order, so filtering ``order`` through the new flow
+        positions leaves each group ascending, and only groups that lose
+        every flow are dropped from the numbering.
+        """
+        new = FlowGroups.__new__(FlowGroups)
+        inverse = self.inverse[mask]
+        counts = np.bincount(inverse, minlength=self.unique_cids.size)
+        alive = counts > 0
+        if alive.all():
+            new.unique_cids = self.unique_cids
+            new._slot = self._slot
+        else:
+            inverse = (np.cumsum(alive) - 1)[inverse]
+            counts = counts[alive]
+            new.unique_cids = self.unique_cids[alive]
+            new._slot = {int(c): i for i, c in enumerate(new.unique_cids)}
+        new.inverse = inverse
+        new.counts = counts
+        new.starts = np.concatenate(([0], np.cumsum(counts)))
+        new.order = (np.cumsum(mask) - 1)[self.order[mask[self.order]]]
+        return new
 
     @property
     def n_groups(self) -> int:
@@ -105,10 +133,13 @@ class FlowGroups:
         each group (see class docstring).
         """
         gathered = values.take(self.order)
-        starts = self.starts
+        # ``np.add.reduce`` is the reduction ``ndarray.sum`` runs, minus
+        # its Python wrapper (``np.add.reduceat`` sums in another order).
+        add = np.add.reduce
+        starts = self.starts.tolist()
         return [
-            float(gathered[starts[i]:starts[i + 1]].sum())
-            for i in range(self.n_groups)
+            float(add(gathered[lo:hi]))
+            for lo, hi in zip(starts, starts[1:])
         ]
 
     def expand(self, per_group: np.ndarray) -> np.ndarray:

@@ -92,10 +92,11 @@ class CoflowScheduler(ABC):
         return f"{type(self).__name__}()"
 
 
-#: Subset size below which the per-coflow kernels drop to plain-Python
-#: scalar arithmetic: for a handful of flows the cost of a numpy call
-#: (~1-2us each) dwarfs the arithmetic, and scalar IEEE doubles follow
-#: the exact same operation sequence, so results stay bit-identical.
+#: Fill size (a subset, or every flow) up to which zero-start waterfills
+#: drop to plain-Python scalar arithmetic: for a handful of flows the
+#: cost of a numpy call (~1-2us each) dwarfs the arithmetic, and scalar
+#: IEEE doubles follow the exact same operation sequence, so results
+#: stay bit-identical.
 _SCALAR_MAX = 32
 #: MADD is a single pass (no iteration), so numpy amortizes better; the
 #: scalar version only wins for very narrow coflows.
@@ -109,7 +110,10 @@ def _maxmin_small_zero(
     subset: np.ndarray,
     rates: np.ndarray,
 ) -> np.ndarray:
-    """Scalar waterfill for a small subset whose rates start at zero.
+    """Scalar waterfill for a small fill whose rates start at zero.
+
+    ``subset`` lists the filled flows: a coflow's, or ``arange(n_flows)``
+    for an all-flows fill.
 
     Mirrors the oracle's iteration exactly: integer per-port counts,
     ``share = res / cnt`` per busy port, one uniform ``step`` (the exact
@@ -259,9 +263,10 @@ def maxmin_fill_fast(
     per-iteration ``rates[idx] += step`` then accumulates ``0 + s1 + ...
     + sk`` per flow -- the same left-associated additions as a running
     scalar level -- so each rate is the level at the flow's freeze
-    iteration.  Unweighted fills run in port-cell space
-    (:func:`_maxmin_cells`), weighted ones in flow space
-    (:func:`_maxmin_weighted`).
+    iteration.  Unweighted zero-start fills of at most ``_SCALAR_MAX``
+    flows run on the scalar kernel (:func:`_maxmin_small_zero`), other
+    unweighted fills in port-cell space (:func:`_maxmin_cells`) and
+    weighted ones in flow space (:func:`_maxmin_weighted`).
     """
     n_flows = srcs.shape[0]
     if rates is None:
@@ -269,6 +274,10 @@ def maxmin_fill_fast(
         zero_rates = True
     if weights is None:
         if subset is None:
+            if zero_rates and n_flows <= _SCALAR_MAX:
+                return _maxmin_small_zero(
+                    srcs, dsts_off, res, np.arange(n_flows), rates
+                )
             port = np.concatenate((srcs, dsts_off))
         elif subset.size == 0:
             return rates

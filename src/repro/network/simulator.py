@@ -32,6 +32,7 @@ spinning forever.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -124,8 +125,11 @@ def _arrival_slack(t: float) -> float:
     times (arrivals of 1e9 and beyond) boundary arrivals were admitted an
     epoch late.  The slack therefore scales with the float spacing at
     ``t`` while keeping the absolute floor for times near zero.
+    ``math.ulp(t)`` is ``np.spacing(abs(t))`` without the numpy call
+    (they differ only at the largest double, where ``t + slack``
+    overflows to inf either way).
     """
-    return max(1e-15, 4.0 * float(np.spacing(abs(t))))
+    return max(1e-15, 4.0 * math.ulp(t))
 
 
 @dataclass
@@ -664,6 +668,8 @@ class CoflowSimulator:
 
         # FlowGroups cache: the grouping only depends on flow identity, so
         # it survives every epoch that neither appends nor removes flows.
+        # Appends and recovery edits rebuild it here; completions derive
+        # it from the previous grouping (see the drain step).
         groups_cache: FlowGroups | None = None
         groups_version: int = -1
 
@@ -682,8 +688,11 @@ class CoflowSimulator:
         # epoch *boundaries* are untouched -- only the recomputation is
         # skipped -- so results are bit-identical to ``batch_events=False``.
         batch = self.batch_events
+        # The cache also carries the moving flows' indices and rates, the
+        # only ones each epoch's completion horizon reads.
         cached_rates: np.ndarray | None = None
-        cached_positive: np.ndarray | None = None
+        cached_moving: np.ndarray | None = None
+        cached_moving_rates: np.ndarray | None = None
         cache_version = -1
         cache_valid_until = -np.inf
         cache_dirty = True
@@ -925,7 +934,8 @@ class CoflowSimulator:
                 # ``rates_valid_until``) that a fresh allocation would be
                 # bit-identical under these exact conditions.
                 rates = cached_rates
-                positive = cached_positive
+                moving = cached_moving
+                moving_rates = cached_moving_rates
             else:
                 rates = np.asarray(self.scheduler.allocate(ctx), dtype=float)
                 if rates.shape != fl.srcs.shape:
@@ -934,18 +944,20 @@ class CoflowSimulator:
                         f"expected {fl.srcs.shape}"
                     )
                 fabric.validate_rates(fl.srcs, fl.dsts, rates)
-                positive = rates > 0
+                moving = (rates > 0).nonzero()[0]
+                moving_rates = rates[moving]
                 if batch:
                     cached_rates = rates
-                    cached_positive = positive
+                    cached_moving = moving
+                    cached_moving_rates = moving_rates
                     cache_version = fl.version
                     cache_dirty = False
                     cache_valid_until = self.scheduler.rates_valid_until(
                         ctx, rates
                     )
-            if positive.any():
+            if moving.size:
                 dt_complete = float(
-                    (fl.remaining[positive] / rates[positive]).min()
+                    (fl.remaining[moving] / moving_rates).min()
                 )
             else:
                 dt_complete = np.inf
@@ -966,7 +978,7 @@ class CoflowSimulator:
                 wake = recovery.next_wakeup(fabric, t)
                 if wake is not None:
                     dt = min(dt, wake - t)
-            if not np.isfinite(dt):
+            if not math.isfinite(dt):
                 raise RuntimeError(
                     f"scheduler starved all {fl.size} active flows at t={t:.6g} "
                     "with no pending arrivals (deadlock)"
@@ -975,7 +987,7 @@ class CoflowSimulator:
 
             if track:
                 if wants_flow_events:
-                    for cid in np.unique(fl.cids[positive]):
+                    for cid in np.unique(fl.cids[moving]):
                         cid = int(cid)
                         if cid not in first_byte_seen:
                             first_byte_seen.add(cid)
@@ -1053,7 +1065,12 @@ class CoflowSimulator:
                     complete(cid, t)
                 # Flows of incomplete coflows that drained to zero are
                 # removed either way; parked siblings keep the coflow open.
-                fl.keep(~done)
+                # ``g`` is current, so the survivors' grouping is derived
+                # from it rather than rebuilt.
+                kept = ~done
+                fl.keep(kept)
+                groups_cache = g.kept(kept)
+                groups_version = fl.version
         else:
             from repro.core.resilience import BudgetExceeded
 

@@ -16,6 +16,7 @@ from repro.core.resilience import (
     StallDetector,
     StallError,
     WorkerCrash,
+    _jitter_factor,
     crash_report,
     retry_call,
     run_with_timeout,
@@ -92,6 +93,26 @@ class TestBackoff:
         # Jitter stays within its amplitude around the base schedule.
         for d, s in zip(delays, schedule):
             assert (1 - jitter) * s - 1e-12 <= d <= (1 + jitter) * s + 1e-12
+
+    @given(
+        seed=st.integers(0, 2**31),
+        attempt=st.integers(1, 12),
+        jitter=st.floats(0.0, 0.99, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_jitter_is_the_hash(self, seed, attempt, jitter):
+        """The memo returns what the hash derivation computes, on the
+        first call and on a repeat, and the delays built on it match."""
+        for _ in range(2):
+            assert _jitter_factor(seed, attempt, jitter) == (
+                _jitter_factor.__wrapped__(seed, attempt, jitter)
+            )
+        policy = Backoff(max_attempts=attempt + 1, jitter=jitter, seed=seed)
+        assert list(policy.delays()) == [
+            policy.base_schedule(k)
+            * _jitter_factor.__wrapped__(seed, k, jitter)
+            for k in range(1, attempt + 1)
+        ]
 
     def test_attempt_is_one_based(self):
         with pytest.raises(ValueError):

@@ -467,6 +467,51 @@ class TestObservabilityCli:
         assert "cannot read trace" in capsys.readouterr().err
 
 
+class TestInputErrorsExitUsage:
+    """Bad workload flags and unreadable files end in one stderr line and
+    exit 2, not a traceback."""
+
+    def assert_usage_error(self, argv, capsys, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--nodes", "0"], ["--skew", "2"], ["--zipf", "-1"]],
+        ids=["nodes", "skew", "zipf"],
+    )
+    def test_plan_rejects_bad_workload(self, flags, capsys):
+        self.assert_usage_error(["plan", *flags], capsys, "invalid workload")
+
+    def test_plan_out_in_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        self.assert_usage_error(
+            ["plan", "--nodes", "4", "--out", out], capsys, "cannot write"
+        )
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            '{"coflows": [',
+            '{"coflows": [{"flows": [{"src": 0, "dst": 1, "volume": -5}]}]}',
+            '["not", "a", "coflow", "file"]',
+        ],
+        ids=["missing", "garbled", "negative-volume", "wrong-shape"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "gantt"])
+    def test_unreadable_coflow_file(self, command, content, tmp_path, capsys):
+        path = tmp_path / "coflows.json"
+        if content is not None:
+            path.write_text(content)
+        self.assert_usage_error(
+            [command, str(path)], capsys, "cannot read coflow file"
+        )
+
+
 class TestExitCodeContract:
     """docs/architecture.md's exit-code table IS repro.cli.EXIT_CODES."""
 

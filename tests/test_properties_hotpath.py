@@ -7,9 +7,10 @@ workloads, noise seeds and chaos schedules every scheduler allocation
 must equal its oracle's byte for byte, the FlowGroups-backed context
 queries must equal their mask scans, the noise view must equal the
 per-flow factor loop, and the kernels must return the oracle floats for
-any input shape (full set, subsets above and below the scalar
-threshold, weighted fills, blocked MADD ports).  Event-horizon batching
-(``batch_events``) must leave every result bit-identical.
+any input shape (full set and subsets above and below the scalar
+threshold, weighted fills, blocked MADD ports).  The grouping the
+simulator derives after completions must equal a rebuild.  Event-horizon
+batching (``batch_events``) must leave every result bit-identical.
 """
 
 import dataclasses
@@ -25,7 +26,12 @@ from repro.network.dynamics import FabricDynamics, RateEvent
 from repro.network.events import CoflowProgress, FlowGroups, SchedulingContext
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import make_scheduler
-from repro.network.schedulers.base import CoflowScheduler, madd_rates_fast
+from repro.network.schedulers.base import (
+    _SCALAR_MAX,
+    CoflowScheduler,
+    madd_rates_fast,
+)
+from repro.network.simulator import _arrival_slack
 from tests.oracles import (
     assert_fill_matches_reference,
     madd_rates_reference,
@@ -35,6 +41,8 @@ from tests.oracles import (
     noise_view_reference,
     reference_allocate,
 )
+
+_FLOAT_MAX = float(np.finfo(float).max)
 
 SCHEDULERS = (
     "sebf", "dclas", "fair", "wss", "fifo", "scf", "ncf", "wcct5", "lpcct",
@@ -369,6 +377,85 @@ class TestContextHelperOracles:
         assert ctx.remaining_bottlenecks() == [2.5]
 
 
+def _assert_same_groups(derived, built):
+    for name in ("unique_cids", "inverse", "order", "counts", "starts"):
+        a, b = getattr(derived, name), getattr(built, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert (a == b).all(), name
+    assert derived._slot == built._slot
+
+
+class TestFlowGroupsKept:
+    """``FlowGroups.kept(mask)`` is ``FlowGroups(cids[mask])``, field by
+    field -- the simulator derives the survivors' grouping after every
+    completion instead of rebuilding it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 7), max_size=40).flatmap(
+            lambda cids: st.tuples(
+                st.just(cids),
+                st.lists(
+                    st.booleans(), min_size=len(cids), max_size=len(cids)
+                ),
+            )
+        )
+    )
+    def test_matches_rebuild(self, case):
+        cids, keep = case
+        cids = np.asarray(cids, dtype=np.int64)
+        mask = np.asarray(keep, dtype=bool)
+        _assert_same_groups(
+            FlowGroups(cids).kept(mask), FlowGroups(cids[mask])
+        )
+
+    def test_empty_mask(self):
+        cids = np.array([3, 1, 3, 2], dtype=np.int64)
+        mask = np.zeros(4, dtype=bool)
+        derived = FlowGroups(cids).kept(mask)
+        _assert_same_groups(derived, FlowGroups(cids[mask]))
+        assert derived.n_groups == 0
+
+    def test_all_true_mask(self):
+        cids = np.array([3, 1, 3, 2], dtype=np.int64)
+        mask = np.ones(4, dtype=bool)
+        _assert_same_groups(FlowGroups(cids).kept(mask), FlowGroups(cids))
+
+    def test_vanishing_groups(self):
+        # Groups 1 and 4 lose every flow; 7 and 9 lose some.
+        cids = np.array([7, 1, 9, 4, 7, 1, 9, 9], dtype=np.int64)
+        mask = np.array([1, 0, 1, 0, 0, 0, 0, 1], dtype=bool)
+        derived = FlowGroups(cids).kept(mask)
+        _assert_same_groups(derived, FlowGroups(cids[mask]))
+        assert derived.unique_cids.tolist() == [7, 9]
+        assert derived.indices_of(9).tolist() == [1, 2]
+
+    def test_from_empty(self):
+        cids = np.empty(0, dtype=np.int64)
+        mask = np.empty(0, dtype=bool)
+        _assert_same_groups(FlowGroups(cids).kept(mask), FlowGroups(cids))
+
+
+class TestArrivalSlack:
+    """The admission tolerance is ``max(1e-15, 4 ulp)`` at the clock."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, np.nextafter(_FLOAT_MAX, 0.0))
+        | st.sampled_from((0.0, 5e-324, 2.2250738585072014e-308, 4.5, 1e9))
+    )
+    def test_matches_spacing(self, t):
+        assert _arrival_slack(t) == max(1e-15, 4 * np.spacing(abs(t)))
+
+    def test_largest_double(self):
+        # numpy's spacing overflows to inf at the largest double, the ulp
+        # does not; the admission horizon ``t + slack`` is inf either way.
+        t = _FLOAT_MAX
+        with np.errstate(over="ignore"):
+            assert t + _arrival_slack(t) == t + 4 * np.spacing(t) == np.inf
+
+
 class _ScriptedSource:
     """Deterministic ``ArrivalSource``: a fixed (release, coflow) script.
 
@@ -465,6 +552,20 @@ class TestBatchEventsBitIdentity:
         assert _fingerprint(off) == _fingerprint(on)
 
     @settings(max_examples=30, deadline=None)
+    @given(workloads())
+    def test_fair_small_fills(self, wl):
+        """At most ``_SCALAR_MAX`` active flows, unit weights: every
+        ``fair`` fill runs on the scalar kernel, and each one is also
+        checked against the oracle."""
+        n_ports, coflows = wl
+        assert sum(c.width for c in coflows) <= _SCALAR_MAX
+        sched = _OracleChecked("fair", {})
+        off = _run(n_ports, coflows, sched, batch_events=False)
+        on = _run(n_ports, coflows, "fair", batch_events=True)
+        assert sched.checked > 0
+        assert _fingerprint(off) == _fingerprint(on)
+
+    @settings(max_examples=30, deadline=None)
     @given(sourced_workloads(), st.sampled_from(SCHEDULERS))
     def test_scripted_source(self, wl, scheduler):
         n_ports, initial, scripted = wl
@@ -532,16 +633,17 @@ def kernel_cases(draw):
 
 
 @st.composite
-def fill_cases(draw):
+def fill_cases(draw, n_flows=st.integers(1, 120)):
     """A waterfill input built to hit the cell-space kernel's edges.
 
     Up to 64 ports; residuals drawn per cell from uniform values, zero
     capacity, residuals at or below the 1e-9 saturation threshold and
     dyadic values that make several cells saturate in one iteration;
-    parallel flows (repeated port pairs); any subset size.
+    parallel flows (repeated port pairs); any subset size (empty only
+    when there are no flows).
     """
     n_ports = draw(st.integers(1, 64))
-    n_flows = draw(st.integers(1, 120))
+    n_flows = draw(n_flows)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     srcs = rng.integers(0, n_ports, size=n_flows)
     dsts = rng.integers(0, n_ports, size=n_flows)
@@ -560,9 +662,15 @@ def fill_cases(draw):
     mix = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     pick = rng.choice(mix, size=2 * n_ports)
     res = np.choose(pick, kinds)
-    k = draw(st.integers(1, n_flows))
+    k = draw(st.integers(min(1, n_flows), n_flows))
     subset = np.sort(rng.choice(n_flows, size=k, replace=False))
     return srcs, dsts, res[:n_ports], res[n_ports:], subset
+
+
+#: All-flows fill sizes on both sides of the scalar kernel's threshold.
+AROUND_SCALAR_MAX = st.sampled_from(
+    (0, 1, _SCALAR_MAX, _SCALAR_MAX + 1)
+) | st.integers(0, 2 * _SCALAR_MAX)
 
 
 class TestKernelProperties:
@@ -577,6 +685,15 @@ class TestKernelProperties:
             subset=subset if use_subset else None,
             rates=np.zeros(srcs.shape[0]), zero_rates=True,
         )
+
+    @settings(max_examples=120, deadline=None)
+    @given(fill_cases(AROUND_SCALAR_MAX))
+    def test_maxmin_all_flows_zero_start_exact(self, case):
+        """``fair``'s call: every flow, rates from zero (``rates=None``);
+        up to ``_SCALAR_MAX`` flows run on the scalar kernel, more in
+        cell space."""
+        srcs, dsts, res_out, res_in, _ = case
+        assert_fill_matches_reference(srcs, dsts, res_out, res_in)
 
     @settings(max_examples=80, deadline=None)
     @given(fill_cases(), st.booleans(), st.integers(0, 2 ** 16), st.booleans())
