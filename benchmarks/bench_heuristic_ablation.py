@@ -8,9 +8,10 @@ scale (DESIGN.md §4).
 
 import pytest
 
-from repro.core.heuristic import ccf_heuristic, ccf_heuristic_reference
+from repro.core.heuristic import ccf_heuristic
 from repro.experiments.ablation import run_heuristic_ablation
 from repro.workloads.analytic import AnalyticJoinWorkload
+from tests.oracles import ccf_heuristic_reference
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@
 
 from repro.core.exact import ExactResult, ccf_exact
 from repro.core.framework import CCF, PlanComparison
-from repro.core.heuristic import ccf_heuristic, ccf_heuristic_reference
+from repro.core.heuristic import ccf_heuristic
 from repro.core.incremental import IncrementalPlanner
 from repro.core.localsearch import RefinementResult, refine_assignment
 from repro.core.model import PlanMetrics, ShuffleModel
@@ -76,7 +76,6 @@ __all__ = [
     "SkewHandlingResult",
     "ccf_exact",
     "ccf_heuristic",
-    "ccf_heuristic_reference",
     "ccf_heuristic_topology",
     "ccf_lp_rounding",
     "evaluate_on_topology",

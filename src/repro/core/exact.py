@@ -23,8 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.model import ShuffleModel
 
@@ -84,6 +82,11 @@ def ccf_exact(
         If the instance exceeds ``max_variables`` or the solver finds no
         feasible assignment (cannot happen for valid inputs).
     """
+    # scipy loads only where an LP/MILP is solved (docs/architecture.md,
+    # "Import cost").
+    import scipy.sparse as sp
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     n, p = model.n, model.p
     if p == 0:
         return ExactResult(np.zeros(0, dtype=np.int64), 0.0, 0.0, "empty")

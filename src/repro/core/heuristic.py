@@ -22,9 +22,9 @@ ten numpy calls per partition, O(n*p) in all (12-18 us per partition
 at n=250, and 0.27 s at the paper's largest point, n=1000, p=15000, on a
 shared 2-vCPU Xeon VM).
 :class:`~repro.core.incremental.IncrementalPlanner` runs the same step.
-A direct, loop-based transcription of the paper's pseudocode
-(:func:`ccf_heuristic_reference`) is kept for cross-validation in the
-test suite; docs/algorithms.md derives the step.
+A direct, loop-based transcription of the paper's pseudocode lives in the
+test suite's oracles (``tests/oracles.py``) and pins this implementation
+destination for destination; docs/algorithms.md derives the step.
 
 Beyond the paper's pseudocode we add an optional *locality tie-break*:
 among destinations with equal minimal ``T_d``, prefer the one holding the
@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.model import ShuffleModel
 
-__all__ = ["ccf_heuristic", "ccf_heuristic_reference"]
+__all__ = ["ccf_heuristic"]
 
 
 def _top2(values: np.ndarray) -> tuple[float, int, float]:
@@ -216,58 +216,3 @@ def ccf_heuristic(
 
     return dest
 
-
-def ccf_heuristic_reference(
-    model: ShuffleModel,
-    *,
-    sort_partitions: bool = True,
-    locality_tiebreak: bool = True,
-) -> np.ndarray:
-    """Direct transcription of the paper's Algorithm 1 pseudocode.
-
-    O(p * n^2); used to cross-validate :func:`ccf_heuristic` on small
-    instances.  For each partition and each candidate destination ``d`` it
-    recomputes every ``C_i`` (constraint (3.1)) and ``C_j`` (constraint
-    (3.2)) from the assignments made so far, takes
-    ``T_d = max(C_i, C_j)`` (line 7), and keeps the minimizing ``d``
-    (line 9).
-    """
-    h = model.h
-    n, p = model.n, model.p
-    dest = np.full(p, -1, dtype=np.int64)
-    if p == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n == 1:
-        return np.zeros(p, dtype=np.int64)
-
-    send0, recv0 = model.initial_loads()
-    sizes = model.partition_sizes
-
-    if sort_partitions:
-        order = np.argsort(-h.max(axis=0), kind="stable")
-    else:
-        order = np.arange(p)
-
-    for k in order:
-        best_d, best_t, best_local = -1, np.inf, -np.inf
-        for d in range(n):
-            dest[k] = d
-            assigned = dest >= 0
-            send = send0.copy()
-            recv = recv0.copy()
-            for kk in np.flatnonzero(assigned):
-                dd = dest[kk]
-                send += h[:, kk]
-                send[dd] -= h[dd, kk]
-                recv[dd] += sizes[kk] - h[dd, kk]
-            t_d = max(send.max(), recv.max())
-            local = h[d, k]
-            better = t_d < best_t - 1e-9
-            tie = abs(t_d - best_t) <= 1e-9 + 1e-12 * best_t
-            if better or (
-                tie and locality_tiebreak and local > best_local + 1e-12
-            ):
-                best_d, best_t, best_local = d, t_d, local
-        dest[k] = best_d
-
-    return dest

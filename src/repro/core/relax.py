@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from repro.core.model import ShuffleModel
 
@@ -60,6 +58,11 @@ class LPRoundingResult:
 
 def _solve_lp(model: ShuffleModel) -> tuple[np.ndarray, float]:
     """Fractional optimum of model (3): returns (x[n, p], T_LP)."""
+    # scipy loads only where an LP/MILP is solved (docs/architecture.md,
+    # "Import cost").
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     n, p = model.n, model.p
     h = model.h
     sizes = model.partition_sizes

@@ -477,8 +477,9 @@ def _run_parallel(
     One pool *generation* dispatches every outstanding cell and drains
     completions.  A worker dying hard breaks the whole pool
     (``BrokenProcessPool`` surfaces on every unfinished future); the
-    cells those futures carried are collected as *lost* and re-dispatched
-    into a fresh generation -- finished cells are never re-run.  After
+    cells those futures carried, and any cell whose submit found the pool
+    already broken, are collected as *lost* and re-dispatched into a
+    fresh generation -- finished cells are never re-run.  After
     ``max_pool_rebuilds`` breakages the sweep gives up with
     :class:`WorkerCrash` carrying a crash report.
     """
@@ -500,8 +501,14 @@ def _run_parallel(
 
         inflight: dict[Any, int] = {}
         try:
-            for i in todo:
-                dispatch(i)
+            for sent, i in enumerate(todo):
+                try:
+                    dispatch(i)
+                except BrokenProcessPool:
+                    # A worker died before every cell went out: this cell
+                    # and the rest wait for the next generation.
+                    lost.update(todo[sent:])
+                    break
             todo = []
             while inflight:
                 done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)

@@ -44,8 +44,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.network.fabric import Fabric
 from repro.network.flow import Coflow
@@ -167,6 +165,11 @@ def interval_indexed_lp(
           discriminate by weight.  Still a valid (if looser) bound,
           since completing in interval ``l`` means ``C_k > tau_{l-1}``.
     """
+    # scipy loads only where an LP/MILP is solved (docs/architecture.md,
+    # "Import cost").
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     if charge not in ("bound", "order"):
         raise ValueError(f"charge must be 'bound' or 'order', got {charge!r}")
     loads = np.asarray(loads, dtype=float)

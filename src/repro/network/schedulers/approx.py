@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.network.bounds import interval_indexed_lp
 from repro.network.events import SchedulingContext
 from repro.network.schedulers.ordered import OrderedCoflowScheduler
 
@@ -177,9 +178,6 @@ class LPOrderingScheduler(_PermutationScheduler):
     def _compute_ranks(
         self, ctx: SchedulingContext, cids: list[int]
     ) -> dict[int, int]:
-        # Imported lazily: keeps scheduler construction free of scipy.
-        from repro.network.bounds import interval_indexed_lp
-
         loads = _remaining_load_matrix(ctx, cids)
         weights = np.array(
             [ctx.progress[c].weight for c in cids], dtype=float

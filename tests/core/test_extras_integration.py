@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.exact import ccf_exact
-from repro.core.heuristic import ccf_heuristic, ccf_heuristic_reference
+from repro.core.heuristic import ccf_heuristic
 from repro.core.model import ShuffleModel
 from repro.core.relax import ccf_lp_rounding
+from tests.oracles import ccf_heuristic_reference
 
 
 @pytest.fixture

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heuristic import ccf_heuristic, ccf_heuristic_reference
+from repro.core.heuristic import ccf_heuristic
 from repro.core.incremental import IncrementalPlanner
 from repro.core.model import ShuffleModel
 from repro.core.strategies import hash_assignment, mini_assignment
 from tests.conftest import random_model
+from tests.oracles import ccf_heuristic_reference
 
 
 def optimal_bottleneck(model: ShuffleModel) -> float:

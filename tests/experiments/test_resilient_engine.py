@@ -12,11 +12,14 @@ import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures import Future, wait
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 from repro.core.resilience import Backoff, CellTimeout, WorkerCrash
+from repro.experiments import engine
 from repro.experiments.engine import (
     Cell,
     CellCache,
@@ -118,6 +121,66 @@ def _spec(fn, n: int, seed: int = 0, **fault_params) -> SweepSpec:
 RETRY = Backoff(max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.0)
 
 
+def _breaking_pool(break_at: int, executed: list[int]):
+    """A deterministic ``ProcessPoolExecutor`` stand-in and its ``wait``.
+
+    Cells run in-process: the oldest in-flight cell finishes whenever
+    more than ``max_workers`` are in flight, and the rest when the engine
+    waits.  The ``break_at``-th submit (counted across pool generations)
+    breaks the pool as a killed worker does: every unfinished future
+    fails with ``BrokenProcessPool``, and so does that submit and any
+    later one to the same pool.
+    """
+    submits = 0
+
+    def run(fut: Future) -> None:
+        try:
+            fut.set_result(fut.work())
+        except Exception as exc:
+            fut.set_exception(exc)
+
+    class Pool:
+        def __init__(self, max_workers: int) -> None:
+            self.max_workers = max_workers
+            self.inflight: list[Future] = []
+            self.broken = False
+
+        def submit(self, fn, *args) -> Future:
+            nonlocal submits
+            submits += 1
+            if submits == break_at:
+                self.broken = True
+                for fut in self.inflight:
+                    if not fut.done():
+                        fut.set_exception(BrokenProcessPool("worker killed"))
+                self.inflight = []
+            if self.broken:
+                raise BrokenProcessPool("worker killed")
+            fut = Future()
+
+            def work():
+                executed.append(args[1]["index"])
+                return fn(*args)
+
+            fut.work = work
+            self.inflight.append(fut)
+            if len(self.inflight) > self.max_workers:
+                run(self.inflight.pop(0))
+            return fut
+
+        def shutdown(self, wait: bool = True,
+                     cancel_futures: bool = False) -> None:
+            pass
+
+    def run_then_wait(fs, return_when):
+        for fut in fs:
+            if not fut.done():
+                run(fut)
+        return wait(fs, return_when=return_when)
+
+    return Pool, run_then_wait
+
+
 class TestRetries:
     def test_transient_failures_retried_to_success(self, tmp_path):
         out = run_sweep(
@@ -211,6 +274,21 @@ class TestWorkerCrashes:
         report = info.value.report
         assert report["context"]["experiment"] == "fault-grid"
         assert report["context"]["lost_cells"]
+
+    @pytest.mark.parametrize(
+        "break_at", [1, 4, 6], ids=["first", "middle", "last"]
+    )
+    def test_submit_into_a_broken_pool_loses_no_cell(self, monkeypatch,
+                                                     break_at):
+        executed: list[int] = []
+        pool, run_then_wait = _breaking_pool(break_at, executed)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(engine, "wait", run_then_wait)
+        out = run_sweep(_spec(plain_row, 6), jobs=2)
+        assert out.table.rows == run_sweep(_spec(plain_row, 6)).table.rows
+        # cells that finished before the break are never re-run
+        assert sorted(executed) == list(range(6))
+        assert out.worker_crashes == 1 and out.pool_rebuilds == 1
 
     def test_serial_mode_never_kills_the_parent(self, tmp_path):
         # killer_row only fires inside worker processes; jobs=1 runs in

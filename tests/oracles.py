@@ -1,13 +1,16 @@
-"""Test oracles: the split-residual and mask-based formulations.
+"""Test oracles: Algorithm 1's pseudocode and the split-residual and
+mask-based allocation formulations.
 
-Production code has one implementation per allocation: the combined-port
+Production code has one implementation of each kernel: the vectorized
+Algorithm 1 step of :mod:`repro.core.heuristic`, the combined-port
 kernels of :mod:`repro.network.schedulers.base`, the
 :class:`~repro.network.events.FlowGroups`-backed helpers of
 :class:`~repro.network.events.SchedulingContext`, and the schedulers built
 on both.  This module keeps the textbook formulations they were derived
-from -- separate egress/ingress residuals, one boolean mask scan per
-coflow, one noise-factor lookup per flow -- so the property suites can pin
-the production floats against them bit for bit.  Nothing under ``src/``
+from -- a loop-per-candidate transcription of the paper's pseudocode,
+separate egress/ingress residuals, one boolean mask scan per coflow, one
+noise-factor lookup per flow -- so the property suites can pin the
+production results against them bit for bit.  Nothing under ``src/``
 imports it.
 """
 
@@ -17,6 +20,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.core.model import ShuffleModel
 from repro.network.events import SchedulingContext
 from repro.network.schedulers.base import maxmin_fill_fast
 from repro.network.schedulers.dclas import DCLASScheduler
@@ -26,6 +30,67 @@ from repro.network.schedulers.ordered import OrderedCoflowScheduler
 from repro.network.schedulers.sequential import SequentialScheduler
 from repro.network.schedulers.wss import WSSScheduler
 from repro.network.simulator import _ESTIMATE_FLOOR
+
+# ---------------------------------------------------------------------------
+# Algorithm 1, transcribed from the paper's pseudocode
+# ---------------------------------------------------------------------------
+
+
+def ccf_heuristic_reference(
+    model: ShuffleModel,
+    *,
+    sort_partitions: bool = True,
+    locality_tiebreak: bool = True,
+) -> np.ndarray:
+    """Direct transcription of the paper's Algorithm 1 pseudocode.
+
+    O(p * n^2); oracle for :func:`repro.core.heuristic.ccf_heuristic` on small
+    instances.  For each partition and each candidate destination ``d`` it
+    recomputes every ``C_i`` (constraint (3.1)) and ``C_j`` (constraint
+    (3.2)) from the assignments made so far, takes
+    ``T_d = max(C_i, C_j)`` (line 7), and keeps the minimizing ``d``
+    (line 9).
+    """
+    h = model.h
+    n, p = model.n, model.p
+    dest = np.full(p, -1, dtype=np.int64)
+    if p == 0:
+        return np.zeros(0, dtype=np.int64)
+    if n == 1:
+        return np.zeros(p, dtype=np.int64)
+
+    send0, recv0 = model.initial_loads()
+    sizes = model.partition_sizes
+
+    if sort_partitions:
+        order = np.argsort(-h.max(axis=0), kind="stable")
+    else:
+        order = np.arange(p)
+
+    for k in order:
+        best_d, best_t, best_local = -1, np.inf, -np.inf
+        for d in range(n):
+            dest[k] = d
+            assigned = dest >= 0
+            send = send0.copy()
+            recv = recv0.copy()
+            for kk in np.flatnonzero(assigned):
+                dd = dest[kk]
+                send += h[:, kk]
+                send[dd] -= h[dd, kk]
+                recv[dd] += sizes[kk] - h[dd, kk]
+            t_d = max(send.max(), recv.max())
+            local = h[d, k]
+            better = t_d < best_t - 1e-9
+            tie = abs(t_d - best_t) <= 1e-9 + 1e-12 * best_t
+            if better or (
+                tie and locality_tiebreak and local > best_local + 1e-12
+            ):
+                best_d, best_t, best_local = d, t_d, local
+        dest[k] = best_d
+
+    return dest
+
 
 # ---------------------------------------------------------------------------
 # Rate-allocation kernels on split egress/ingress residuals

@@ -1,0 +1,99 @@
+"""scipy loads only where an LP or MILP is solved.
+
+The exact MILP, its LP relaxation and the coflow LP bound import scipy
+inside the functions that solve (``ccf_exact``, ``_solve_lp``,
+``interval_indexed_lp``).  Everything else -- ``import repro``, planning,
+heuristic scheduling -- must start without it.  Each check runs in a
+fresh interpreter, since the test process may already have loaded scipy.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _loads_scipy(code: str, cwd: Path) -> bool:
+    """Run ``code`` in a fresh interpreter; report whether scipy loaded."""
+    probe = textwrap.dedent(code) + (
+        "\nimport sys\n"
+        "print('SCIPY', any(m.partition('.')[0] == 'scipy' "
+        "for m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdict = proc.stdout.strip().splitlines()[-1]
+    assert verdict in ("SCIPY True", "SCIPY False"), proc.stdout
+    return verdict == "SCIPY True"
+
+
+def _cli(*argv: str) -> str:
+    return f"""
+        from repro.cli import main
+        assert main({list(argv)!r}) == 0
+    """
+
+
+@pytest.mark.parametrize("module", [
+    "repro",
+    "repro.core",
+    "repro.network",
+    "repro.service",
+    "repro.workloads",
+    "repro.experiments.hotpath",
+])
+def test_import_leaves_scipy_out(module, tmp_path):
+    assert not _loads_scipy(f"import {module}", tmp_path)
+
+
+def test_plan_and_simulate_leave_scipy_out(tmp_path):
+    assert not _loads_scipy(
+        _cli("plan", "--nodes", "25", "--out", "p.json"), tmp_path
+    )
+    assert not _loads_scipy(_cli("simulate", "p.json"), tmp_path)
+    assert not _loads_scipy(
+        _cli("simulate", "p.json", "--scheduler", "wcct5"), tmp_path
+    )
+
+
+def test_lp_paths_still_load_scipy(tmp_path):
+    # lpcct orders only when more than one coflow is active, so the
+    # replay needs a mix; the LP bound solves on any instance.
+    mix = """
+        from repro.network.flow import Coflow, Flow
+        from repro.network.io import save_coflows
+        save_coflows([
+            Coflow(flows=[Flow(src=0, dst=1, volume=4e8 * (k + 1)),
+                          Flow(src=2, dst=3, volume=4e8 * (3 - k))],
+                   arrival_time=0.5 * k, coflow_id=k)
+            for k in range(3)
+        ], "mix.json")
+    """
+    assert not _loads_scipy(mix, tmp_path)
+    assert _loads_scipy(
+        _cli("simulate", "mix.json", "--scheduler", "lpcct"), tmp_path
+    )
+    assert _loads_scipy(
+        """
+        from repro.network.bounds import weighted_cct_lower_bound
+        from repro.network.fabric import Fabric
+        from repro.network.io import load_coflows
+        bound = weighted_cct_lower_bound(load_coflows("mix.json"), Fabric(4))
+        assert bound.lower_bound > 0
+        """,
+        tmp_path,
+    )

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.heuristic import ccf_heuristic, ccf_heuristic_reference
+from repro.core.heuristic import ccf_heuristic
 from repro.core.model import ShuffleModel, group_by_destination
 from repro.core.strategies import hash_assignment, mini_assignment
 from repro.join.partitioner import HashPartitioner
@@ -26,6 +26,7 @@ from repro.network.simulator import CoflowSimulator
 from repro.workloads.synthetic import adversarial_locality_instance
 from repro.workloads.zipf import zipf_weights
 from tests.conftest import brute_force_metrics
+from tests.oracles import ccf_heuristic_reference
 
 
 @st.composite
