@@ -31,44 +31,66 @@ Packages
 ``repro.experiments``
     The paper's evaluation: Figures 5/6/7, the motivating example, the
     solver-overhead study and ablations.
-"""
 
-from repro.analytics import AnalyticalJob, JobExecutor
-from repro.core import (
-    CCF,
-    ExecutionPlan,
-    PlanComparison,
-    ShuffleModel,
-    ccf_exact,
-    ccf_heuristic,
-)
-from repro.join import DistributedJoin, DistributedRelation, HashPartitioner
-from repro.network import Coflow, CoflowSimulator, Fabric, Flow
-from repro.obs import Instrumentation, Tracer
-from repro.workloads import AnalyticJoinWorkload, TPCHConfig, generate_tpch_relations
+Every package re-exports its public names lazily: ``import repro``
+loads no subpackage, and a name's defining module is imported the first
+time the name is used.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalyticJoinWorkload",
-    "AnalyticalJob",
-    "CCF",
-    "Coflow",
-    "CoflowSimulator",
-    "DistributedJoin",
-    "DistributedRelation",
-    "ExecutionPlan",
-    "Fabric",
-    "Flow",
-    "HashPartitioner",
-    "Instrumentation",
-    "JobExecutor",
-    "PlanComparison",
-    "ShuffleModel",
-    "TPCHConfig",
-    "Tracer",
-    "ccf_exact",
-    "ccf_heuristic",
-    "generate_tpch_relations",
-    "__version__",
-]
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]) -> tuple:
+    """``(__all__, __getattr__, __dir__)`` re-exporting names lazily (PEP 562).
+
+    Every package ``__init__`` in ``repro`` maps each submodule (relative
+    to ``package``, the module being initialised) to the names it
+    re-exports.  The first ``package.Name`` lookup imports the submodule
+    and stores the object in the package namespace, so importing a
+    package loads none of its submodules.  ``from package import Name``,
+    star-imports, ``mock.patch`` and pickling work as with eager imports;
+    an unknown name raises :class:`AttributeError`.
+    """
+    import importlib
+    import sys
+
+    origin = {
+        name: f"{package}.{module}"
+        for module, names in exports.items()
+        for name in names
+    }
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> object:
+        try:
+            module = origin[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | origin.keys())
+
+    return list(origin), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "analytics": ("AnalyticalJob", "JobExecutor"),
+    "core": (
+        "CCF",
+        "ExecutionPlan",
+        "PlanComparison",
+        "ShuffleModel",
+        "ccf_exact",
+        "ccf_heuristic",
+    ),
+    "join": ("DistributedJoin", "DistributedRelation", "HashPartitioner"),
+    "network": ("Coflow", "CoflowSimulator", "Fabric", "Flow"),
+    "obs": ("Instrumentation", "Tracer"),
+    "workloads": ("AnalyticJoinWorkload", "TPCHConfig", "generate_tpch_relations"),
+})
+__all__.append("__version__")

@@ -8,48 +8,22 @@ every stage with a chosen strategy and measures total communication time,
 either in closed form or through the coflow simulator.
 """
 
-from repro.analytics.catalog import Catalog, TableStats
-from repro.analytics.compile import QueryExecutor, QueryResult, estimate, optimize_joins
-from repro.analytics.dag import DAGExecutor, DAGResult, DAGStageResult, JobDAG
-from repro.analytics.executor import JobExecutor, JobResult, StageResult
-from repro.analytics.logical import Distinct, EquiJoin, Filter, GroupByKey, Scan
-from repro.analytics.query import AnalyticalJob, Stage
-from repro.analytics.stagepolicy import (
-    STAGE_POLICIES,
-    FailJobPolicy,
-    ReplanStagePolicy,
-    RetryStagePolicy,
-    StageFailureEvent,
-    StagePolicy,
-    make_stage_policy,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AnalyticalJob",
-    "Catalog",
-    "DAGExecutor",
-    "DAGResult",
-    "DAGStageResult",
-    "JobDAG",
-    "Distinct",
-    "FailJobPolicy",
-    "ReplanStagePolicy",
-    "RetryStagePolicy",
-    "STAGE_POLICIES",
-    "StageFailureEvent",
-    "StagePolicy",
-    "make_stage_policy",
-    "EquiJoin",
-    "Filter",
-    "GroupByKey",
-    "JobExecutor",
-    "JobResult",
-    "QueryExecutor",
-    "QueryResult",
-    "Scan",
-    "Stage",
-    "StageResult",
-    "TableStats",
-    "estimate",
-    "optimize_joins",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "catalog": ("Catalog", "TableStats"),
+    "compile": ("QueryExecutor", "QueryResult", "estimate", "optimize_joins"),
+    "dag": ("DAGExecutor", "DAGResult", "DAGStageResult", "JobDAG"),
+    "executor": ("JobExecutor", "JobResult", "StageResult"),
+    "logical": ("Distinct", "EquiJoin", "Filter", "GroupByKey", "Scan"),
+    "query": ("AnalyticalJob", "Stage"),
+    "stagepolicy": (
+        "STAGE_POLICIES",
+        "FailJobPolicy",
+        "ReplanStagePolicy",
+        "RetryStagePolicy",
+        "StageFailureEvent",
+        "StagePolicy",
+        "make_stage_policy",
+    ),
+})

@@ -14,80 +14,39 @@
   retry/backoff, wall-clock budgets, stall detection, crash reports and
   the structured error taxonomy shared by the simulator watchdog, the
   sweep engine and the chaos campaign runner.
+* :mod:`repro.core.seeds` -- ``derive_seed``, the hash-derived seeds the
+  service stream, the sweep engine and the chaos campaign share.
 """
 
-from repro.core.exact import ExactResult, ccf_exact
-from repro.core.framework import CCF, PlanComparison
-from repro.core.heuristic import ccf_heuristic
-from repro.core.incremental import IncrementalPlanner
-from repro.core.localsearch import RefinementResult, refine_assignment
-from repro.core.model import PlanMetrics, ShuffleModel
-from repro.core.multi import ConcurrentPlan, merge_models, plan_concurrent
-from repro.core.noise import NoisyEstimates
-from repro.core.online import OnlineCCF
-from repro.core.plan import ExecutionPlan
-from repro.core.replan import lineage_matrix, remap_chunks, replan_assignment
-from repro.core.predictor import PredictedCCTs, predict_ccts
-from repro.core.relax import LPRoundingResult, ccf_lp_rounding
-from repro.core.resilience import (
-    Backoff,
-    BudgetExceeded,
-    CacheCorruption,
-    CellTimeout,
-    Deadline,
-    ResilienceError,
-    StallDetector,
-    StallError,
-    WorkerCrash,
-    retry_call,
-)
-from repro.core.skew import PartialDuplication, SkewHandlingResult
-from repro.core.strategies import (
-    STRATEGIES,
-    hash_assignment,
-    mini_assignment,
-)
-from repro.core.topology_aware import ccf_heuristic_topology, evaluate_on_topology
+from repro import _lazy_exports
 
-__all__ = [
-    "Backoff",
-    "BudgetExceeded",
-    "CCF",
-    "CacheCorruption",
-    "CellTimeout",
-    "Deadline",
-    "ResilienceError",
-    "StallDetector",
-    "StallError",
-    "WorkerCrash",
-    "retry_call",
-    "ConcurrentPlan",
-    "ExactResult",
-    "ExecutionPlan",
-    "IncrementalPlanner",
-    "LPRoundingResult",
-    "NoisyEstimates",
-    "OnlineCCF",
-    "PartialDuplication",
-    "PlanComparison",
-    "PlanMetrics",
-    "STRATEGIES",
-    "ShuffleModel",
-    "SkewHandlingResult",
-    "ccf_exact",
-    "ccf_heuristic",
-    "ccf_heuristic_topology",
-    "ccf_lp_rounding",
-    "evaluate_on_topology",
-    "hash_assignment",
-    "lineage_matrix",
-    "merge_models",
-    "mini_assignment",
-    "plan_concurrent",
-    "remap_chunks",
-    "replan_assignment",
-    "PredictedCCTs",
-    "predict_ccts",
-    "RefinementResult",
-    "refine_assignment",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "exact": ("ExactResult", "ccf_exact"),
+    "framework": ("CCF", "PlanComparison"),
+    "heuristic": ("ccf_heuristic",),
+    "incremental": ("IncrementalPlanner",),
+    "localsearch": ("RefinementResult", "refine_assignment"),
+    "model": ("PlanMetrics", "ShuffleModel"),
+    "multi": ("ConcurrentPlan", "merge_models", "plan_concurrent"),
+    "noise": ("NoisyEstimates",),
+    "online": ("OnlineCCF",),
+    "plan": ("ExecutionPlan",),
+    "replan": ("lineage_matrix", "remap_chunks", "replan_assignment"),
+    "predictor": ("PredictedCCTs", "predict_ccts"),
+    "relax": ("LPRoundingResult", "ccf_lp_rounding"),
+    "resilience": (
+        "Backoff",
+        "BudgetExceeded",
+        "CacheCorruption",
+        "CellTimeout",
+        "Deadline",
+        "ResilienceError",
+        "StallDetector",
+        "StallError",
+        "WorkerCrash",
+        "retry_call",
+    ),
+    "skew": ("PartialDuplication", "SkewHandlingResult"),
+    "strategies": ("STRATEGIES", "hash_assignment", "mini_assignment"),
+    "topology_aware": ("ccf_heuristic_topology", "evaluate_on_topology"),
+})

@@ -12,7 +12,7 @@ needs lives here and nowhere else:
   exponential backoff and **deterministic jitter** (hash-derived, so the
   same attempt of the same task always waits the same time: retry
   schedules are reproducible across processes and platforms, the same
-  property :func:`repro.experiments.engine.derive_seed` gives seeds);
+  property :func:`repro.core.seeds.derive_seed` gives seeds);
 * :class:`Deadline` -- a wall-clock budget that raises
   :class:`BudgetExceeded` when overrun;
 * :class:`StallDetector` -- counts consecutive no-progress observations
@@ -109,7 +109,7 @@ class CacheCorruption(ResilienceError):
 def _jitter_factor(seed: int, attempt: int, jitter: float) -> float:
     """Deterministic jitter multiplier in ``[1 - jitter, 1 + jitter]``.
 
-    Hash-derived (like :func:`~repro.experiments.engine.derive_seed`)
+    Hash-derived (like :func:`~repro.core.seeds.derive_seed`)
     rather than drawn from a shared RNG, so the factor depends only on
     ``(seed, attempt, jitter)`` -- stable across processes, platforms
     and numpy versions, which keeps retry schedules reproducible and

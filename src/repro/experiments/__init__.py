@@ -20,30 +20,10 @@ grid-shaped experiments are also sweep-capable: ``ccf sweep <name>``
 parallel with on-disk memoization, bit-identically to the serial path.
 """
 
-from repro.experiments.engine import (
-    Cell,
-    CellCache,
-    SweepOutcome,
-    SweepSpec,
-    run_sweep,
-)
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    SWEEPS,
-    build_sweep,
-    run_experiment,
-)
-from repro.experiments.tables import ResultTable
+from repro import _lazy_exports
 
-__all__ = [
-    "Cell",
-    "CellCache",
-    "EXPERIMENTS",
-    "ResultTable",
-    "SWEEPS",
-    "SweepOutcome",
-    "SweepSpec",
-    "build_sweep",
-    "run_experiment",
-    "run_sweep",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "engine": ("Cell", "CellCache", "SweepOutcome", "SweepSpec", "run_sweep"),
+    "registry": ("EXPERIMENTS", "SWEEPS", "build_sweep", "run_experiment"),
+    "tables": ("ResultTable",),
+})

@@ -67,6 +67,7 @@ from repro.core.resilience import (
     retry_call,
     run_with_timeout,
 )
+from repro.core.seeds import _canonical, derive_seed
 from repro.experiments.tables import ResultTable
 
 __all__ = [
@@ -227,11 +228,6 @@ def rows_to_table(
 # -- cache identity -----------------------------------------------------
 
 
-def _canonical(payload: Any) -> str:
-    """Canonical JSON: the byte-stable serialization keys are hashed from."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _code_fields() -> dict[str, Any]:
     """Repro-header fields that describe the *code*, not one run.
 
@@ -270,30 +266,6 @@ def cell_key(spec: SweepSpec, cell: Cell) -> str:
         "header": _code_fields(),
     }
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-
-
-def derive_seed(base: int, *parts: Any) -> int:
-    """Deterministic per-cell seed, stable across runs and processes.
-
-    Hashes ``(base, parts)`` so neighbouring cells get decorrelated
-    generators while equal inputs always produce the equal seed --
-    required for parallel/serial bit-identity of seeded grids.
-
-    Parameters
-    ----------
-    base:
-        The experiment-level seed.
-    parts:
-        Cell coordinates (index, axis value, ...); any JSON-able values.
-
-    Returns
-    -------
-    int
-        A seed in ``[0, 2**31)`` suitable for ``numpy.random.default_rng``.
-    """
-    text = _canonical([int(base), list(parts)])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % (2**31)
 
 
 def result_digest(value: Any) -> str:

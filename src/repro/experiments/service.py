@@ -22,10 +22,7 @@ from __future__ import annotations
 
 from repro.experiments.engine import Cell, SweepSpec, rows_to_table, run_sweep
 from repro.experiments.tables import ResultTable
-
-# NOTE: repro.service is imported lazily inside the cell function --
-# repro.service itself uses the experiment engine (derive_seed), and an
-# eager import here would close that loop during package init.
+from repro.service import ArrivalConfig, ServiceConfig, run_service
 
 __all__ = ["overload_sweep", "run_overload"]
 
@@ -61,8 +58,6 @@ def _overload_cell(
 
     Module-level (not a closure) so sweep workers can pickle it.
     """
-    from repro.service import ArrivalConfig, ServiceConfig, run_service
-
     config = ServiceConfig(
         arrival=ArrivalConfig(
             n_ports=n_ports,

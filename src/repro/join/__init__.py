@@ -7,29 +7,18 @@ chosen assignment, local hash joins, and the distributed operators the
 paper targets (join, aggregation, duplicate elimination).
 """
 
-from repro.join.broadcast import BroadcastJoin
-from repro.join.local import join_cardinality, local_hash_join
-from repro.join.outer import DistributedOuterJoin, semijoin_reduction
-from repro.join.operators import (
-    DistributedAggregation,
-    DistributedJoin,
-    DuplicateElimination,
-)
-from repro.join.partitioner import HashPartitioner
-from repro.join.relation import DistributedRelation
-from repro.join.shuffle import ShuffleOutcome, execute_shuffle
+from repro import _lazy_exports
 
-__all__ = [
-    "BroadcastJoin",
-    "DistributedAggregation",
-    "DistributedJoin",
-    "DistributedOuterJoin",
-    "DistributedRelation",
-    "DuplicateElimination",
-    "HashPartitioner",
-    "ShuffleOutcome",
-    "execute_shuffle",
-    "join_cardinality",
-    "local_hash_join",
-    "semijoin_reduction",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "broadcast": ("BroadcastJoin",),
+    "local": ("join_cardinality", "local_hash_join"),
+    "outer": ("DistributedOuterJoin", "semijoin_reduction"),
+    "operators": (
+        "DistributedAggregation",
+        "DistributedJoin",
+        "DuplicateElimination",
+    ),
+    "partitioner": ("HashPartitioner",),
+    "relation": ("DistributedRelation",),
+    "shuffle": ("ShuffleOutcome", "execute_shuffle"),
+})

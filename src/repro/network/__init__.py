@@ -26,40 +26,24 @@ back-end).  It provides:
   (abort / retry / replan), and a seeded MTBF/MTTR chaos harness.
 """
 
-from repro.network.bounds import (
-    WeightedCCTBound,
-    interval_indexed_lp,
-    weighted_cct_lower_bound,
-)
-from repro.network.chaos import ChaosConfig, chaos_schedule
-from repro.network.dynamics import FabricDynamics, RateEvent
-from repro.network.fabric import Fabric
-from repro.network.flow import Coflow, Flow
-from repro.network.recovery import (
-    AbortPolicy,
-    RecoveryPolicy,
-    ReplanPolicy,
-    RetryPolicy,
-    make_recovery_policy,
-)
-from repro.network.simulator import CoflowSimulator, SimulationResult
+from repro import _lazy_exports
 
-__all__ = [
-    "AbortPolicy",
-    "ChaosConfig",
-    "Coflow",
-    "CoflowSimulator",
-    "Fabric",
-    "FabricDynamics",
-    "Flow",
-    "RateEvent",
-    "RecoveryPolicy",
-    "ReplanPolicy",
-    "RetryPolicy",
-    "SimulationResult",
-    "WeightedCCTBound",
-    "chaos_schedule",
-    "interval_indexed_lp",
-    "make_recovery_policy",
-    "weighted_cct_lower_bound",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "bounds": (
+        "WeightedCCTBound",
+        "interval_indexed_lp",
+        "weighted_cct_lower_bound",
+    ),
+    "chaos": ("ChaosConfig", "chaos_schedule"),
+    "dynamics": ("FabricDynamics", "RateEvent"),
+    "fabric": ("Fabric",),
+    "flow": ("Coflow", "Flow"),
+    "recovery": (
+        "AbortPolicy",
+        "RecoveryPolicy",
+        "ReplanPolicy",
+        "RetryPolicy",
+        "make_recovery_policy",
+    ),
+    "simulator": ("CoflowSimulator", "SimulationResult"),
+})

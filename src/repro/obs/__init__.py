@@ -16,55 +16,33 @@ simulator, schedulers, planners and job executor:
   trace / bench / report artifact.
 """
 
-from repro.obs.exporters import (
-    TRACE_FORMATS,
-    StreamingTracer,
-    read_jsonl,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
-    write_trace,
-)
-from repro.obs.header import git_describe, repro_header
-from repro.obs.instrument import Instrumentation, MultiInstrumentation, Tracer
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    render_prometheus,
-)
-from repro.obs.stats import (
-    names_from_trace,
-    render_summary,
-    result_from_trace,
-    steady_state_stats,
-    summarize_trace,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Instrumentation",
-    "MetricsRegistry",
-    "MultiInstrumentation",
-    "StreamingTracer",
-    "TRACE_FORMATS",
-    "Tracer",
-    "git_describe",
-    "names_from_trace",
-    "read_jsonl",
-    "render_prometheus",
-    "render_summary",
-    "repro_header",
-    "result_from_trace",
-    "steady_state_stats",
-    "summarize_trace",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "exporters": (
+        "TRACE_FORMATS",
+        "StreamingTracer",
+        "read_jsonl",
+        "to_chrome_trace",
+        "write_chrome_trace",
+        "write_jsonl",
+        "write_prometheus",
+        "write_trace",
+    ),
+    "header": ("git_describe", "repro_header"),
+    "instrument": ("Instrumentation", "MultiInstrumentation", "Tracer"),
+    "metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "render_prometheus",
+    ),
+    "stats": (
+        "names_from_trace",
+        "render_summary",
+        "result_from_trace",
+        "steady_state_stats",
+        "summarize_trace",
+    ),
+})

@@ -16,52 +16,32 @@ grow its queues and memory without bound.  ``ccf serve`` and
 ``ccf capacity`` are the CLI surfaces.
 """
 
-from repro.service.admission import (
-    POLICIES,
-    AcceptAll,
-    AdmissionController,
-    AdmissionPolicy,
-    BoundedQueue,
-    LoadShedding,
-    ServiceState,
-    SLOGuard,
-    make_admission_policy,
-)
-from repro.service.arrivals import (
-    ArrivalConfig,
-    ArrivalStream,
-    expected_coflow_bytes,
-    offered_load,
-    rate_for_load,
-)
-from repro.service.capacity import (
-    CapacityProbe,
-    CapacityResult,
-    find_load_capacity,
-    find_node_capacity,
-)
-from repro.service.loop import ServiceConfig, ServiceReport, run_service
+from repro import _lazy_exports
 
-__all__ = [
-    "POLICIES",
-    "AcceptAll",
-    "AdmissionController",
-    "AdmissionPolicy",
-    "ArrivalConfig",
-    "ArrivalStream",
-    "BoundedQueue",
-    "CapacityProbe",
-    "CapacityResult",
-    "LoadShedding",
-    "SLOGuard",
-    "ServiceConfig",
-    "ServiceReport",
-    "ServiceState",
-    "expected_coflow_bytes",
-    "find_load_capacity",
-    "find_node_capacity",
-    "make_admission_policy",
-    "offered_load",
-    "rate_for_load",
-    "run_service",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "admission": (
+        "POLICIES",
+        "AcceptAll",
+        "AdmissionController",
+        "AdmissionPolicy",
+        "BoundedQueue",
+        "LoadShedding",
+        "ServiceState",
+        "SLOGuard",
+        "make_admission_policy",
+    ),
+    "arrivals": (
+        "ArrivalConfig",
+        "ArrivalStream",
+        "expected_coflow_bytes",
+        "offered_load",
+        "rate_for_load",
+    ),
+    "capacity": (
+        "CapacityProbe",
+        "CapacityResult",
+        "find_load_capacity",
+        "find_node_capacity",
+    ),
+    "loop": ("ServiceConfig", "ServiceReport", "run_service"),
+})

@@ -9,7 +9,7 @@ size mix -- the four-bin Facebook mix from
 :mod:`repro.workloads.coflowmix` or a Zipf per-flow-size mix.
 
 Everything is seeded through
-:func:`repro.experiments.engine.derive_seed`, so a stream is a pure
+:func:`repro.core.seeds.derive_seed`, so a stream is a pure
 function of its config: re-creating it replays the identical arrival
 sequence, and :meth:`ArrivalStream.skip` fast-forwards a replay for
 resumption.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.engine import derive_seed
+from repro.core.seeds import derive_seed
 from repro.network.flow import Coflow, Flow
 from repro.workloads.coflowmix import BIN_DEFINITIONS
 

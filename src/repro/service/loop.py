@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.experiments.engine import derive_seed
+from repro.core.seeds import derive_seed
 from repro.network.chaos import ChaosConfig, chaos_schedule
 from repro.network.fabric import Fabric
 from repro.network.schedulers import make_scheduler

@@ -15,13 +15,10 @@ fraction of ORDERS tuples re-keyed to CUSTKEY = 1 to inject skew.
 A test asserts the two paths agree statistically for matched parameters.
 """
 
-from repro.workloads.analytic import AnalyticJoinWorkload
-from repro.workloads.tpch import TPCHConfig, generate_tpch_relations
-from repro.workloads.zipf import zipf_weights
+from repro import _lazy_exports
 
-__all__ = [
-    "AnalyticJoinWorkload",
-    "TPCHConfig",
-    "generate_tpch_relations",
-    "zipf_weights",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "analytic": ("AnalyticJoinWorkload",),
+    "tpch": ("TPCHConfig", "generate_tpch_relations"),
+    "zipf": ("zipf_weights",),
+})

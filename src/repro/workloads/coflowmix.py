@@ -92,7 +92,7 @@ def generate_coflow_mix(
     ``rate_for_deadlines`` is the port rate used to convert a coflow's
     bottleneck bytes into the base time its deadline slack multiplies.
     ``rng`` lets a caller hand in an already-spawned generator (e.g. one
-    derived through ``repro.experiments.engine.derive_seed``) so service
+    derived through ``repro.core.seeds.derive_seed``) so service
     and sweep seeding compose; omitted, ``config.seed`` is used exactly
     as before.
     """

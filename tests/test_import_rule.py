@@ -1,10 +1,19 @@
-"""scipy loads only where an LP or MILP is solved.
+"""Every entry point imports only the modules it runs.
 
-The exact MILP, its LP relaxation and the coflow LP bound import scipy
-inside the functions that solve (``ccf_exact``, ``_solve_lp``,
-``interval_indexed_lp``).  Everything else -- ``import repro``, planning,
-heuristic scheduling -- must start without it.  Each check runs in a
-fresh interpreter, since the test process may already have loaded scipy.
+scipy loads only where an LP or MILP is solved: the exact MILP, its LP
+relaxation and the coflow LP bound import scipy inside the functions
+that solve (``ccf_exact``, ``_solve_lp``, ``interval_indexed_lp``).
+Everything else -- ``import repro``, planning, heuristic scheduling --
+must start without it.
+
+Package ``__init__`` modules re-export lazily, and imports point down the
+layer stack: ``import repro`` loads no other ``repro`` module, and the
+simulator, the service loop and the benchmark hot path load neither the
+operator layers (``repro.analytics``, ``repro.join``) nor the sweep
+engine and the process pools it brings.
+
+Each check runs in a fresh interpreter, since the test process may
+already have loaded any of these modules.
 """
 
 from __future__ import annotations
@@ -20,12 +29,11 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _loads_scipy(code: str, cwd: Path) -> bool:
-    """Run ``code`` in a fresh interpreter; report whether scipy loaded."""
+def _loaded_modules(code: str, cwd: Path) -> set[str]:
+    """Run ``code`` in a fresh interpreter; the modules it left loaded."""
     probe = textwrap.dedent(code) + (
         "\nimport sys\n"
-        "print('SCIPY', any(m.partition('.')[0] == 'scipy' "
-        "for m in sys.modules))\n"
+        "print('MODULES', ' '.join(sorted(sys.modules)))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -37,8 +45,15 @@ def _loads_scipy(code: str, cwd: Path) -> bool:
     )
     assert proc.returncode == 0, proc.stderr
     verdict = proc.stdout.strip().splitlines()[-1]
-    assert verdict in ("SCIPY True", "SCIPY False"), proc.stdout
-    return verdict == "SCIPY True"
+    assert verdict.startswith("MODULES "), proc.stdout
+    return set(verdict.split()[1:])
+
+
+def _loads_scipy(code: str, cwd: Path) -> bool:
+    """Run ``code`` in a fresh interpreter; report whether scipy loaded."""
+    return any(
+        m.partition(".")[0] == "scipy" for m in _loaded_modules(code, cwd)
+    )
 
 
 def _cli(*argv: str) -> str:
@@ -97,3 +112,38 @@ def test_lp_paths_still_load_scipy(tmp_path):
         """,
         tmp_path,
     )
+
+
+def test_import_repro_loads_only_the_package(tmp_path):
+    loaded = _loaded_modules("import repro", tmp_path)
+    assert sorted(m for m in loaded if m.partition(".")[0] == "repro") == [
+        "repro"
+    ]
+
+
+#: What the simulator, the service loop and the benchmark hot path never
+#: run: the operator layers and the sweep engine with its process pools.
+NOT_ON_THE_HOT_PATH = (
+    "repro.analytics",
+    "repro.join",
+    "repro.experiments.engine",
+    "repro.experiments.registry",
+    "multiprocessing",
+    "concurrent.futures",
+)
+
+
+@pytest.mark.parametrize("module", [
+    "repro.network.simulator",
+    "repro.service.loop",
+    "repro.experiments.hotpath",
+])
+def test_hot_path_imports_stay_down_the_stack(module, tmp_path):
+    loaded = _loaded_modules(f"import {module}", tmp_path)
+    assert module in loaded
+    leaked = sorted(
+        m for m in loaded
+        if any(m == bad or m.startswith(bad + ".")
+               for bad in NOT_ON_THE_HOT_PATH)
+    )
+    assert not leaked, f"import {module} loaded {leaked}"

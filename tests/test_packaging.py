@@ -2,6 +2,7 @@
 
 import compileall
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -18,6 +19,8 @@ PUBLIC_PACKAGES = [
     "repro.workloads",
     "repro.analytics",
     "repro.experiments",
+    "repro.service",
+    "repro.obs",
 ]
 
 
@@ -36,8 +39,18 @@ class TestPackaging:
     @pytest.mark.parametrize("pkg", PUBLIC_PACKAGES)
     def test_all_exports_resolve(self, pkg):
         mod = importlib.import_module(pkg)
+        listed = dir(mod)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{pkg}.__all__ lists missing {name}"
+            obj = getattr(mod, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                home = sys.modules[obj.__module__]
+                assert getattr(home, name) is obj, (
+                    f"{pkg}.{name} is not {obj.__module__}.{name}"
+                )
+            assert name in listed, f"dir({pkg}) omits {name}"
+        with pytest.raises(AttributeError):
+            getattr(mod, "no_such_export")
 
     def test_no_private_leaks_in_top_level_all(self):
         import repro
@@ -60,6 +73,7 @@ class TestDoctests:
     @pytest.mark.parametrize(
         "module",
         [
+            "repro",
             "repro.analytics.catalog",
             "repro.network.simulator",
             "repro.core.framework",
