@@ -490,8 +490,9 @@ class DAGExecutor:
                     dest = replan_assignment(true_model, dest, alive)
             elapsed = _time.perf_counter() - start
             if obs is not None:
-                obs.planner_phase(
-                    name, time=now, wall_s=elapsed, strategy=strategy
+                obs.emit(
+                    "planner_phase", now,
+                    stage=name, wall_s=elapsed, strategy=str(strategy),
                 )
             return ExecutionPlan(
                 model=true_model,
@@ -501,6 +502,17 @@ class DAGExecutor:
             )
 
         attempt_start: dict[int, float] = {}  # coflow id -> submit time
+
+        def attempt_closed(cid: int, now: float, status: str) -> None:
+            """Emit the ``stage_attempt`` span of coflow ``cid``."""
+            if obs is not None:
+                start = attempt_start[cid]
+                name = attempt_stage[cid]
+                obs.emit(
+                    "stage_attempt", start,
+                    dur=float(now - start), stage=name,
+                    attempt=attempts[name], status=status, cid=int(cid),
+                )
 
         def submit(name: str, at: float) -> Coflow:
             cid = next(ids)
@@ -520,15 +532,7 @@ class DAGExecutor:
         def injector(completed_id: int, now: float) -> list[Coflow]:
             name = attempt_stage[completed_id]
             finished.add(name)
-            if obs is not None:
-                obs.stage_attempt(
-                    name,
-                    attempts[name],
-                    start=attempt_start[completed_id],
-                    end=now,
-                    status="completed",
-                    coflow_id=completed_id,
-                )
+            attempt_closed(completed_id, now, "completed")
             if job_failed:
                 return []
             out = []
@@ -581,15 +585,7 @@ class DAGExecutor:
         def on_abort(cid: int, now: float) -> list[Coflow]:
             nonlocal job_failed
             name = attempt_stage[cid]
-            if obs is not None:
-                obs.stage_attempt(
-                    name,
-                    attempts[name],
-                    start=attempt_start[cid],
-                    end=now,
-                    status="aborted",
-                    coflow_id=cid,
-                )
+            attempt_closed(cid, now, "aborted")
             if job_failed:
                 # A sibling already failed the job; this stage dies too.
                 failed_at.setdefault(name, now)

@@ -704,12 +704,45 @@ def _add_arrival_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="stream seed")
 
 
+def _unwritable(path: str) -> bool:
+    """Report (one stderr line) an output path that cannot be created.
+
+    Checked before the work whose result goes to ``path``, so a mistyped
+    ``--out`` / ``--trace`` exits 2 at once instead of a traceback after
+    the whole run.
+    """
+    import os
+    from pathlib import Path
+
+    target = Path(path)
+    if target.is_dir():
+        reason = "is a directory"
+    elif not target.parent.is_dir():
+        reason = f"directory {target.parent} does not exist"
+    elif not os.access(target.parent, os.W_OK):
+        reason = f"directory {target.parent} is not writable"
+    else:
+        return False
+    print(f"cannot write {path}: {reason}", file=sys.stderr)
+    return True
+
+
+def _nonpositive_rate(rate: float) -> bool:
+    """Report (one stderr line) a ``--rate`` that is not positive."""
+    if rate > 0:
+        return False
+    print(f"--rate must be positive, got {rate:g}", file=sys.stderr)
+    return True
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
     """Plan a synthetic workload; optionally export the coflow as JSON."""
     from repro.core.framework import CCF
     from repro.network.io import save_coflows
     from repro.workloads.analytic import AnalyticJoinWorkload
 
+    if args.out and _unwritable(args.out):
+        return EXIT_USAGE
     try:
         workload = AnalyticJoinWorkload(
             n_nodes=args.nodes,
@@ -739,6 +772,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.network.schedulers import make_scheduler
     from repro.network.simulator import CoflowSimulator
 
+    if _nonpositive_rate(args.rate) or (
+        args.trace and _unwritable(args.trace)
+    ):
+        return EXIT_USAGE
     try:
         coflows = load_coflows(args.coflow_file)
     except (OSError, ValueError) as exc:
@@ -1254,6 +1291,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.trace and _unwritable(args.trace):
+        return EXIT_USAGE
 
     cache = None
     cache_dir = None
@@ -1384,6 +1423,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
+    if _unwritable(args.out):
+        return EXIT_USAGE
 
     sections = [
         "# CCF experiment report",
@@ -1461,12 +1502,18 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
     """Generate a synthetic trace in JSON or CoflowSim format."""
     from repro.workloads.coflowmix import CoflowMixConfig, generate_coflow_mix
 
-    cfg = CoflowMixConfig(
-        n_ports=args.ports,
-        n_coflows=args.coflows,
-        arrival_rate=args.arrival_rate,
-        seed=args.seed,
-    )
+    if _unwritable(args.out):
+        return EXIT_USAGE
+    try:
+        cfg = CoflowMixConfig(
+            n_ports=args.ports,
+            n_coflows=args.coflows,
+            arrival_rate=args.arrival_rate,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"invalid trace configuration: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     coflows = generate_coflow_mix(cfg)
     if args.format == "json":
         from repro.network.io import save_coflows
@@ -1498,6 +1545,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
     )
 
+    if args.out != "-" and _unwritable(args.out):
+        return EXIT_USAGE
     payload = run_bench(
         quick=args.quick,
         progress=lambda msg: print(f"  {msg}", file=sys.stderr),
@@ -1541,6 +1590,10 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     """Print the Gantt chart: simulate a coflow file, or read a trace."""
     from repro.network.visualize import gantt
 
+    if args.width < 10:
+        print(f"--width must be at least 10, got {args.width}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if (args.coflow_file is None) == (args.from_trace is None):
         print(
             "gantt needs exactly one input: a coflow JSON file "
@@ -1574,6 +1627,8 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from repro.network.schedulers import make_scheduler
     from repro.network.simulator import CoflowSimulator
 
+    if _nonpositive_rate(args.rate):
+        return EXIT_USAGE
     try:
         coflows = load_coflows(args.coflow_file)
     except (OSError, ValueError) as exc:
@@ -1663,6 +1718,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.trace:
         from repro.obs import StreamingTracer, repro_header
 
+        if _unwritable(args.trace):
+            return EXIT_USAGE
         try:
             tracer = StreamingTracer(
                 args.trace,

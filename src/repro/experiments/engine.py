@@ -644,9 +644,10 @@ def run_sweep(
     def note(event: str, *, cell: str = "", attempt: int = 0,
              detail: str = "") -> None:
         if instrumentation is not None and instrumentation.enabled:
-            instrumentation.platform_event(
-                event, time=time.time(), experiment=spec.name,
-                cell=cell, attempt=attempt, detail=detail,
+            instrumentation.emit(
+                "platform_event", time.time(), event=event,
+                experiment=spec.name, cell=cell, attempt=attempt,
+                detail=detail,
             )
 
     for i, cell in enumerate(spec.cells):

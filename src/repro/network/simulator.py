@@ -143,12 +143,12 @@ class Epoch:
 
 
 class _TimelineCollector(Instrumentation):
-    """Builds ``SimulationResult.epochs`` from the epoch event stream.
+    """Builds ``SimulationResult.epochs`` from the ``epoch`` events.
 
-    The legacy ``record_timeline=True`` path is now just one more
-    consumer of the instrumentation stream: the simulator attaches this
-    collector (alongside any user-supplied sink) instead of maintaining
-    a bespoke parallel timeline.
+    The ``record_timeline=True`` path is just one more consumer of the
+    instrumentation stream: the simulator attaches this collector
+    (alongside any user-supplied sink) instead of maintaining a bespoke
+    parallel timeline.  Every other event kind is ignored.
 
     ``limit`` bounds memory for long-running (service-mode) runs: only
     the most recent ``limit`` epochs are kept in a ring buffer.  The
@@ -166,16 +166,17 @@ class _TimelineCollector(Instrumentation):
             deque(maxlen=limit) if limit is not None else []
         )
 
-    def epoch(self, *, start, duration, active_flows, aggregate_rate,
-              detail=None):
+    def emit(self, kind, t, **fields):
+        if kind != "epoch":
+            return
         if self._limit is not None and len(self.epochs) == self._limit:
             self.dropped += 1
         self.epochs.append(
             Epoch(
-                start=start,
-                duration=duration,
-                active_flows=active_flows,
-                aggregate_rate=aggregate_rate,
+                start=t,
+                duration=fields["dur"],
+                active_flows=fields["flows"],
+                aggregate_rate=fields["rate"],
             )
         )
 
@@ -332,13 +333,19 @@ class CoflowSimulator:
         to force a fresh allocation every epoch (the escape hatch, and
         the ``ccf bench`` reference for the large-fleet cases).
     instrumentation:
-        Optional :class:`repro.obs.Instrumentation` sink receiving the
-        run's event stream: coflow lifecycle transitions (submit ->
-        admit -> first-byte -> complete/abort), per-epoch samples and
-        every failure-log record.  Defaults to off; with no sink
-        attached the epoch loop pays one boolean test per emission site
-        and results are bit-identical to an uninstrumented run (pinned
-        by property tests and the bench gate).
+        Optional :class:`repro.obs.Instrumentation` sink whose ``emit``
+        receives the run's event stream: coflow lifecycle transitions
+        (submit -> admit -> first-byte -> complete/abort), per-epoch
+        samples and every failure-log record.  The epoch sample fields
+        (active coflows, queue depth, residual bytes and, when the sink
+        wants port samples, per-port busy fractions) are computed only
+        when the sink asks for flow events or port samples.  Defaults to
+        off; with no sink attached the epoch loop pays one boolean test
+        per emission site and results are bit-identical to an
+        uninstrumented run (pinned by property tests and the bench
+        gate).  Control-plane feedback does not travel on this stream:
+        a caller that must react to completions or aborts passes
+        ``injector`` / ``on_abort`` to :meth:`run`.
     wall_clock_budget_s:
         Optional hard bound on the run's *wall-clock* time.  When the
         epoch loop is still running after this many real seconds it
@@ -493,19 +500,33 @@ class CoflowSimulator:
             )
         track = obs is not None
         wants_flow_events = track and obs.wants_flow_events
-        wants_detail = track and (
-            obs.wants_flow_events or obs.wants_port_samples
-        )
+        wants_port_samples = track and obs.wants_port_samples
+        wants_detail = wants_flow_events or wants_port_samples
         first_byte_seen: set[int] = set()
         failures_seen = 0
 
         def sync_failures(manager: RecoveryManager) -> None:
-            """Forward newly appended failure-log records to the sink."""
+            """Emit the newly appended failure-log records as events."""
             nonlocal failures_seen
             records = manager.records
             while failures_seen < len(records):
-                obs.failure(records[failures_seen])
+                r = records[failures_seen]
+                obs.emit(
+                    "failure", r.time,
+                    failure_kind=r.kind, port=int(r.port),
+                    cid=int(r.coflow_id), flows=int(r.flows),
+                    bytes_lost=float(r.bytes_lost), detail=r.detail,
+                )
                 failures_seen += 1
+
+        def submitted(c: Coflow, now: float) -> None:
+            """Emit ``coflow_submit`` for a coflow known from ``now``."""
+            obs.emit(
+                "coflow_submit", now,
+                cid=int(c.coflow_id), arrival=float(c.arrival_time),
+                volume=float(c.total_volume), width=int(c.width),
+                name=str(c.name), weight=float(c.weight),
+            )
 
         # With dynamics, work on a private fabric copy and a private event
         # schedule so runs are repeatable and the caller's fabric pristine.
@@ -545,19 +566,12 @@ class CoflowSimulator:
         total_bytes = float(sum(c.total_volume for c in coflows))
         known_ids = {c.coflow_id for c in coflows}
         if track:
-            obs.run_start(
-                time=0.0, n_coflows=len(coflows), total_bytes=total_bytes
+            obs.emit(
+                "run_start", 0.0,
+                coflows=len(coflows), total_bytes=total_bytes,
             )
             for c in coflows:
-                obs.coflow_submit(
-                    c.coflow_id,
-                    time=0.0,
-                    arrival=c.arrival_time,
-                    volume=c.total_volume,
-                    width=c.width,
-                    name=c.name,
-                    weight=c.weight,
-                )
+                submitted(c, 0.0)
 
         def admit(
             new: list[Coflow], now: float, *, allow_past: bool = False
@@ -601,15 +615,7 @@ class CoflowSimulator:
                 total_bytes += c.total_volume
                 heapq.heappush(pending, (c.arrival_time, c.coflow_id, c))
                 if track:
-                    obs.coflow_submit(
-                        c.coflow_id,
-                        time=now,
-                        arrival=c.arrival_time,
-                        volume=c.total_volume,
-                        width=c.width,
-                        name=c.name,
-                        weight=c.weight,
-                    )
+                    submitted(c, now)
 
         def inject_after(cid: int, now: float) -> None:
             """Admit the injector's new coflows for a completed one."""
@@ -705,8 +711,10 @@ class CoflowSimulator:
             progress[cid].completion_time = now
             noise_factors.pop(cid, None)
             if track:
-                obs.coflow_complete(
-                    cid, time=now, cct=now - progress[cid].arrival_time
+                obs.emit(
+                    "coflow_complete", now,
+                    cid=int(cid),
+                    cct=float(now - progress[cid].arrival_time),
                 )
             inject_after(cid, now)
 
@@ -813,7 +821,7 @@ class CoflowSimulator:
             while pending and pending[0][0] <= t + slack:
                 _, _, cf = heapq.heappop(pending)
                 if track:
-                    obs.coflow_admit(cf.coflow_id, time=t)
+                    obs.emit("coflow_admit", t, cid=int(cf.coflow_id))
                 if cf.width == 0:
                     # Degenerate coflow with no network flows completes instantly.
                     complete(cf.coflow_id, max(t, cf.arrival_time))
@@ -868,7 +876,7 @@ class CoflowSimulator:
                 if track:
                     sync_failures(recovery)
                     for cid in aborted:
-                        obs.coflow_abort(cid, time=t)
+                        obs.emit("coflow_abort", t, cid=int(cid))
                 resubmit_after(aborted, t)
                 for cid in local:
                     # Replan kept the chunk on its source: if that was the
@@ -908,7 +916,7 @@ class CoflowSimulator:
                     if track:
                         sync_failures(recovery)
                         for cid in aborted:
-                            obs.coflow_abort(cid, time=t)
+                            obs.emit("coflow_abort", t, cid=int(cid))
                     resubmit_after(aborted, t)
                     if pending:
                         continue
@@ -991,53 +999,38 @@ class CoflowSimulator:
                         cid = int(cid)
                         if cid not in first_byte_seen:
                             first_byte_seen.add(cid)
-                            obs.coflow_first_byte(cid, time=t)
-                detail = None
+                            obs.emit("coflow_first_byte", t, cid=cid)
+                sample = {}
                 if wants_detail:
-                    n_pending = len(pending)
-
-                    def detail() -> dict:
-                        """Expensive sample fields, computed only when a
-                        sink asks (called synchronously by obs.epoch)."""
-                        d = {
-                            "coflows": int(np.unique(fl.cids).size),
-                            "queue": n_pending,
-                            "residual": float(fl.remaining.sum()),
-                        }
-                        if obs.wants_port_samples:
-                            used_out = np.bincount(
-                                fl.srcs, weights=rates,
-                                minlength=fabric.n_ports,
+                    sample["coflows"] = int(np.unique(fl.cids).size)
+                    sample["queue"] = len(pending)
+                    sample["residual"] = float(fl.remaining.sum())
+                    if wants_port_samples:
+                        used_out = np.bincount(
+                            fl.srcs, weights=rates, minlength=fabric.n_ports
+                        )
+                        used_in = np.bincount(
+                            fl.dsts, weights=rates, minlength=fabric.n_ports
+                        )
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            busy_s = np.where(
+                                fabric.egress_rates > 0,
+                                used_out / fabric.egress_rates, 0.0,
                             )
-                            used_in = np.bincount(
-                                fl.dsts, weights=rates,
-                                minlength=fabric.n_ports,
+                            busy_r = np.where(
+                                fabric.ingress_rates > 0,
+                                used_in / fabric.ingress_rates, 0.0,
                             )
-                            with np.errstate(
-                                divide="ignore", invalid="ignore"
-                            ):
-                                busy_s = np.where(
-                                    fabric.egress_rates > 0,
-                                    used_out / fabric.egress_rates, 0.0,
-                                )
-                                busy_r = np.where(
-                                    fabric.ingress_rates > 0,
-                                    used_in / fabric.ingress_rates, 0.0,
-                                )
-                            d["port_busy_send"] = [
-                                round(float(x), 9) for x in busy_s
-                            ]
-                            d["port_busy_recv"] = [
-                                round(float(x), 9) for x in busy_r
-                            ]
-                        return d
-
-                obs.epoch(
-                    start=t,
-                    duration=dt,
-                    active_flows=fl.size,
-                    aggregate_rate=float(rates.sum()),
-                    detail=detail,
+                        sample["port_busy_send"] = [
+                            round(float(x), 9) for x in busy_s
+                        ]
+                        sample["port_busy_recv"] = [
+                            round(float(x), 9) for x in busy_r
+                        ]
+                obs.emit(
+                    "epoch", t,
+                    dur=float(dt), flows=fl.size, rate=float(rates.sum()),
+                    **sample,
                 )
 
             # Drain volumes and credit attained service per coflow.
@@ -1088,7 +1081,7 @@ class CoflowSimulator:
         if track:
             if recovery is not None:
                 sync_failures(recovery)
-            obs.run_end(time=t, makespan=makespan)
+            obs.emit("run_end", t, makespan=float(makespan))
         return SimulationResult(
             completion_times=completion,
             ccts=ccts,

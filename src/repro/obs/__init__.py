@@ -3,11 +3,13 @@
 A zero-overhead-when-disabled instrumentation layer threaded through the
 simulator, schedulers, planners and job executor:
 
-* :class:`Instrumentation` -- the no-op hook surface the pipeline calls
-  into (coflow lifecycle, epoch samples, failures, planner phases,
-  stage attempts).
+* :class:`Instrumentation` -- the no-op sink the pipeline emits into:
+  one ``emit(kind, t, **fields)`` call per event (coflow lifecycle,
+  epoch samples, failures, planner phases, stage attempts, platform
+  interventions, admission rulings).
 * :class:`Tracer` -- the recording implementation: one structured event
-  stream plus a live :class:`MetricsRegistry`.
+  stream plus a live :class:`MetricsRegistry`;
+  :class:`MultiInstrumentation` fans one stream out to several sinks.
 * Exporters -- JSONL (canonical interchange), Chrome ``trace_event``
   JSON (Perfetto / ``chrome://tracing``), Prometheus text.
 * :func:`summarize_trace` / ``ccf stats`` -- CCT percentiles, per-port

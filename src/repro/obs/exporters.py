@@ -125,8 +125,8 @@ class StreamingTracer(Tracer):
         self._fh = self.path.open("w")
         self._fh.write(json.dumps({"kind": "header", **self.header}) + "\n")
 
-    def _emit(self, kind: str, t: float, **fields: Any) -> None:
-        super()._emit(kind, t, **fields)
+    def emit(self, kind: str, t: float, **fields: Any) -> None:
+        super().emit(kind, t, **fields)
         if len(self.events) >= self.flush_every:
             self.flush()
 

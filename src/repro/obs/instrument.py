@@ -1,29 +1,37 @@
 """The instrumentation surface threaded through the CCF pipeline.
 
 One object -- an :class:`Instrumentation` -- receives every observable
-moment of a run: coflow lifecycle transitions (submit -> admit ->
-first-byte -> complete/abort), per-epoch samples (port utilization,
-residual bytes, queue depth), fabric failure/recovery records, planner
-phases and job-stage attempts.  The base class is a **no-op**: every
-hook is an empty method and ``enabled`` is False, so the simulator's hot
-path pays exactly one boolean test per guarded site when observability
-is off (the bench gate pins this).
+moment of a run through one method, ``emit(kind, t, **fields)``: coflow
+lifecycle transitions (submit -> admit -> first-byte -> complete/abort),
+per-epoch samples (port utilization, residual bytes, queue depth),
+fabric failure/recovery records, planner phases, job-stage attempts,
+sweep-platform interventions and admission rulings.  The base class is
+a **no-op** and ``enabled`` is False, so the simulator's hot path pays
+exactly one boolean test per guarded site when observability is off
+(the bench gate pins this).
 
-:class:`Tracer` is the recording implementation: it appends structured
-event dicts (the one event stream every exporter and ``ccf stats``
+The event *is* the record: ``kind`` and ``t`` plus the fields the schema
+below lists for that kind, in that order and with those types (``int``
+ids and counts, ``float`` times and volumes, ``str`` labels).  Producers
+pass the fields already typed, so a sink can store them as they arrive
+and a new event kind costs one schema line, not a new method on every
+sink.
+
+:class:`Tracer` is the recording implementation: it appends one event
+dict per ``emit`` (the one event stream every exporter and ``ccf stats``
 consume) and keeps a :class:`~repro.obs.metrics.MetricsRegistry` of
 counters/gauges/histograms up to date as events arrive.
 
 Event stream schema (one dict per event, ``kind`` discriminates)::
 
     run_start      t, coflows, total_bytes
-    coflow_submit  t, cid, arrival, volume, width, name
+    coflow_submit  t, cid, arrival, volume, width, name, weight
     coflow_admit   t, cid
     coflow_first_byte  t, cid
     coflow_complete    t, cid, cct
     coflow_abort   t, cid
-    epoch          t (start), dur, flows, rate  [+ coflows, residual,
-                   queue, port_busy_send, port_busy_recv when sampled]
+    epoch          t (start), dur, flows, rate  [+ coflows, queue,
+                   residual, port_busy_send, port_busy_recv when sampled]
     failure        t, failure_kind, port, cid, flows, bytes_lost, detail
     planner_phase  t, stage, wall_s, strategy
     stage_attempt  t (start), dur, stage, attempt, status, cid
@@ -43,150 +51,56 @@ fabric, so there is no simulation clock to stamp them with.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.obs.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.network.recovery import FailureRecord
 
 __all__ = ["Instrumentation", "Tracer", "MultiInstrumentation"]
 
 #: Sub-second..years log buckets for CCT / epoch-duration histograms.
 _TIME_BUCKETS = tuple(10.0 ** e for e in range(-6, 10))
 
-DetailFn = Callable[[], dict[str, Any]]
+#: Kinds counted per value of one of their fields:
+#: kind -> (metric name, help text, label field).
+_LABELLED_COUNTERS = {
+    "failure": (
+        "failure_events_total", "failure-log records by kind",
+        "failure_kind",
+    ),
+    "stage_attempt": (
+        "stage_attempts_total", "job stage attempts by outcome", "status",
+    ),
+    "platform_event": (
+        "platform_events_total", "supervised-execution interventions",
+        "event",
+    ),
+    "admission": (
+        "admission_decisions_total",
+        "service-mode admission rulings by decision", "decision",
+    ),
+}
 
 
 class Instrumentation:
-    """No-op observability sink -- subclass and override what you need.
+    """No-op observability sink -- subclass and override :meth:`emit`.
 
     ``enabled`` gates every emission site in the simulator; the other
     two flags let a sink opt out of the emissions that cost more than a
     method call to *produce* (first-byte detection needs a per-epoch
-    mask, port samples need per-port bincounts).
+    mask, the epoch sample fields need per-epoch reductions and port
+    samples per-port bincounts).
     """
 
     #: Master switch: emission sites are skipped entirely when False.
     enabled: bool = False
-    #: Whether coflow first-byte detection should run (per-epoch cost).
+    #: Whether coflow first-byte detection and the epoch sample fields
+    #: (coflows, queue, residual) should be produced (per-epoch cost).
     wants_flow_events: bool = False
     #: Whether epoch samples should include per-port busy fractions.
     wants_port_samples: bool = False
 
-    # -- run boundary ---------------------------------------------------
-    def run_start(
-        self, *, time: float, n_coflows: int, total_bytes: float
-    ) -> None:
-        """A simulation run begins."""
-
-    def run_end(self, *, time: float, makespan: float) -> None:
-        """The run's epoch loop finished."""
-
-    # -- coflow lifecycle ----------------------------------------------
-    def coflow_submit(
-        self,
-        cid: int,
-        *,
-        time: float,
-        arrival: float,
-        volume: float,
-        width: int,
-        name: str = "",
-        weight: float = 1.0,
-    ) -> None:
-        """A coflow became known (run start or mid-run injection)."""
-
-    def coflow_admit(self, cid: int, *, time: float) -> None:
-        """A pending coflow's flows joined the active set."""
-
-    def coflow_first_byte(self, cid: int, *, time: float) -> None:
-        """The coflow received a positive rate for the first time."""
-
-    def coflow_complete(self, cid: int, *, time: float, cct: float) -> None:
-        """All of the coflow's flows drained."""
-
-    def coflow_abort(self, cid: int, *, time: float) -> None:
-        """The recovery layer gave up on the coflow."""
-
-    # -- epoch samples --------------------------------------------------
-    def epoch(
-        self,
-        *,
-        start: float,
-        duration: float,
-        active_flows: int,
-        aggregate_rate: float,
-        detail: DetailFn | None = None,
-    ) -> None:
-        """One epoch elapsed.
-
-        ``detail`` lazily computes the expensive sample fields (active
-        coflows, residual bytes, queue depth, per-port busy fractions);
-        sinks that do not need them simply never call it.
-        """
-
-    # -- failures -------------------------------------------------------
-    def failure(self, record: "FailureRecord") -> None:
-        """A failure-log record was appended (port event or recovery action)."""
-
-    # -- control plane --------------------------------------------------
-    def planner_phase(
-        self,
-        stage: str,
-        *,
-        time: float,
-        wall_s: float,
-        strategy: str = "",
-    ) -> None:
-        """A planning phase (stage assignment / replan) finished."""
-
-    def stage_attempt(
-        self,
-        stage: str,
-        attempt: int,
-        *,
-        start: float,
-        end: float,
-        status: str,
-        coflow_id: int = -1,
-    ) -> None:
-        """A job stage attempt span closed (completed or aborted)."""
-
-    # -- platform (supervised execution) --------------------------------
-    def platform_event(
-        self,
-        event: str,
-        *,
-        time: float,
-        experiment: str = "",
-        cell: str = "",
-        attempt: int = 0,
-        detail: str = "",
-    ) -> None:
-        """The execution platform intervened (retry, timeout, crash, ...).
-
-        ``time`` is wall-clock unix seconds, not simulation time: these
-        events belong to the machinery running the experiment.
-        """
-
-    # -- admission control (service mode) --------------------------------
-    def admission(
-        self,
-        decision: str,
-        *,
-        time: float,
-        cid: int,
-        volume: float = 0.0,
-        reason: str = "",
-        policy: str = "",
-    ) -> None:
-        """An overload-control policy ruled on an arriving coflow.
-
-        ``decision`` is ``admit`` / ``defer`` / ``shed``; ``reason`` is
-        the policy's short explanation (e.g. ``queue_full``,
-        ``watermark``, ``slo_breach``).  Simulation time.
-        """
+    def emit(self, kind: str, t: float, **fields: Any) -> None:
+        """One event of ``kind`` at time ``t`` (see the module schema)."""
 
     def close(self) -> None:
         """Flush/teardown hook for sinks holding external resources."""
@@ -255,145 +169,58 @@ class Tracer(Instrumentation):
             "residual_bytes", "unfinished volume across active flows"
         )
 
-    # -- helpers --------------------------------------------------------
-    def _emit(self, kind: str, t: float, **fields: Any) -> None:
-        event = {"kind": kind, "t": float(t)}
-        event.update(fields)
-        self.events.append(event)
-
-    # -- hooks ----------------------------------------------------------
-    def run_start(self, *, time, n_coflows, total_bytes):
-        self._emit(
-            "run_start", time,
-            coflows=int(n_coflows), total_bytes=float(total_bytes),
-        )
-
-    def run_end(self, *, time, makespan):
-        self._emit("run_end", time, makespan=float(makespan))
-        self._sim_time.set(time)
-
-    def coflow_submit(
-        self, cid, *, time, arrival, volume, width, name="", weight=1.0
-    ):
-        self._submitted.inc()
-        self._emit(
-            "coflow_submit", time,
-            cid=int(cid), arrival=float(arrival), volume=float(volume),
-            width=int(width), name=str(name), weight=float(weight),
-        )
-
-    def coflow_admit(self, cid, *, time):
-        self._emit("coflow_admit", time, cid=int(cid))
-
-    def coflow_first_byte(self, cid, *, time):
-        self._emit("coflow_first_byte", time, cid=int(cid))
-
-    def coflow_complete(self, cid, *, time, cct):
-        self._completed.inc()
-        self._cct.observe(float(cct))
-        self._emit("coflow_complete", time, cid=int(cid), cct=float(cct))
-
-    def coflow_abort(self, cid, *, time):
-        self._aborted.inc()
-        self._emit("coflow_abort", time, cid=int(cid))
-
-    def epoch(self, *, start, duration, active_flows, aggregate_rate,
-              detail=None):
-        self._epochs.inc()
-        self._epoch_dur.observe(float(duration))
-        self._sim_time.set(start + duration)
-        self._active_flows.set(active_flows)
-        event: dict[str, Any] = {
-            "dur": float(duration),
-            "flows": int(active_flows),
-            "rate": float(aggregate_rate),
-        }
-        if detail is not None:
-            extra = detail()
-            event.update(extra)
-            if "coflows" in extra:
-                self._active_coflows.set(extra["coflows"])
-            if "queue" in extra:
-                self._queue_depth.set(extra["queue"])
-            if "residual" in extra:
-                self._residual.set(extra["residual"])
+    def emit(self, kind: str, t: float, **fields: Any) -> None:
+        """Update the metrics ``kind`` drives, then record the event."""
+        if kind == "epoch":
+            duration = fields["dur"]
+            self._epochs.inc()
+            self._epoch_dur.observe(duration)
+            self._sim_time.set(t + duration)
+            self._active_flows.set(fields["flows"])
+            if "coflows" in fields:
+                self._active_coflows.set(fields["coflows"])
+                self._queue_depth.set(fields["queue"])
+                self._residual.set(fields["residual"])
             for direction in ("send", "recv"):
-                busy = extra.get(f"port_busy_{direction}")
-                if busy is None:
-                    continue
-                for port, frac in enumerate(busy):
+                for port, frac in enumerate(
+                    fields.get(f"port_busy_{direction}", ())
+                ):
                     if frac > 0.0:
                         self.metrics.counter(
                             "port_busy_seconds_total",
                             "per-port busy time (utilization x duration)",
                             labels={"port": str(port), "dir": direction},
                         ).inc(frac * duration)
-        self._emit("epoch", start, **event)
-
-    def failure(self, record):
-        if record.kind == "port_failed":
-            self._port_failures.inc()
-        if record.bytes_lost:
-            self._bytes_lost.inc(record.bytes_lost)
-        self.metrics.counter(
-            "failure_events_total", "failure-log records by kind",
-            labels={"failure_kind": record.kind},
-        ).inc()
-        self._emit(
-            "failure", record.time,
-            failure_kind=record.kind, port=int(record.port),
-            cid=int(record.coflow_id), flows=int(record.flows),
-            bytes_lost=float(record.bytes_lost), detail=record.detail,
-        )
-
-    def planner_phase(self, stage, *, time, wall_s, strategy=""):
-        self.metrics.counter(
-            "planner_phases_total", "planning phases executed"
-        ).inc()
-        self.metrics.counter(
-            "planner_seconds_total", "wall-clock planning time"
-        ).inc(wall_s)
-        self._emit(
-            "planner_phase", time,
-            stage=str(stage), wall_s=float(wall_s), strategy=str(strategy),
-        )
-
-    def stage_attempt(self, stage, attempt, *, start, end, status,
-                      coflow_id=-1):
-        self.metrics.counter(
-            "stage_attempts_total", "job stage attempts by outcome",
-            labels={"status": status},
-        ).inc()
-        self._emit(
-            "stage_attempt", start,
-            dur=float(end - start), stage=str(stage), attempt=int(attempt),
-            status=str(status), cid=int(coflow_id),
-        )
-
-    def platform_event(self, event, *, time, experiment="", cell="",
-                       attempt=0, detail=""):
-        self.metrics.counter(
-            "platform_events_total", "supervised-execution interventions",
-            labels={"event": event},
-        ).inc()
-        self._emit(
-            "platform_event", time,
-            event=str(event), experiment=str(experiment), cell=str(cell),
-            attempt=int(attempt), detail=str(detail),
-        )
-
-    def admission(self, decision, *, time, cid, volume=0.0, reason="",
-                  policy=""):
-        self.metrics.counter(
-            "admission_decisions_total",
-            "service-mode admission rulings by decision",
-            labels={"decision": decision},
-        ).inc()
-        self._emit(
-            "admission", time,
-            decision=str(decision), cid=int(cid), volume=float(volume),
-            reason=str(reason), policy=str(policy),
-        )
+        elif kind == "coflow_submit":
+            self._submitted.inc()
+        elif kind == "coflow_complete":
+            self._completed.inc()
+            self._cct.observe(fields["cct"])
+        elif kind == "coflow_abort":
+            self._aborted.inc()
+        elif kind == "run_end":
+            self._sim_time.set(t)
+        elif kind == "planner_phase":
+            self.metrics.counter(
+                "planner_phases_total", "planning phases executed"
+            ).inc()
+            self.metrics.counter(
+                "planner_seconds_total", "wall-clock planning time"
+            ).inc(fields["wall_s"])
+        elif kind == "failure":
+            if fields["failure_kind"] == "port_failed":
+                self._port_failures.inc()
+            if fields["bytes_lost"]:
+                self._bytes_lost.inc(fields["bytes_lost"])
+        labelled = _LABELLED_COUNTERS.get(kind)
+        if labelled is not None:
+            name, help_text, field = labelled
+            self.metrics.counter(
+                name, help_text, labels={field: fields[field]}
+            ).inc()
+        event = {"kind": kind, "t": float(t)}
+        event.update(fields)
+        self.events.append(event)
 
 
 class MultiInstrumentation(Instrumentation):
@@ -409,66 +236,10 @@ class MultiInstrumentation(Instrumentation):
             c.wants_port_samples for c in self.children
         )
 
-    def run_start(self, **kw):
+    def emit(self, kind: str, t: float, **fields: Any) -> None:
         for c in self.children:
-            c.run_start(**kw)
+            c.emit(kind, t, **fields)
 
-    def run_end(self, **kw):
-        for c in self.children:
-            c.run_end(**kw)
-
-    def coflow_submit(self, cid, **kw):
-        for c in self.children:
-            c.coflow_submit(cid, **kw)
-
-    def coflow_admit(self, cid, **kw):
-        for c in self.children:
-            c.coflow_admit(cid, **kw)
-
-    def coflow_first_byte(self, cid, **kw):
-        for c in self.children:
-            c.coflow_first_byte(cid, **kw)
-
-    def coflow_complete(self, cid, **kw):
-        for c in self.children:
-            c.coflow_complete(cid, **kw)
-
-    def coflow_abort(self, cid, **kw):
-        for c in self.children:
-            c.coflow_abort(cid, **kw)
-
-    def epoch(self, *, detail=None, **kw):
-        cache: dict[str, Any] | None = None
-
-        def shared_detail() -> dict[str, Any]:
-            nonlocal cache
-            if cache is None:
-                cache = detail()
-            return cache
-
-        for c in self.children:
-            c.epoch(detail=None if detail is None else shared_detail, **kw)
-
-    def failure(self, record):
-        for c in self.children:
-            c.failure(record)
-
-    def planner_phase(self, stage, **kw):
-        for c in self.children:
-            c.planner_phase(stage, **kw)
-
-    def stage_attempt(self, stage, attempt, **kw):
-        for c in self.children:
-            c.stage_attempt(stage, attempt, **kw)
-
-    def platform_event(self, event, **kw):
-        for c in self.children:
-            c.platform_event(event, **kw)
-
-    def admission(self, decision, **kw):
-        for c in self.children:
-            c.admission(decision, **kw)
-
-    def close(self):
+    def close(self) -> None:
         for c in self.children:
             c.close()

@@ -286,9 +286,11 @@ class AdmissionController(ArrivalSource):
     Implements the simulator's :class:`ArrivalSource` protocol.  The
     epoch loop polls :meth:`next_time` / :meth:`take`; completions and
     aborts flow back in through :meth:`record_completion` /
-    :meth:`record_abort` (wired by the service loop's completion
-    monitor), which is how the controller tracks outstanding bytes and
-    the sliding CCT window the policies rule against.
+    :meth:`record_abort`, which the service loop passes to
+    :meth:`CoflowSimulator.run` as its ``injector`` / ``on_abort``
+    callbacks.  That is how the controller tracks outstanding bytes and
+    the sliding CCT window the policies rule against; it measures each
+    CCT from the arrival time it kept at admission.
 
     Memory is bounded: one materialized arrival at a time, a deferral
     heap capped by the policy's queue behavior, the fixed-size CCT
@@ -317,7 +319,8 @@ class AdmissionController(ArrivalSource):
         )
         self._deferred: list[tuple[float, int, int, Coflow]] = []
         self._seq = 0
-        self._outstanding: dict[int, float] = {}
+        #: cid -> (arrival_time, volume) of each admitted, unfinished coflow.
+        self._outstanding: dict[int, tuple[float, float]] = {}
         self._outstanding_bytes = 0.0
         self._ccts: deque[float] = deque(maxlen=window)
         # recent_p95 cache: policies consult the state on every ruling,
@@ -375,24 +378,30 @@ class AdmissionController(ArrivalSource):
         return released
 
     # -- feedback from the simulator ------------------------------------
-    def record_completion(self, cid: int, *, time: float, cct: float) -> None:
+    # Both are shaped as the simulator's ``injector`` / ``on_abort``
+    # callbacks, ``(cid, time) -> new coflows``; they never add any.
+    def record_completion(self, cid: int, time: float) -> list[Coflow]:
         """An admitted coflow finished; update backlog and the CCT window."""
-        volume = self._outstanding.pop(cid, None)
-        if volume is None:
-            return
+        entry = self._outstanding.pop(cid, None)
+        if entry is None:
+            return []
+        arrival, volume = entry
         self._drop_outstanding(volume)
+        cct = time - arrival
         self.completed += 1
         self._ccts.append(float(cct))
         self._cct_version += 1
         self.cct_samples.append((float(time - cct), float(cct)))
+        return []
 
-    def record_abort(self, cid: int, *, time: float) -> None:
+    def record_abort(self, cid: int, time: float) -> list[Coflow]:
         """An admitted coflow was aborted (failure path); drop its bytes."""
-        volume = self._outstanding.pop(cid, None)
-        if volume is None:
-            return
-        self._drop_outstanding(volume)
+        entry = self._outstanding.pop(cid, None)
+        if entry is None:
+            return []
+        self._drop_outstanding(entry[1])
         self.aborted += 1
+        return []
 
     def _drop_outstanding(self, volume: float) -> None:
         # Zero the accumulator whenever the live set empties: add/subtract
@@ -437,7 +446,9 @@ class AdmissionController(ArrivalSource):
         if decision == "admit":
             self.admitted += 1
             self._c_admitted.inc()
-            self._outstanding[cf.coflow_id] = cf.total_volume
+            self._outstanding[cf.coflow_id] = (
+                cf.arrival_time, cf.total_volume
+            )
             self._outstanding_bytes += cf.total_volume
             released.append(cf)
         elif decision == "defer":
@@ -461,11 +472,9 @@ class AdmissionController(ArrivalSource):
                 f"{decision!r}"
             )
         if self.obs is not None:
-            self.obs.admission(
-                decision,
-                time=now,
-                cid=cf.coflow_id,
-                volume=cf.total_volume,
-                reason=reason,
-                policy=self.policy.name,
+            self.obs.emit(
+                "admission", now,
+                decision=decision, cid=int(cf.coflow_id),
+                volume=float(cf.total_volume), reason=str(reason),
+                policy=str(self.policy.name),
             )

@@ -4,8 +4,10 @@
 through an :class:`~repro.service.admission.AdmissionController` into the
 fluid simulator and runs the whole thing to drain, watchdogs armed.  The
 simulator polls the controller every epoch (the ``source`` hook);
-completions flow back into the controller through a tiny instrumentation
-monitor, closing the feedback loop the ``slo-guard`` policy needs.
+completions and aborts flow back into the controller through the
+simulator's ``injector`` / ``on_abort`` callbacks, closing the feedback
+loop the ``slo-guard`` policy needs.  Observability stays separate: an
+untraced run attaches no instrumentation sink at all.
 
 Optionally a seeded chaos schedule (port MTBF-MTTR failures with a
 recovery policy) runs *concurrently* with the arrivals -- the soak
@@ -30,7 +32,7 @@ from repro.network.chaos import ChaosConfig, chaos_schedule
 from repro.network.fabric import Fabric
 from repro.network.schedulers import make_scheduler
 from repro.network.simulator import CoflowSimulator, SimulationResult
-from repro.obs.instrument import Instrumentation, MultiInstrumentation
+from repro.obs.instrument import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stats import steady_state_stats
 from repro.service.admission import (
@@ -191,21 +193,6 @@ class ServiceReport:
         }
 
 
-class _CompletionMonitor(Instrumentation):
-    """Feeds simulator completions/aborts back into the controller."""
-
-    enabled = True
-
-    def __init__(self, controller: AdmissionController) -> None:
-        self.controller = controller
-
-    def coflow_complete(self, cid, *, time, cct):
-        self.controller.record_completion(cid, time=time, cct=cct)
-
-    def coflow_abort(self, cid, *, time):
-        self.controller.record_abort(cid, time=time)
-
-
 def _policy_with_defaults(config: ServiceConfig) -> dict[str, Any]:
     """Fill in the scenario-dependent policy defaults."""
     params = dict(config.policy_params)
@@ -252,13 +239,6 @@ def run_service(
         instrumentation=instrumentation,
         window=config.window,
     )
-    monitor = _CompletionMonitor(controller)
-    if instrumentation is not None and instrumentation.enabled:
-        obs: Instrumentation = MultiInstrumentation(
-            [monitor, instrumentation]
-        )
-    else:
-        obs = monitor
 
     dynamics = None
     recovery = None
@@ -285,13 +265,18 @@ def run_service(
         make_scheduler(config.scheduler),
         dynamics=dynamics,
         recovery=recovery,
-        instrumentation=obs,
+        instrumentation=instrumentation,
         max_epochs=config.max_epochs,
         batch_events=config.batch_events,
         wall_clock_budget_s=config.wall_clock_budget_s,
     )
     t0 = _time.monotonic()
-    result = sim.run([], source=controller)
+    result = sim.run(
+        [],
+        source=controller,
+        injector=controller.record_completion,
+        on_abort=controller.record_abort,
+    )
     wall = _time.monotonic() - t0
 
     ccts = [cct for _, cct in controller.cct_samples]

@@ -33,15 +33,21 @@ class TestNoOpBase:
 
     def test_all_hooks_are_noops(self):
         obs = Instrumentation()
-        obs.run_start(time=0.0, n_coflows=1, total_bytes=1.0)
-        obs.coflow_submit(0, time=0.0, arrival=0.0, volume=1.0, width=1)
-        obs.coflow_admit(0, time=0.0)
-        obs.coflow_first_byte(0, time=0.0)
-        obs.coflow_complete(0, time=1.0, cct=1.0)
-        obs.coflow_abort(0, time=1.0)
-        obs.epoch(start=0.0, duration=1.0, active_flows=1, aggregate_rate=1.0)
-        obs.planner_phase("s", time=0.0, wall_s=0.1)
-        obs.stage_attempt("s", 1, start=0.0, end=1.0, status="completed")
+        obs.emit("run_start", 0.0, coflows=1, total_bytes=1.0)
+        obs.emit(
+            "coflow_submit", 0.0, cid=0, arrival=0.0, volume=1.0, width=1,
+            name="", weight=1.0,
+        )
+        obs.emit("coflow_admit", 0.0, cid=0)
+        obs.emit("coflow_first_byte", 0.0, cid=0)
+        obs.emit("coflow_complete", 1.0, cid=0, cct=1.0)
+        obs.emit("coflow_abort", 1.0, cid=0)
+        obs.emit("epoch", 0.0, dur=1.0, flows=1, rate=1.0)
+        obs.emit("planner_phase", 0.0, stage="s", wall_s=0.1, strategy="")
+        obs.emit(
+            "stage_attempt", 0.0, dur=1.0, stage="s", attempt=1,
+            status="completed", cid=-1,
+        )
         obs.close()
 
     def test_disabled_sink_not_stored(self):
@@ -159,33 +165,6 @@ class TestMultiInstrumentation:
         assert multi.wants_port_samples
         _run(multi)
         assert [e["kind"] for e in a.events] == [e["kind"] for e in b.events]
-
-    def test_detail_computed_once_and_shared(self):
-        calls = []
-
-        class Probe(Instrumentation):
-            enabled = True
-            wants_port_samples = True
-
-            def epoch(self, *, detail=None, **kw):
-                if detail is not None:
-                    calls.append(detail())
-
-        p1, p2 = Probe(), Probe()
-        multi = MultiInstrumentation([p1, p2])
-        counted = []
-
-        def detail():
-            counted.append(1)
-            return {"coflows": 1}
-
-        multi.epoch(
-            start=0.0, duration=1.0, active_flows=1, aggregate_rate=1.0,
-            detail=detail,
-        )
-        assert len(counted) == 1  # computed once
-        assert len(calls) == 2  # both sinks saw it
-        assert calls[0] is calls[1]
 
     def test_all_disabled_children(self):
         multi = MultiInstrumentation([Instrumentation()])

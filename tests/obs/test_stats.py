@@ -187,8 +187,9 @@ class TestPlatformCounters:
         _run(tracer)
         for event in ("retry", "retry", "cell_timeout", "worker_crash",
                       "quarantine"):
-            tracer.platform_event(
-                event, time=0.0, experiment="chaos", cell="scenario=x",
+            tracer.emit(
+                "platform_event", 0.0, event=event, experiment="chaos",
+                cell="scenario=x", attempt=0, detail="",
             )
         s = summarize_trace(tracer.events, tracer.header)
         assert s["platform"] == {
@@ -207,7 +208,10 @@ class TestPlatformCounters:
         tracer = Tracer()
         _run(tracer)
         before = summarize_trace(tracer.events, tracer.header)
-        tracer.platform_event("pool_rebuild", time=1.0, experiment="chaos")
+        tracer.emit(
+            "platform_event", 1.0, event="pool_rebuild", experiment="chaos",
+            cell="", attempt=0, detail="",
+        )
         after = summarize_trace(tracer.events, tracer.header)
         assert after["coflows"] == before["coflows"]
         assert after["cct_seconds"] == before["cct_seconds"]

@@ -210,11 +210,11 @@ class TestAdmissionController:
         total = sum(cf.total_volume for cf in released)
         assert c.state(0.0).outstanding_bytes == pytest.approx(total)
         for cf in released:
-            c.record_completion(cf.coflow_id, time=10.0, cct=1.0)
+            c.record_completion(cf.coflow_id, time=10.0)
         assert c.state(0.0).backlog_seconds == 0.0
         assert c.completed == 5
         # Unknown / duplicate completions are ignored, not crashed on.
-        c.record_completion(999, time=10.0, cct=1.0)
+        c.record_completion(999, time=10.0)
         assert c.completed == 5
 
     def test_defer_then_release(self):
@@ -229,7 +229,7 @@ class TestAdmissionController:
         assert c.deferrals == 1
         assert c.next_time(1e9) is not None  # the deferred release time
         # Drain the backlog; the deferred coflow is admitted on release.
-        c.record_completion(first[0].coflow_id, time=1.0, cct=1.0)
+        c.record_completion(first[0].coflow_id, time=1.0)
         released = c.take(2e9, 0.0)
         assert len(released) == 1
         assert c.admitted == 2
@@ -263,7 +263,8 @@ class TestAdmissionController:
         c = make_controller(AcceptAll(), arrivals=25)
         released = c.take(1e9, 0.0)
         for cf in released[:19]:
-            c.record_completion(cf.coflow_id, time=1.0, cct=1.0)
+            c.record_completion(cf.coflow_id, time=cf.arrival_time + 1.0)
         assert c.recent_p95 is None
-        c.record_completion(released[19].coflow_id, time=1.0, cct=1.0)
+        last = released[19]
+        c.record_completion(last.coflow_id, time=last.arrival_time + 1.0)
         assert c.recent_p95 == pytest.approx(1.0)

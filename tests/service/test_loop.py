@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.obs import StreamingTracer, read_jsonl
-from repro.service import ArrivalConfig, ServiceConfig, run_service
+from repro.obs import StreamingTracer, Tracer, read_jsonl
+from repro.service import ArrivalConfig, ServiceConfig, loop, run_service
 
 
 def small_config(**kwargs):
@@ -81,6 +81,37 @@ class TestHealthyService:
         assert len(admits) == report.arrivals
         completes = [e for e in events if e["kind"] == "coflow_complete"]
         assert len(completes) == report.completed
+
+
+class TestFeedbackWiring:
+    """Completions reach the controller through the simulator's callbacks;
+    the instrumentation slot carries only the caller's own sink."""
+
+    def built_simulators(self, monkeypatch):
+        built = []
+
+        class Recording(loop.CoflowSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(loop, "CoflowSimulator", Recording)
+        return built
+
+    def test_untraced_run_attaches_no_sink(self, monkeypatch):
+        built = self.built_simulators(monkeypatch)
+        report, _, controller = run_service(small_config())
+        assert [sim.instrumentation for sim in built] == [None]
+        assert report.completed == report.admitted == 80
+        assert len(controller.cct_samples) == 80
+
+    def test_traced_run_attaches_only_the_tracer(self, monkeypatch):
+        built = self.built_simulators(monkeypatch)
+        tracer = Tracer()
+        untraced = run_service(small_config())[2].cct_samples
+        _, _, controller = run_service(small_config(), instrumentation=tracer)
+        assert built[-1].instrumentation is tracer
+        assert controller.cct_samples == untraced
 
 
 class TestOverload:

@@ -16,7 +16,6 @@ from repro.network.fabric import Fabric
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import make_scheduler
 from repro.network.simulator import CoflowSimulator
-from repro.obs.instrument import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.service.admission import (
     AdmissionController,
@@ -129,21 +128,13 @@ class TestOverloadedServiceStallSafety:
         controller = AdmissionController(
             ArrivalStream(cfg), policy, fabric, metrics=MetricsRegistry()
         )
-
-        class _Monitor(Instrumentation):
-            enabled = True
-
-            def coflow_complete(self, cid, *, time, cct):
-                controller.record_completion(cid, time=time, cct=cct)
-
-            def coflow_abort(self, cid, *, time):
-                controller.record_abort(cid, time=time)
-
-        sim = CoflowSimulator(
-            fabric, make_scheduler("fair"),
-            instrumentation=_Monitor(), stall_epochs=64,
+        sim = CoflowSimulator(fabric, make_scheduler("fair"), stall_epochs=64)
+        res = sim.run(
+            [],
+            source=controller,
+            injector=controller.record_completion,
+            on_abort=controller.record_abort,
         )
-        res = sim.run([], source=controller)
         assert controller.arrivals == 60
         assert controller.admitted + controller.shed == 60
         assert controller.completed == controller.admitted > 0

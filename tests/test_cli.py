@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.registry import EXPERIMENTS
+from repro.network import Coflow, Flow
+from repro.network.io import save_coflows
 
 
 class TestParser:
@@ -509,6 +511,44 @@ class TestInputErrorsExitUsage:
             path.write_text(content)
         self.assert_usage_error(
             [command, str(path)], capsys, "cannot read coflow file"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["trace-gen", "{missing}/x.json"], "cannot write"),
+            (["trace-gen", "{tmp}/x.json", "--ports", "1"],
+             "invalid trace configuration"),
+            (["report", "--experiments", "motivating",
+              "--out", "{missing}/r.md"], "cannot write"),
+            (["simulate", "{coflows}", "--trace", "{missing}/t.jsonl"],
+             "cannot write"),
+            (["serve", "--arrivals", "5", "--trace", "{missing}/s.jsonl"],
+             "cannot write"),
+            (["bench", "--quick", "--out", "{missing}/b.json"],
+             "cannot write"),
+            (["chaos", "--quick", "--no-cache", "--trace",
+              "{missing}/c.jsonl"], "cannot write"),
+            (["simulate", "{coflows}", "--rate", "0"], "--rate must be"),
+            (["simulate", "{coflows}", "--rate", "-1"], "--rate must be"),
+            (["gantt", "{coflows}", "--width", "0"], "--width must be"),
+        ],
+        ids=[
+            "trace-gen-out", "trace-gen-ports", "report-out",
+            "simulate-trace", "serve-trace", "bench-out", "chaos-trace",
+            "simulate-rate-0", "simulate-rate-neg", "gantt-width",
+        ],
+    )
+    def test_bad_output_path_or_value(self, argv, needle, tmp_path, capsys):
+        coflows = tmp_path / "coflows.json"
+        save_coflows([Coflow([Flow(0, 1, 4.0)])], coflows)
+        fill = {
+            "tmp": str(tmp_path),
+            "missing": str(tmp_path / "missing"),
+            "coflows": str(coflows),
+        }
+        self.assert_usage_error(
+            [arg.format(**fill) for arg in argv], capsys, needle
         )
 
 
