@@ -27,29 +27,36 @@ Examples
     $ ccf serve --chaos-mtbf 20 --chaos-mttr 2 --recovery retry
     $ ccf capacity load --budget 60 --probe-arrivals 150
     $ ccf capacity nodes --budget 60 --rate 4e6 --probe-arrivals 150
+
+Every subcommand is one :data:`COMMANDS` entry: its help line, a
+function adding its options (mostly from the shared option groups) and
+its handler.  Handlers import what they run, so building the parser
+loads no experiment module.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from repro.experiments.figures import (
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    FIGURE_SWEEPS,
     QUICK_N_NODES,
     QUICK_SCALE_FACTOR,
-    SweepConfig,
-    run_fig5_nodes,
-    run_fig6_zipf,
-    run_fig7_skew,
+    SWEEPS,
+    build_sweep,
+    run_experiment,
 )
-from repro.core.resilience import ResilienceError
-from repro.experiments.registry import EXPERIMENTS, SWEEPS, run_experiment
 from repro.network.schedulers import SCHEDULER_NAMES
 
 __all__ = [
     "main",
     "build_parser",
+    "COMMANDS",
     "EXIT_OK",
     "EXIT_FAILURE",
     "EXIT_USAGE",
@@ -78,587 +85,124 @@ EXIT_CODES: dict[int, str] = {
     EXIT_INTERRUPTED: "interrupted (128 + SIGINT)",
 }
 
-#: Sweeps that accept a SweepConfig (others run with fixed defaults).
-_CONFIGURABLE = {
-    "fig5": lambda cfg: run_fig5_nodes(cfg),
-    "fig6": lambda cfg: run_fig6_zipf(cfg),
-    "fig7": lambda cfg: run_fig7_skew(cfg),
-}
+
+def _positive(kind: type) -> Callable[[str], float]:
+    """An argparse type admitting only finite ``kind`` values above 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = f"positive_{kind.__name__}"
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
-        prog="ccf",
-        description="Reproduce the CCF paper's evaluation (ICPP 2017).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_positive_float = _positive(float)
+_positive_int = _positive(int)
 
-    sub.add_parser("list", help="list available experiments")
 
-    run = sub.add_parser("run", help="run one experiment and print its table")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    run.add_argument(
-        "--quick",
-        action="store_true",
-        help=f"reduced scale (SF={QUICK_SCALE_FACTOR}, {QUICK_N_NODES} nodes) "
-        "for sweeps",
-    )
-    run.add_argument(
-        "--scale-factor", type=float, default=None, help="TPC-H scale factor"
-    )
-    run.add_argument(
-        "--nodes", type=int, default=None, help="number of nodes (fig6/fig7 sweeps)"
-    )
-    run.add_argument(
-        "--markdown", action="store_true", help="render the table as markdown"
-    )
-    run.add_argument(
-        "--csv", action="store_true", help="render the table as CSV"
-    )
+def _add_formats(p, *formats: str, what: str = "the table") -> None:
+    """Output-format flags, any of ``json``, ``markdown`` and ``csv``."""
+    helps = {
+        "json": "emit {} as JSON",
+        "markdown": "render {} as markdown",
+        "csv": "render {} as CSV",
+    }
+    for fmt in formats:
+        p.add_argument(
+            f"--{fmt}", action="store_true", help=helps[fmt].format(what)
+        )
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a grid experiment through the parallel, cache-aware "
-        "engine (bit-identical to 'ccf run', but cells fan out over "
-        "worker processes and completed cells are memoized on disk)",
+
+def _add_engine_cache(
+    p, jobs: int = 1, why: str = "1 = serial fallback path"
+) -> None:
+    """Sweep-engine flags: worker processes and the on-disk cell cache."""
+    p.add_argument(
+        "--jobs", type=int, default=jobs, metavar="N",
+        help=f"worker processes (default {why})",
     )
-    sweep.add_argument("experiment", choices=sorted(SWEEPS))
-    sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = serial fallback path)",
-    )
-    sweep.add_argument(
-        "--cache-dir", type=str, default=None, metavar="DIR",
+    p.add_argument(
+        "--cache-dir", metavar="DIR",
         help="cell-cache root (default: $CCF_CACHE_DIR or "
         "~/.cache/ccf/sweeps)",
     )
-    sweep.add_argument(
+    p.add_argument(
         "--no-cache", action="store_true",
         help="skip cache lookup and write-back entirely",
     )
-    sweep.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep: require the cache directory "
-        "to exist and report how many cells were restored from it",
-    )
-    sweep.add_argument(
+
+
+def _add_figure_overrides(p) -> None:
+    """Scale overrides of the figure sweeps (fig5/fig6/fig7)."""
+    p.add_argument(
         "--quick", action="store_true",
-        help="the experiment's reduced smoke-test grid "
-        f"(figure sweeps: SF={QUICK_SCALE_FACTOR}, {QUICK_N_NODES} nodes)",
+        help="the reduced smoke-test grid (figure sweeps: "
+        f"SF={QUICK_SCALE_FACTOR}, {QUICK_N_NODES} nodes)",
     )
-    sweep.add_argument(
-        "--scale-factor", type=float, default=None,
+    p.add_argument(
+        "--scale-factor", type=_positive_float,
         help="TPC-H scale factor (figure sweeps only)",
     )
-    sweep.add_argument(
-        "--nodes", type=int, default=None,
-        help="number of nodes (figure sweeps only)",
-    )
-    sweep.add_argument(
-        "--markdown", action="store_true", help="render the table as markdown"
-    )
-    sweep.add_argument(
-        "--csv", action="store_true", help="render the table as CSV"
-    )
-    sweep.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="retry failed cells up to N extra times with exponential "
-        "backoff and deterministic jitter (default 0 = fail fast)",
-    )
-    sweep.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="hard wall-clock bound per cell attempt (default: unlimited)",
+    p.add_argument(
+        "--nodes", type=_positive_int,
+        help="number of nodes (fig6/fig7 sweeps)",
     )
 
-    tournament = sub.add_parser(
-        "tournament",
-        help="rank every scheduling discipline on the weighted-CCT "
-        "objective: run the tournament grid (schedulers x workload "
-        "families x weight distributions) through the sweep engine and "
-        "fold it into a scorecard with per-scheduler optimality gaps "
-        "against the interval-indexed LP lower bound",
-    )
-    tournament.add_argument(
-        "--quick", action="store_true",
-        help="reduced smoke grid (10 ports, 10 coflows, facebook mix, "
-        "two weight distributions; still every scheduler)",
-    )
-    tournament.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = serial fallback path)",
-    )
-    tournament.add_argument(
-        "--cache-dir", type=str, default=None, metavar="DIR",
-        help="cell-cache root (default: $CCF_CACHE_DIR or "
-        "~/.cache/ccf/sweeps)",
-    )
-    tournament.add_argument(
-        "--no-cache", action="store_true",
-        help="skip cache lookup and write-back entirely",
-    )
-    tournament.add_argument(
-        "--full", action="store_true",
-        help="also print the raw per-instance grid under the scorecard",
-    )
-    tournament.add_argument(
-        "--json", action="store_true",
-        help="emit {scorecard, grid} as JSON instead of tables",
-    )
-    tournament.add_argument(
-        "--markdown", action="store_true",
-        help="render the tables as markdown",
-    )
-    tournament.add_argument(
-        "--csv", action="store_true",
-        help="render the scorecard as CSV",
+
+def _add_scheduler(p) -> None:
+    p.add_argument(
+        "--scheduler", choices=SCHEDULER_NAMES, default="sebf",
+        help="coflow scheduling discipline (default sebf)",
     )
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the chaos campaign: named fault scenarios (fabric "
-        "chaos, noisy estimates, worker kills, cache corruption, cell "
-        "timeouts) executed through the supervised sweep engine and "
-        "scored for resilience",
-    )
-    chaos.add_argument(
-        "--quick", action="store_true",
-        help="shrink the workload (the scenario set stays complete)",
-    )
-    chaos.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="sweep workers (default 2; worker-kill scenarios need >= 2)",
-    )
-    chaos.add_argument(
-        "--scenario", action="append", default=None, metavar="NAME",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed for chaos schedules, noise and retry jitter",
-    )
-    chaos.add_argument(
-        "--cache-dir", type=str, default=None, metavar="DIR",
-        help="cell-cache root (default: $CCF_CACHE_DIR or "
-        "~/.cache/ccf/sweeps); cache-corruption scenarios corrupt "
-        "their own entry here",
-    )
-    chaos.add_argument(
-        "--no-cache", action="store_true",
-        help="run cache-less (cache-corruption scenarios lose their "
-        "target and quarantine nothing)",
-    )
-    chaos.add_argument(
-        "--no-faults", action="store_true",
-        help="leave platform faults dormant (simulated faults only)",
-    )
-    chaos.add_argument(
-        "--report", type=str, default=None, metavar="PATH",
-        help="also write a markdown report (tables + scorecard) to PATH",
-    )
-    chaos.add_argument(
-        "--csv", action="store_true",
-        help="render the scenario table as CSV on stdout",
-    )
-    chaos.add_argument(
-        "--markdown", action="store_true",
-        help="render the tables as markdown on stdout",
-    )
-    chaos.add_argument(
-        "--trace", type=str, default=None, metavar="PATH",
-        help="write the campaign's platform-event trace (retries, "
-        "timeouts, crashes, quarantines) as JSONL to PATH",
-    )
-    chaos.add_argument(
-        "--crash-dir", type=str, default="crash-reports", metavar="DIR",
-        help="where WorkerCrash reports are written (default "
-        "crash-reports/)",
-    )
-    chaos.add_argument(
-        "--list", action="store_true", dest="list_scenarios",
-        help="list the fault scenarios and exit",
+
+def _add_watchdog(p, max_epochs: int | None = None) -> None:
+    """Watchdog limits (when ``max_epochs``, their default, is given) and
+    where a crash report goes."""
+    if max_epochs is not None:
+        p.add_argument(
+            "--max-epochs", type=int, metavar="N",
+            help="watchdog: abort (with a crash report) after this many "
+            f"epochs (default {max_epochs:,})",
+        )
+        p.add_argument(
+            "--wall-clock-budget", type=float, metavar="SECONDS",
+            help="watchdog: abort (with a crash report) when the run "
+            "exceeds this much real time (default: unlimited)",
+        )
+    p.add_argument(
+        "--crash-dir", default="crash-reports", metavar="DIR",
+        help="where crash reports are written (default crash-reports/)",
     )
 
-    plan = sub.add_parser(
-        "plan", help="plan a synthetic join workload and export its coflow"
-    )
-    plan.add_argument("--nodes", type=int, default=50)
-    plan.add_argument("--scale-factor", type=float, default=3.0)
-    plan.add_argument("--zipf", type=float, default=0.8)
-    plan.add_argument("--skew", type=float, default=0.2)
-    plan.add_argument(
-        "--strategy",
-        choices=["hash", "mini", "ccf", "ccf-exact"],
-        default="ccf",
-    )
-    plan.add_argument("--out", type=str, default=None, help="coflow JSON path")
 
-    simulate = sub.add_parser(
-        "simulate", help="run a coflow JSON file through the simulator"
+def _add_chaos(p, mttr: float, recovery: str | None) -> None:
+    """Seeded random port failures and the flow recovery they call for."""
+    p.add_argument(
+        "--chaos-mtbf", type=float,
+        help="inject random port failures with this mean time between "
+        "failures (s)",
     )
-    simulate.add_argument("coflow_file", type=str)
-    simulate.add_argument(
-        "--scheduler",
-        choices=list(SCHEDULER_NAMES),
-        default="sebf",
+    p.add_argument(
+        "--chaos-mttr", type=float, default=mttr,
+        help=f"mean time to repair a chaos failure (s, default {mttr:g})",
     )
-    simulate.add_argument(
-        "--rate", type=float, default=128e6, help="port rate in bytes/s"
-    )
-    simulate.add_argument(
-        "--recovery",
-        choices=["abort", "retry", "replan"],
-        default=None,
-        help="flow-recovery policy (required with failure injection)",
-    )
-    simulate.add_argument(
-        "--fail-port",
-        type=int,
-        action="append",
-        default=None,
-        metavar="PORT",
-        help="kill this port mid-run (repeatable)",
-    )
-    simulate.add_argument(
-        "--fail-at", type=float, default=1.0,
-        help="failure time in seconds (with --fail-port)",
-    )
-    simulate.add_argument(
-        "--recover-at", type=float, default=None,
-        help="repair time in seconds (with --fail-port; default: never)",
-    )
-    simulate.add_argument(
-        "--fail-direction",
-        choices=["both", "ingress", "egress"],
-        default="both",
-        help="which side of the failed port dies",
-    )
-    simulate.add_argument(
-        "--chaos-mtbf", type=float, default=None,
-        help="enable random failures with this mean time between failures (s)",
-    )
-    simulate.add_argument(
-        "--chaos-mttr", type=float, default=2.0,
-        help="mean time to repair for chaos failures (s)",
-    )
-    simulate.add_argument(
-        "--chaos-horizon", type=float, default=None,
-        help="inject chaos failures only before this time (default: 10x MTBF)",
-    )
-    simulate.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed for the chaos failure schedule",
-    )
-    simulate.add_argument(
-        "--stage-policy",
-        choices=["fail-job", "retry-stage", "replan-stage",
-                 "fail", "retry", "replan"],
-        default=None,
-        help="job-level fault tolerance: treat each coflow as a stage and "
-        "retry/replan failed attempts (needs a failure schedule; "
-        "mutually exclusive with the flow-level --recovery)",
-    )
-    simulate.add_argument(
-        "--estimate-noise", type=float, default=None, metavar="SIGMA",
-        help="degrade the scheduler's view of remaining flow sizes with "
-        "seeded lognormal noise of this sigma (true bytes still drain)",
-    )
-    simulate.add_argument(
-        "--censor", type=float, default=0.0, metavar="FRAC",
-        help="fraction of flows whose size the scheduler cannot see "
-        "(with --estimate-noise; default 0)",
-    )
-    simulate.add_argument(
-        "--noise-seed", type=int, default=0,
-        help="seed for the estimate-noise draws",
-    )
-    simulate.add_argument(
-        "--max-epochs", type=int, default=None, metavar="N",
-        help="abort (with a crash report) after this many epochs "
-        "(default 10,000,000)",
-    )
-    simulate.add_argument(
-        "--wall-clock-budget", type=float, default=None, metavar="SECONDS",
-        help="abort (with a crash report) when the run exceeds this much "
-        "real time (default: unlimited)",
-    )
-    simulate.add_argument(
-        "--stall-epochs", type=int, default=None, metavar="N",
-        help="abort (with a crash report) after N consecutive epochs "
-        "without simulation-clock progress (default 10,000; 0 disables)",
-    )
-    simulate.add_argument(
-        "--crash-dir", type=str, default="crash-reports", metavar="DIR",
-        help="where watchdog crash reports are written (default "
-        "crash-reports/)",
-    )
-    simulate.add_argument(
-        "--timeline", action="store_true",
-        help="record the per-epoch timeline (SimulationResult.epochs is "
-        "otherwise empty; memory grows with epochs)",
-    )
-    simulate.add_argument(
-        "--timeline-limit", type=int, default=None, metavar="N",
-        help="with --timeline, keep only the most recent N epochs "
-        "(ring buffer) so long runs stay bounded in memory",
-    )
-    simulate.add_argument(
-        "--trace", type=str, default=None, metavar="PATH",
-        help="capture the run's event stream and write it to PATH "
-        "(coflow lifecycle, epoch samples, port utilization, failures)",
-    )
-    simulate.add_argument(
-        "--trace-format",
-        choices=["jsonl", "chrome", "prom"],
-        default="jsonl",
-        help="trace output format: JSONL event log (ccf stats / gantt "
-        "--from-trace), Chrome trace_event JSON (Perfetto), or a "
-        "Prometheus-style metrics dump",
+    p.add_argument(
+        "--recovery", choices=["abort", "retry", "replan"], default=recovery,
+        help="flow-recovery policy for failed ports "
+        + (f"(default {recovery})" if recovery
+           else "(required with failure injection)"),
     )
 
-    stats = sub.add_parser(
-        "stats",
-        help="summarize a captured JSONL trace: CCT percentiles, per-port "
-        "bottleneck attribution, failure counts",
-    )
-    stats.add_argument("trace_file", type=str)
-    stats.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
-    )
-    stats.add_argument(
-        "--top-ports", type=int, default=5,
-        help="how many bottleneck ports to list (default 5)",
-    )
 
-    report = sub.add_parser(
-        "report", help="run a set of experiments and write a markdown report"
-    )
-    report.add_argument(
-        "--out", type=str, default="ccf-report.md", help="output markdown path"
-    )
-    report.add_argument(
-        "--experiments",
-        nargs="*",
-        default=None,
-        help="subset to run (default: the quick ones; 'all' for everything)",
-    )
-    report.add_argument(
-        "--quick", action="store_true",
-        help="reduced scale for the paper-figure sweeps",
-    )
-    report.add_argument(
-        "--from-trace", type=str, default=None, metavar="PATH",
-        help="append a trace-summary section (stats + Gantt) rendered "
-        "from a captured JSONL trace -- no re-simulation; with no "
-        "--experiments the report contains only that section",
-    )
-
-    verify = sub.add_parser(
-        "verify", help="check every published claim of the paper (PASS/FAIL)"
-    )
-    verify.add_argument(
-        "--scale-factor", type=float, default=60.0,
-        help="TPC-H scale factor for the sweeps (600 = paper scale)",
-    )
-    verify.add_argument("--nodes", type=int, default=100)
-
-    trace_gen = sub.add_parser(
-        "trace-gen",
-        help="generate a synthetic Facebook-style coflow trace file",
-    )
-    trace_gen.add_argument("out", type=str, help="output path")
-    trace_gen.add_argument(
-        "--format", choices=["json", "coflowsim"], default="json"
-    )
-    trace_gen.add_argument("--ports", type=int, default=40)
-    trace_gen.add_argument("--coflows", type=int, default=100)
-    trace_gen.add_argument("--arrival-rate", type=float, default=2.0)
-    trace_gen.add_argument("--seed", type=int, default=0)
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark event-horizon batching (batch_events off vs on) "
-        "on large service-mode fleets",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="one small fleet case (CI smoke); its key is in the full run",
-    )
-    bench.add_argument(
-        "--out", type=str, default="BENCH_simulator.json",
-        help="where to write the JSON payload ('-' for stdout only)",
-    )
-    bench.add_argument(
-        "--check", metavar="BASELINE", type=str, default=None,
-        help="compare per-case speedups against a committed "
-        "BENCH_simulator.json and exit non-zero on regression",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.3,
-        help="allowed fractional speedup drop vs the baseline "
-        "(default 0.3)",
-    )
-
-    gantt_cmd = sub.add_parser(
-        "gantt",
-        help="render an ASCII Gantt chart from a coflow file (simulates) "
-        "or from a captured JSONL trace (no re-simulation)",
-    )
-    gantt_cmd.add_argument("coflow_file", type=str, nargs="?", default=None)
-    gantt_cmd.add_argument(
-        "--from-trace", type=str, default=None, metavar="PATH",
-        help="read a JSONL trace written by 'ccf simulate --trace' "
-        "instead of re-running the simulation",
-    )
-    gantt_cmd.add_argument(
-        "--scheduler",
-        choices=list(SCHEDULER_NAMES),
-        default="sebf",
-    )
-    gantt_cmd.add_argument("--rate", type=float, default=128e6)
-    gantt_cmd.add_argument("--width", type=int, default=60)
-
-    serve = sub.add_parser(
-        "serve",
-        help="open-loop service mode: stream seeded coflow arrivals "
-        "through an admission policy into the simulator and report "
-        "steady-state CCT percentiles (exit 4 on SLO breach)",
-    )
-    _add_arrival_args(serve)
-    serve.add_argument(
-        "--load", type=float, default=0.7,
-        help="offered utilization target; the port rate is derived so the "
-        "stream offers this fraction of fabric capacity (> 1 = overload; "
-        "default 0.7)",
-    )
-    serve.add_argument(
-        "--rate", type=float, default=None,
-        help="explicit per-port rate in bytes/s (overrides --load)",
-    )
-    serve.add_argument(
-        "--scheduler",
-        choices=list(SCHEDULER_NAMES),
-        default="sebf",
-    )
-    serve.add_argument(
-        "--policy",
-        choices=["accept-all", "bounded-queue", "load-shedding", "slo-guard"],
-        default="accept-all",
-        help="admission policy (default accept-all)",
-    )
-    serve.add_argument(
-        "--watermark", type=float, default=None, metavar="SECONDS",
-        help="backlog watermark for bounded-queue / load-shedding "
-        "(seconds of work outstanding)",
-    )
-    serve.add_argument(
-        "--queue-limit", type=int, default=None, metavar="N",
-        help="deferred-coflow cap for bounded-queue",
-    )
-    serve.add_argument(
-        "--slo", type=float, default=None, metavar="SECONDS",
-        help="steady-state p95 CCT budget; exit 4 when breached "
-        "(also the default budget of --policy slo-guard)",
-    )
-    serve.add_argument(
-        "--chaos-mtbf", type=float, default=None,
-        help="soak mode: inject random port failures with this mean time "
-        "between failures (s) while arrivals stream in",
-    )
-    serve.add_argument(
-        "--chaos-mttr", type=float, default=1.0,
-        help="mean time to repair for soak-mode failures (s)",
-    )
-    serve.add_argument(
-        "--min-alive", type=int, default=2,
-        help="chaos never takes the fabric below this many live ports",
-    )
-    serve.add_argument(
-        "--recovery",
-        choices=["abort", "retry", "replan"],
-        default="retry",
-        help="flow-recovery policy for soak-mode failures (default retry)",
-    )
-    serve.add_argument(
-        "--max-epochs", type=int, default=None, metavar="N",
-        help="watchdog: abort after this many epochs (default 50,000,000)",
-    )
-    serve.add_argument(
-        "--wall-clock-budget", type=float, default=None, metavar="SECONDS",
-        help="watchdog: abort when the run exceeds this much real time",
-    )
-    serve.add_argument(
-        "--crash-dir", type=str, default="crash-reports", metavar="DIR",
-        help="where watchdog crash reports are written",
-    )
-    serve.add_argument(
-        "--trace", type=str, default=None, metavar="PATH",
-        help="stream the event log (lifecycle + admission rulings) to "
-        "PATH as JSONL while running -- bounded memory at any length",
-    )
-    serve.add_argument(
-        "--flush-every", type=int, default=4096, metavar="N",
-        help="trace flush interval in events (default 4096)",
-    )
-    serve.add_argument(
-        "--json", action="store_true",
-        help="emit the service report as JSON instead of text",
-    )
-
-    capacity = sub.add_parser(
-        "capacity",
-        help="binary-search the p95-CCT knee: the highest sustainable "
-        "offered load, or the smallest fabric for a target stream",
-    )
-    capacity.add_argument(
-        "axis", choices=["load", "nodes"],
-        help="search axis: 'load' finds the highest offered load within "
-        "budget; 'nodes' the smallest fabric (needs --rate)",
-    )
-    capacity.add_argument(
-        "--budget", type=float, required=True, metavar="SECONDS",
-        help="p95 CCT budget the knee is measured against",
-    )
-    _add_arrival_args(capacity)
-    capacity.add_argument(
-        "--rate", type=float, default=None,
-        help="fixed per-port rate in bytes/s (required for the nodes "
-        "axis; forbidden for the load axis)",
-    )
-    capacity.add_argument(
-        "--scheduler",
-        choices=list(SCHEDULER_NAMES),
-        default="sebf",
-    )
-    capacity.add_argument(
-        "--policy",
-        choices=["accept-all", "bounded-queue", "load-shedding", "slo-guard"],
-        default="accept-all",
-    )
-    capacity.add_argument(
-        "--lo", type=float, default=None,
-        help="search lower bound (default: 0.2 load / 4 nodes)",
-    )
-    capacity.add_argument(
-        "--hi", type=float, default=None,
-        help="search upper bound (default: 2.0 load / 128 nodes)",
-    )
-    capacity.add_argument(
-        "--iters", type=int, default=6,
-        help="bisection iterations for the load axis (default 6)",
-    )
-    capacity.add_argument(
-        "--probe-arrivals", type=int, default=None, metavar="N",
-        help="shorten each probe stream to N arrivals",
-    )
-    capacity.add_argument(
-        "--json", action="store_true",
-        help="emit the probe list and knee as JSON",
-    )
-    return parser
+def _add_trace(p, what: str) -> None:
+    p.add_argument("--trace", metavar="PATH", help=f"write {what} to PATH")
 
 
-def _add_arrival_args(p: argparse.ArgumentParser) -> None:
+def _add_arrival_args(p) -> None:
     """Arrival-stream flags shared by ``serve`` and ``capacity``."""
     p.add_argument(
         "--ports", type=int, default=24, help="fabric size (default 24)"
@@ -698,22 +242,33 @@ def _add_arrival_args(p: argparse.ArgumentParser) -> None:
         help="stream length in coflows (default 1000)",
     )
     p.add_argument(
-        "--horizon", type=float, default=None,
+        "--horizon", type=float,
         help="stop generating arrivals after this many seconds",
     )
     p.add_argument("--seed", type=int, default=0, help="stream seed")
 
 
-def _unwritable(path: str) -> bool:
-    """Report (one stderr line) an output path that cannot be created.
+class _UsageError(Exception):
+    """Bad flags or unreadable input: :func:`main` prints the message
+    as one stderr line and exits :data:`EXIT_USAGE`."""
+
+
+def _stderr(message: str) -> None:
+    print(message, file=sys.stderr)
+
+
+def _check_writable(path) -> None:
+    """Refuse an output path (if given) that cannot be created.
 
     Checked before the work whose result goes to ``path``, so a mistyped
-    ``--out`` / ``--trace`` exits 2 at once instead of a traceback after
-    the whole run.
+    ``--out`` / ``--trace`` / ``--report`` exits 2 at once instead of a
+    traceback (or a stray directory) after the whole run.
     """
     import os
     from pathlib import Path
 
+    if path is None:
+        return
     target = Path(path)
     if target.is_dir():
         reason = "is a directory"
@@ -722,17 +277,415 @@ def _unwritable(path: str) -> bool:
     elif not os.access(target.parent, os.W_OK):
         reason = f"directory {target.parent} is not writable"
     else:
-        return False
-    print(f"cannot write {path}: {reason}", file=sys.stderr)
-    return True
+        return
+    raise _UsageError(f"cannot write {path}: {reason}")
 
 
-def _nonpositive_rate(rate: float) -> bool:
-    """Report (one stderr line) a ``--rate`` that is not positive."""
-    if rate > 0:
-        return False
-    print(f"--rate must be positive, got {rate:g}", file=sys.stderr)
-    return True
+def _read_trace(path: str):
+    """``(header, events)`` of a JSONL trace, or a usage error."""
+    from repro.obs import read_jsonl
+
+    try:
+        return read_jsonl(path)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read trace {path}: {exc}") from None
+
+
+def _load_coflow_file(args: argparse.Namespace):
+    """The coflows of ``args.coflow_file`` and a fabric at ``--rate``
+    spanning their ports; ``None`` (after one stderr line) for a file
+    holding no coflow."""
+    from repro.network.fabric import Fabric
+    from repro.network.io import load_coflows
+
+    if args.rate <= 0:
+        raise _UsageError(f"--rate must be positive, got {args.rate:g}")
+    try:
+        coflows = load_coflows(args.coflow_file)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(
+            f"cannot read coflow file {args.coflow_file}: {exc}"
+        ) from None
+    if not coflows:
+        _stderr("no coflows in file")
+        return None
+    n_ports = max(c.max_port for c in coflows) + 1
+    return coflows, Fabric(n_ports=n_ports, rate=args.rate)
+
+
+def _open_cache(args: argparse.Namespace):
+    """Check ``--jobs``; the cell cache ``--cache-dir`` / ``--no-cache``
+    select, and its root (``(None, None)`` under ``--no-cache``)."""
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.no_cache:
+        return None, None
+    from pathlib import Path
+
+    from repro.experiments.engine import CellCache, default_cache_dir
+
+    root = (
+        Path(args.cache_dir).expanduser()
+        if args.cache_dir
+        else default_cache_dir()
+    )
+    return CellCache(root), root
+
+
+def _print_cells(outcome, cache_dir) -> None:
+    """The sweep engine's one-line run summary, on stderr."""
+    _stderr(
+        f"cells: {outcome.n_cells} total | cache hits: {outcome.hits} | "
+        f"executed: {outcome.misses} | jobs: {outcome.jobs} | "
+        f"{outcome.elapsed_seconds:.2f}s "
+        f"cache={cache_dir if cache_dir is not None else 'off'}"
+    )
+
+
+def _print_tables(args: argparse.Namespace, *tables) -> None:
+    """Print result tables as ``--csv`` (the first only), ``--markdown``
+    or rendered text, a blank line apart."""
+    if args.csv:
+        print(tables[0].to_csv(), end="")
+    else:
+        print("\n\n".join(
+            t.to_markdown() if args.markdown else t.render() for t in tables
+        ))
+
+
+def _write_trace(tracer, path: str, fmt: str = "jsonl", out=None) -> None:
+    """Flush a captured trace (if any) to ``path`` and say so on ``out``
+    (default stdout)."""
+    if tracer is None:
+        return
+    from repro.obs import write_trace
+
+    write_trace(tracer, path, fmt)
+    print(f"trace: {len(tracer.events)} events -> {path} ({fmt})", file=out)
+
+
+def _report_watchdog_abort(exc, args: argparse.Namespace) -> int:
+    """Persist a watchdog crash report and return the abort exit code.
+
+    Exit code 3 distinguishes a supervised abort (stall / budget breach,
+    diagnosable from the report) from ordinary failures (1) and CLI
+    misuse (2).
+    """
+    from repro.core.resilience import write_crash_report
+
+    _stderr(f"watchdog abort: {exc}")
+    if exc.report is not None:
+        path = write_crash_report(exc.report, args.crash_dir)
+        _stderr(f"crash report written to {path}")
+    return EXIT_WATCHDOG
+
+
+def _report_interrupt(exc: KeyboardInterrupt, cache_dir) -> int:
+    """Print a partial-progress summary after Ctrl-C and return 130.
+
+    130 is the conventional ``128 + SIGINT`` exit code.  Completed cells
+    were flushed to the cache before the interrupt surfaced, so a
+    ``--resume`` rerun restores them.
+    """
+    from repro.experiments.engine import SweepInterrupted
+
+    if isinstance(exc, SweepInterrupted):
+        _stderr(f"interrupted: {exc}")
+    else:
+        _stderr("interrupted")
+    if cache_dir is not None:
+        _stderr(
+            f"completed cells were flushed to {cache_dir}; "
+            "rerun with --resume to pick up where you left off"
+        )
+    return EXIT_INTERRUPTED
+
+
+def _experiment_table(
+    name: str,
+    quick: bool = False,
+    scale_factor: float | None = None,
+    n_nodes: int | None = None,
+):
+    """Run one registered experiment; the figure sweeps take the figure
+    overrides, every other experiment runs at its defaults."""
+    if name not in FIGURE_SWEEPS:
+        return run_experiment(name)
+    from repro.experiments.engine import run_sweep
+
+    spec = build_sweep(
+        name, quick=quick, scale_factor=scale_factor, n_nodes=n_nodes
+    )
+    return run_sweep(spec).table
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
+    print("\n".join(sorted(EXPERIMENTS)))
+    return EXIT_OK
+
+
+def _run_options(p) -> None:
+    p.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    _add_figure_overrides(p)
+    _add_formats(p, "markdown", "csv")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    _print_tables(args, _experiment_table(
+        args.experiment, args.quick, args.scale_factor, args.nodes
+    ))
+    return EXIT_OK
+
+
+def _sweep_options(p) -> None:
+    p.add_argument("experiment", choices=sorted(SWEEPS))
+    _add_engine_cache(p)
+    p.add_argument(
+        "--resume", action="store_true",
+        help="resume an interrupted sweep: require the cache directory "
+        "to exist and report how many cells were restored from it",
+    )
+    _add_figure_overrides(p)
+    _add_formats(p, "markdown", "csv")
+    p.add_argument(
+        "--retries", type=int, default=0, metavar="N",
+        help="retry failed cells up to N extra times with exponential "
+        "backoff and deterministic jitter (default 0 = fail fast)",
+    )
+    p.add_argument(
+        "--cell-timeout", type=float, metavar="SECONDS",
+        help="hard wall-clock bound per cell attempt (default: unlimited)",
+    )
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Run one grid experiment through the parallel, cache-aware engine."""
+    from repro.core.resilience import Backoff
+    from repro.experiments.engine import derive_seed, run_sweep
+    from repro.obs import MetricsRegistry
+
+    if args.retries < 0:
+        raise _UsageError(f"--retries must be >= 0, got {args.retries}")
+    if args.cell_timeout is not None and args.cell_timeout <= 0:
+        raise _UsageError(
+            f"--cell-timeout must be > 0, got {args.cell_timeout}"
+        )
+    if args.no_cache and args.resume:
+        raise _UsageError(
+            "--no-cache and --resume are mutually exclusive: resuming "
+            "means restoring completed cells from the cache"
+        )
+    cache, cache_dir = _open_cache(args)
+    if args.resume and not cache_dir.is_dir():
+        raise _UsageError(
+            f"--resume: cache directory {cache_dir} does not exist; "
+            "nothing to resume from"
+        )
+    try:
+        spec = build_sweep(
+            args.experiment,
+            quick=args.quick,
+            scale_factor=args.scale_factor,
+            n_nodes=args.nodes,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+
+    retry = None
+    if args.retries > 0:
+        retry = Backoff(
+            max_attempts=args.retries + 1,
+            base_delay=0.2,
+            max_delay=5.0,
+            jitter=0.1,
+            seed=derive_seed(0, "sweep-backoff", spec.name),
+        )
+    try:
+        outcome = run_sweep(
+            spec,
+            jobs=args.jobs,
+            cache=cache,
+            progress=_stderr,
+            metrics=MetricsRegistry(),
+            retry=retry,
+            cell_timeout_s=args.cell_timeout,
+        )
+    except KeyboardInterrupt as exc:
+        return _report_interrupt(exc, cache_dir)
+    if args.resume:
+        _stderr(f"resumed {outcome.hits}/{outcome.n_cells} cells from cache")
+    _print_cells(outcome, cache_dir)
+    if (
+        outcome.retries or outcome.timeouts or outcome.worker_crashes
+        or outcome.pool_rebuilds or outcome.quarantined
+    ):
+        _stderr(
+            f"supervision: {outcome.retries} retries | "
+            f"{outcome.timeouts} timeouts | "
+            f"{outcome.worker_crashes} worker crashes | "
+            f"{outcome.pool_rebuilds} pool rebuilds | "
+            f"{outcome.quarantined} quarantined"
+        )
+    _print_tables(args, outcome.table)
+    return EXIT_OK
+
+
+def _tournament_options(p) -> None:
+    p.add_argument(
+        "--quick", action="store_true",
+        help="reduced smoke grid (10 ports, 10 coflows, facebook mix, "
+        "two weight distributions; still every scheduler)",
+    )
+    _add_engine_cache(p)
+    p.add_argument(
+        "--full", action="store_true",
+        help="also print the raw per-instance grid under the scorecard",
+    )
+    _add_formats(p, "json", "markdown", "csv", what="the scorecard")
+
+
+def _cmd_tournament(args: argparse.Namespace) -> int:
+    """Run the tournament grid and print the ranked scorecard."""
+    from repro.experiments.engine import run_sweep
+    from repro.experiments.tournament import scorecard, tournament_sweep
+
+    cache, cache_dir = _open_cache(args)
+    try:
+        outcome = run_sweep(
+            tournament_sweep(quick=args.quick),
+            jobs=args.jobs,
+            cache=cache,
+            progress=_stderr,
+        )
+    except KeyboardInterrupt as exc:
+        return _report_interrupt(exc, cache_dir)
+    _print_cells(outcome, cache_dir)
+    grid = outcome.table
+    card = scorecard(grid)
+    if args.json:
+        import json
+
+        def rows_of(table):
+            return [dict(zip(table.columns, row)) for row in table.rows]
+
+        print(json.dumps(
+            {"scorecard": rows_of(card), "grid": rows_of(grid)}, indent=2
+        ))
+    else:
+        _print_tables(args, card, *([grid] if args.full else []))
+    return EXIT_OK
+
+
+def _chaos_options(p) -> None:
+    p.add_argument(
+        "--quick", action="store_true",
+        help="shrink the workload (the scenario set stays complete)",
+    )
+    _add_engine_cache(p, jobs=2, why="2; worker-kill scenarios need >= 2")
+    p.add_argument(
+        "--scenario", action="append", metavar="NAME",
+        help="run only this scenario (repeatable; default: all)",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="base seed for chaos schedules, noise and retry jitter",
+    )
+    p.add_argument(
+        "--no-faults", action="store_true",
+        help="leave platform faults dormant (simulated faults only)",
+    )
+    p.add_argument(
+        "--report", metavar="PATH",
+        help="also write a markdown report (tables + scorecard) to PATH",
+    )
+    _add_formats(p, "csv", "markdown", what="the scenario tables")
+    _add_trace(
+        p, "the campaign's platform-event trace (retries, timeouts, "
+        "crashes, quarantines) as JSONL",
+    )
+    _add_watchdog(p)
+    p.add_argument(
+        "--list", action="store_true", dest="list_scenarios",
+        help="list the fault scenarios and exit",
+    )
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    """Run the chaos campaign with platform faults armed by default."""
+    import shutil
+    import tempfile
+    from pathlib import Path
+
+    from repro.core.resilience import WorkerCrash
+    from repro.experiments.chaoscampaign import SCENARIOS, run_campaign
+    from repro.obs import MetricsRegistry, Tracer, repro_header
+
+    if args.list_scenarios:
+        width = max(len(name) for name in SCENARIOS)
+        for name, scenario in SCENARIOS.items():
+            print(f"{name:<{width}}  {scenario.description}")
+        return EXIT_OK
+    unknown = sorted(set(args.scenario or ()) - set(SCENARIOS))
+    if unknown:
+        raise _UsageError(
+            f"unknown scenario(s) {unknown}; choose from {sorted(SCENARIOS)}"
+        )
+    report = Path(args.report).expanduser() if args.report else None
+    _check_writable(args.trace)
+    _check_writable(report)
+
+    cache, cache_dir = _open_cache(args)
+    tracer = None
+    if args.trace:
+        tracer = Tracer(header=repro_header(seed=args.seed, command="chaos"))
+    fault_dir = None
+    if not args.no_faults:
+        fault_dir = tempfile.mkdtemp(prefix="ccf-chaos-faults-")
+    try:
+        out = run_campaign(
+            quick=args.quick,
+            jobs=args.jobs,
+            cache=cache,
+            fault_dir=fault_dir,
+            seed=args.seed,
+            scenarios=tuple(args.scenario) if args.scenario else None,
+            progress=_stderr,
+            metrics=MetricsRegistry(),
+            instrumentation=tracer,
+        )
+    except KeyboardInterrupt as exc:
+        return _report_interrupt(exc, cache_dir)
+    except WorkerCrash as exc:
+        return _report_watchdog_abort(exc, args)
+    finally:
+        if fault_dir is not None:
+            shutil.rmtree(fault_dir, ignore_errors=True)
+        _write_trace(tracer, args.trace, out=sys.stderr)
+
+    tables = (out.table, out.resilience)
+    _print_tables(args, *tables)
+    if report is not None:
+        markdown = "\n\n".join(t.to_markdown() for t in tables)
+        report.write_text(
+            f"# Chaos campaign\n\n{markdown}\n", encoding="utf-8"
+        )
+        _stderr(f"report written to {report}")
+    if not out.completed:
+        _stderr("chaos campaign FAILED: coflows were lost")
+        return EXIT_FAILURE
+    return EXIT_OK
+
+
+def _plan_options(p) -> None:
+    p.add_argument("--nodes", type=int, default=50)
+    p.add_argument("--scale-factor", type=float, default=3.0)
+    p.add_argument("--zipf", type=float, default=0.8)
+    p.add_argument("--skew", type=float, default=0.2)
+    p.add_argument(
+        "--strategy", choices=["hash", "mini", "ccf", "ccf-exact"],
+        default="ccf",
+    )
+    p.add_argument("--out", help="coflow JSON path")
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -741,8 +694,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.network.io import save_coflows
     from repro.workloads.analytic import AnalyticJoinWorkload
 
-    if args.out and _unwritable(args.out):
-        return EXIT_USAGE
+    _check_writable(args.out)
     try:
         workload = AnalyticJoinWorkload(
             n_nodes=args.nodes,
@@ -751,55 +703,124 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             skew=args.skew,
         )
     except ValueError as exc:
-        print(f"invalid workload: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"invalid workload: {exc}")
     plan = CCF().plan(workload, args.strategy)
     print(plan.describe())
     if args.out:
         try:
             save_coflows([plan.to_coflow()], args.out)
         except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"cannot write {args.out}: {exc}")
         print(f"coflow written to {args.out}")
-    return 0
+    return EXIT_OK
+
+
+def _simulate_options(p) -> None:
+    p.add_argument("coflow_file")
+    _add_scheduler(p)
+    p.add_argument(
+        "--rate", type=float, default=128e6, help="port rate in bytes/s"
+    )
+    _add_chaos(p, mttr=2.0, recovery=None)
+    p.add_argument(
+        "--fail-port", type=int, action="append", metavar="PORT",
+        help="kill this port mid-run (repeatable)",
+    )
+    p.add_argument(
+        "--fail-at", type=float, default=1.0,
+        help="failure time in seconds (with --fail-port)",
+    )
+    p.add_argument(
+        "--recover-at", type=float,
+        help="repair time in seconds (with --fail-port; default: never)",
+    )
+    p.add_argument(
+        "--fail-direction", choices=["both", "ingress", "egress"],
+        default="both", help="which side of the failed port dies",
+    )
+    p.add_argument(
+        "--chaos-horizon", type=float,
+        help="inject chaos failures only before this time (default: 10x MTBF)",
+    )
+    p.add_argument(
+        "--chaos-seed", type=int, default=0,
+        help="seed for the chaos failure schedule",
+    )
+    p.add_argument(
+        "--stage-policy",
+        choices=["fail-job", "retry-stage", "replan-stage",
+                 "fail", "retry", "replan"],
+        help="job-level fault tolerance: treat each coflow as a stage and "
+        "retry/replan failed attempts (needs a failure schedule; "
+        "mutually exclusive with the flow-level --recovery)",
+    )
+    p.add_argument(
+        "--estimate-noise", type=float, metavar="SIGMA",
+        help="degrade the scheduler's view of remaining flow sizes with "
+        "seeded lognormal noise of this sigma (true bytes still drain)",
+    )
+    p.add_argument(
+        "--censor", type=float, default=0.0, metavar="FRAC",
+        help="fraction of flows whose size the scheduler cannot see "
+        "(with --estimate-noise; default 0)",
+    )
+    p.add_argument(
+        "--noise-seed", type=int, default=0,
+        help="seed for the estimate-noise draws",
+    )
+    _add_watchdog(p, max_epochs=10_000_000)
+    p.add_argument(
+        "--stall-epochs", type=int, metavar="N",
+        help="abort (with a crash report) after N consecutive epochs "
+        "without simulation-clock progress (default 10,000; 0 disables)",
+    )
+    p.add_argument(
+        "--timeline", action="store_true",
+        help="record the per-epoch timeline (SimulationResult.epochs is "
+        "otherwise empty; memory grows with epochs)",
+    )
+    p.add_argument(
+        "--timeline-limit", type=int, metavar="N",
+        help="with --timeline, keep only the most recent N epochs "
+        "(ring buffer) so long runs stay bounded in memory",
+    )
+    _add_trace(
+        p, "the run's event stream (coflow lifecycle, epoch samples, "
+        "port utilization, failures)",
+    )
+    p.add_argument(
+        "--trace-format", choices=["jsonl", "chrome", "prom"],
+        default="jsonl",
+        help="trace output format: JSONL event log (ccf stats / gantt "
+        "--from-trace), Chrome trace_event JSON (Perfetto), or a "
+        "Prometheus-style metrics dump",
+    )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Replay a coflow JSON file through the chosen discipline."""
-    from repro.network.fabric import Fabric
-    from repro.network.io import load_coflows
+    from repro.core.resilience import ResilienceError
     from repro.network.schedulers import make_scheduler
-    from repro.network.simulator import CoflowSimulator
+    from repro.network.simulator import DEFAULT_STALL_EPOCHS, CoflowSimulator
 
-    if _nonpositive_rate(args.rate) or (
-        args.trace and _unwritable(args.trace)
-    ):
-        return EXIT_USAGE
-    try:
-        coflows = load_coflows(args.coflow_file)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read coflow file {args.coflow_file}: {exc}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if not coflows:
-        print("no coflows in file")
-        return 1
-    n_ports = max(c.max_port for c in coflows) + 1
-    fabric = Fabric(n_ports=n_ports, rate=args.rate)
+    _check_writable(args.trace)
+    loaded = _load_coflow_file(args)
+    if loaded is None:
+        return EXIT_FAILURE
+    coflows, fabric = loaded
+    n_ports = fabric.n_ports
 
     dynamics = None
     if args.fail_port and args.chaos_mtbf:
-        print("--fail-port and --chaos-mtbf are mutually exclusive",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(
+            "--fail-port and --chaos-mtbf are mutually exclusive"
+        )
     if args.fail_port:
         from repro.network.dynamics import FabricDynamics
 
         bad = [p for p in args.fail_port if not 0 <= p < n_ports]
         if bad:
-            print(f"--fail-port out of range: {bad}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"--fail-port out of range: {bad}")
         try:
             dynamics = FabricDynamics.fail(
                 time=args.fail_at,
@@ -809,8 +830,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 direction=args.fail_direction,
             )
         except ValueError as exc:
-            print(f"invalid failure schedule: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"invalid failure schedule: {exc}")
     elif args.chaos_mtbf:
         from repro.network.chaos import ChaosConfig, chaos_schedule
 
@@ -825,8 +845,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 fabric,
             )
         except ValueError as exc:
-            print(f"invalid chaos configuration: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"invalid chaos configuration: {exc}")
     noise = None
     if args.estimate_noise is not None or args.censor:
         from repro.core.noise import NoisyEstimates
@@ -838,8 +857,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 seed=args.noise_seed,
             )
         except ValueError as exc:
-            print(f"invalid estimate noise: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"invalid estimate noise: {exc}")
 
     tracer = None
     if args.trace:
@@ -860,47 +878,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.stage_policy is not None:
         if args.recovery is not None:
-            print(
+            raise _UsageError(
                 "--stage-policy (job-level recovery) and --recovery "
-                "(flow-level recovery) are mutually exclusive; pick one",
-                file=sys.stderr,
+                "(flow-level recovery) are mutually exclusive; pick one"
             )
-            return 2
         if dynamics is None or not dynamics.has_failures:
-            print(
+            raise _UsageError(
                 "--stage-policy needs a failure schedule: add --fail-port "
-                "or --chaos-mtbf so there is something to recover from",
-                file=sys.stderr,
+                "or --chaos-mtbf so there is something to recover from"
             )
-            return 2
         return _simulate_with_stage_policy(
             args, coflows, fabric, dynamics, noise, tracer
         )
 
     if dynamics is not None and dynamics.has_failures and args.recovery is None:
-        print(
+        raise _UsageError(
             "failure injection needs --recovery {abort,retry,replan} "
-            "(flow-level) or --stage-policy (job-level)",
-            file=sys.stderr,
+            "(flow-level) or --stage-policy (job-level)"
         )
-        return 2
-
     if args.timeline_limit is not None:
         if not args.timeline:
-            print(
-                "--timeline-limit only applies with --timeline",
-                file=sys.stderr,
-            )
-            return 2
+            raise _UsageError("--timeline-limit only applies with --timeline")
         if args.timeline_limit <= 0:
-            print(
-                f"--timeline-limit must be positive, "
-                f"got {args.timeline_limit}",
-                file=sys.stderr,
+            raise _UsageError(
+                f"--timeline-limit must be positive, got {args.timeline_limit}"
             )
-            return 2
-
-    from repro.network.simulator import DEFAULT_STALL_EPOCHS
 
     sim = CoflowSimulator(
         fabric,
@@ -951,37 +953,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{s['aborted_coflows']} coflows aborted, "
             f"{s['bytes_lost']:.3g} bytes lost"
         )
-    _write_trace(tracer, args)
-    return 0 if not res.failed_coflows else 1
-
-
-def _report_watchdog_abort(exc: ResilienceError, args: argparse.Namespace) -> int:
-    """Persist a watchdog crash report and return the abort exit code.
-
-    Exit code 3 distinguishes a supervised abort (stall / budget breach,
-    diagnosable from the report) from ordinary failures (1) and CLI
-    misuse (2).
-    """
-    from repro.core.resilience import write_crash_report
-
-    print(f"watchdog abort: {exc}", file=sys.stderr)
-    if exc.report is not None:
-        path = write_crash_report(exc.report, args.crash_dir)
-        print(f"crash report written to {path}", file=sys.stderr)
-    return EXIT_WATCHDOG
-
-
-def _write_trace(tracer, args: argparse.Namespace) -> None:
-    """Flush a captured trace to ``--trace`` in ``--trace-format``."""
-    if tracer is None:
-        return
-    from repro.obs import write_trace
-
-    write_trace(tracer, args.trace, args.trace_format)
-    print(
-        f"trace: {len(tracer.events)} events -> {args.trace} "
-        f"({args.trace_format})"
-    )
+    _write_trace(tracer, args.trace, args.trace_format)
+    return EXIT_FAILURE if res.failed_coflows else EXIT_OK
 
 
 def _simulate_with_stage_policy(
@@ -1052,346 +1025,38 @@ def _simulate_with_stage_policy(
         f"({int(summary['stage_replans'])} replanned), "
         f"{summary['bytes_lost']:.3g} bytes lost"
     )
-    _write_trace(tracer, args)
-    return 0 if res.completed else 1
+    _write_trace(tracer, args.trace, args.trace_format)
+    return EXIT_OK if res.completed else EXIT_FAILURE
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Run one grid experiment through the parallel, cache-aware engine."""
-    from repro.core.resilience import Backoff
-    from repro.experiments.engine import (
-        CellCache,
-        default_cache_dir,
-        derive_seed,
-        run_sweep,
+def _stats_options(p) -> None:
+    p.add_argument("trace_file")
+    _add_formats(p, "json", what="the summary")
+    p.add_argument(
+        "--top-ports", type=int, default=5,
+        help="how many bottleneck ports to list (default 5)",
     )
-    from repro.experiments.registry import build_sweep
-    from repro.obs import MetricsRegistry
-
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print(f"--retries must be >= 0, got {args.retries}", file=sys.stderr)
-        return 2
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        print(
-            f"--cell-timeout must be > 0, got {args.cell_timeout}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.no_cache and args.resume:
-        print(
-            "--no-cache and --resume are mutually exclusive: resuming "
-            "means restoring completed cells from the cache",
-            file=sys.stderr,
-        )
-        return 2
-
-    cache = None
-    cache_dir = None
-    if not args.no_cache:
-        from pathlib import Path
-
-        cache_dir = (
-            Path(args.cache_dir).expanduser()
-            if args.cache_dir
-            else default_cache_dir()
-        )
-        if args.resume and not cache_dir.is_dir():
-            print(
-                f"--resume: cache directory {cache_dir} does not exist; "
-                "nothing to resume from",
-                file=sys.stderr,
-            )
-            return 2
-        cache = CellCache(cache_dir)
-
-    try:
-        spec = build_sweep(
-            args.experiment,
-            quick=args.quick,
-            scale_factor=args.scale_factor,
-            n_nodes=args.nodes,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    retry = None
-    if args.retries > 0:
-        retry = Backoff(
-            max_attempts=args.retries + 1,
-            base_delay=0.2,
-            max_delay=5.0,
-            jitter=0.1,
-            seed=derive_seed(0, "sweep-backoff", spec.name),
-        )
-    metrics = MetricsRegistry()
-    try:
-        outcome = run_sweep(
-            spec,
-            jobs=args.jobs,
-            cache=cache,
-            progress=lambda msg: print(msg, file=sys.stderr),
-            metrics=metrics,
-            retry=retry,
-            cell_timeout_s=args.cell_timeout,
-        )
-    except KeyboardInterrupt as exc:
-        return _report_interrupt(exc, cache_dir)
-    if args.resume:
-        print(
-            f"resumed {outcome.hits}/{outcome.n_cells} cells from cache",
-            file=sys.stderr,
-        )
-    print(
-        f"cells: {outcome.n_cells} total | cache hits: {outcome.hits} | "
-        f"executed: {outcome.misses} | jobs: {outcome.jobs} | "
-        f"{outcome.elapsed_seconds:.2f}s "
-        f"cache={cache_dir if cache is not None else 'off'}",
-        file=sys.stderr,
-    )
-    if (
-        outcome.retries or outcome.timeouts or outcome.worker_crashes
-        or outcome.pool_rebuilds or outcome.quarantined
-    ):
-        print(
-            f"supervision: {outcome.retries} retries | "
-            f"{outcome.timeouts} timeouts | "
-            f"{outcome.worker_crashes} worker crashes | "
-            f"{outcome.pool_rebuilds} pool rebuilds | "
-            f"{outcome.quarantined} quarantined",
-            file=sys.stderr,
-        )
-    table = outcome.table
-    if args.csv:
-        print(table.to_csv(), end="")
-    elif args.markdown:
-        print(table.to_markdown())
-    else:
-        print(table.render())
-    return 0
-
-
-def _report_interrupt(exc: KeyboardInterrupt, cache_dir) -> int:
-    """Print a partial-progress summary after Ctrl-C and return 130.
-
-    130 is the conventional ``128 + SIGINT`` exit code.  Completed cells
-    were flushed to the cache before the interrupt surfaced, so a
-    ``--resume`` rerun restores them.
-    """
-    from repro.experiments.engine import SweepInterrupted
-
-    if isinstance(exc, SweepInterrupted):
-        print(f"interrupted: {exc}", file=sys.stderr)
-    else:
-        print("interrupted", file=sys.stderr)
-    if cache_dir is not None:
-        print(
-            f"completed cells were flushed to {cache_dir}; "
-            "rerun with --resume to pick up where you left off",
-            file=sys.stderr,
-        )
-    return EXIT_INTERRUPTED
-
-
-def _cmd_tournament(args: argparse.Namespace) -> int:
-    """Run the tournament grid and print the ranked scorecard."""
-    from repro.experiments.engine import CellCache, default_cache_dir, run_sweep
-    from repro.experiments.tournament import scorecard, tournament_sweep
-
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-
-    cache = None
-    cache_dir = None
-    if not args.no_cache:
-        from pathlib import Path
-
-        cache_dir = (
-            Path(args.cache_dir).expanduser()
-            if args.cache_dir
-            else default_cache_dir()
-        )
-        cache = CellCache(cache_dir)
-
-    spec = tournament_sweep(quick=args.quick)
-    try:
-        outcome = run_sweep(
-            spec,
-            jobs=args.jobs,
-            cache=cache,
-            progress=lambda msg: print(msg, file=sys.stderr),
-        )
-    except KeyboardInterrupt as exc:
-        return _report_interrupt(exc, cache_dir)
-    print(
-        f"cells: {outcome.n_cells} total | cache hits: {outcome.hits} | "
-        f"executed: {outcome.misses} | jobs: {outcome.jobs} | "
-        f"{outcome.elapsed_seconds:.2f}s "
-        f"cache={cache_dir if cache is not None else 'off'}",
-        file=sys.stderr,
-    )
-    grid = outcome.table
-    card = scorecard(grid)
-    if args.json:
-        import json
-
-        def rows_of(table):
-            return [dict(zip(table.columns, row)) for row in table.rows]
-
-        print(
-            json.dumps(
-                {"scorecard": rows_of(card), "grid": rows_of(grid)},
-                indent=2,
-            )
-        )
-    elif args.csv:
-        print(card.to_csv(), end="")
-    elif args.markdown:
-        print(card.to_markdown())
-        if args.full:
-            print()
-            print(grid.to_markdown())
-    else:
-        print(card.render())
-        if args.full:
-            print()
-            print(grid.render())
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the chaos campaign with platform faults armed by default."""
-    import shutil
-    import tempfile
-    from pathlib import Path
-
-    from repro.core.resilience import WorkerCrash
-    from repro.experiments.chaoscampaign import SCENARIOS, run_campaign
-    from repro.experiments.engine import CellCache, default_cache_dir
-    from repro.obs import MetricsRegistry, Tracer, repro_header
-
-    if args.list_scenarios:
-        width = max(len(name) for name in SCENARIOS)
-        for name, scenario in SCENARIOS.items():
-            print(f"{name:<{width}}  {scenario.description}")
-        return 0
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.scenario:
-        unknown = sorted(set(args.scenario) - set(SCENARIOS))
-        if unknown:
-            print(
-                f"unknown scenario(s) {unknown}; "
-                f"choose from {sorted(SCENARIOS)}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.trace and _unwritable(args.trace):
-        return EXIT_USAGE
-
-    cache = None
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = (
-            Path(args.cache_dir).expanduser()
-            if args.cache_dir
-            else default_cache_dir()
-        )
-        cache = CellCache(cache_dir)
-
-    tracer = None
-    if args.trace:
-        tracer = Tracer(
-            header=repro_header(seed=args.seed, command="chaos")
-        )
-    fault_dir = None
-    if not args.no_faults:
-        fault_dir = tempfile.mkdtemp(prefix="ccf-chaos-faults-")
-    try:
-        out = run_campaign(
-            quick=args.quick,
-            jobs=args.jobs,
-            cache=cache,
-            fault_dir=fault_dir,
-            seed=args.seed,
-            scenarios=tuple(args.scenario) if args.scenario else None,
-            progress=lambda msg: print(msg, file=sys.stderr),
-            metrics=MetricsRegistry(),
-            instrumentation=tracer,
-        )
-    except KeyboardInterrupt as exc:
-        return _report_interrupt(exc, cache_dir)
-    except WorkerCrash as exc:
-        return _report_watchdog_abort(exc, args)
-    finally:
-        if fault_dir is not None:
-            shutil.rmtree(fault_dir, ignore_errors=True)
-        if tracer is not None and args.trace:
-            from repro.obs import write_trace
-
-            write_trace(tracer, args.trace, "jsonl")
-            print(
-                f"trace: {len(tracer.events)} events -> {args.trace} (jsonl)",
-                file=sys.stderr,
-            )
-
-    rendered = (
-        out.table.to_markdown() + "\n\n" + out.resilience.to_markdown()
-        if args.markdown
-        else out.table.render() + "\n\n" + out.resilience.render()
-    )
-    if args.csv:
-        print(out.table.to_csv(), end="")
-    else:
-        print(rendered)
-    if args.report:
-        report_path = Path(args.report).expanduser()
-        if report_path.parent != Path(""):
-            report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(
-            "# Chaos campaign\n\n"
-            + out.table.to_markdown()
-            + "\n\n"
-            + out.resilience.to_markdown()
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"report written to {report_path}", file=sys.stderr)
-    if not out.completed:
-        print("chaos campaign FAILED: coflows were lost", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Summarize a JSONL trace: CCTs, bottleneck ports, failures."""
     import json
 
-    from repro.obs import read_jsonl, render_summary, summarize_trace
+    from repro.obs import render_summary, summarize_trace
 
-    try:
-        header, events = read_jsonl(args.trace_file)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read trace {args.trace_file}: {exc}", file=sys.stderr)
-        return 2
+    header, events = _read_trace(args.trace_file)
     summary = summarize_trace(events, header, top_k_ports=args.top_ports)
     if summary["epochs"].get("truncated"):
-        print(
+        _stderr(
             f"warning: {args.trace_file}: epoch timeline is truncated "
             "(oldest samples missing); epoch-derived statistics cover "
-            "only the retained window",
-            file=sys.stderr,
+            "only the retained window"
         )
     if args.json:
         print(json.dumps(summary, indent=1))
     else:
         print(render_summary(summary))
-    return 0
+    return EXIT_OK
 
 
 #: Experiments cheap enough for the default report.
@@ -1403,6 +1068,26 @@ _QUICK_REPORT = (
     "online",
     "topology",
 )
+
+
+def _report_options(p) -> None:
+    p.add_argument(
+        "--out", default="ccf-report.md", help="output markdown path"
+    )
+    p.add_argument(
+        "--experiments", nargs="*",
+        help="subset to run (default: the quick ones; 'all' for everything)",
+    )
+    p.add_argument(
+        "--quick", action="store_true",
+        help="reduced scale for the paper-figure sweeps",
+    )
+    p.add_argument(
+        "--from-trace", metavar="PATH",
+        help="append a trace-summary section (stats + Gantt) rendered "
+        "from a captured JSONL trace -- no re-simulation; with no "
+        "--experiments the report contains only that section",
+    )
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1421,10 +1106,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         names = sorted(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiments: {unknown}", file=sys.stderr)
-        return 2
-    if _unwritable(args.out):
-        return EXIT_USAGE
+        raise _UsageError(f"unknown experiments: {unknown}")
+    _check_writable(args.out)
 
     sections = [
         "# CCF experiment report",
@@ -1435,39 +1118,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
     ]
     for name in names:
         print(f"running {name} ...", flush=True)
-        if name in _CONFIGURABLE and args.quick:
-            table = _CONFIGURABLE[name](SweepConfig.quick())
-        else:
-            table = run_experiment(name)
+        table = _experiment_table(name, quick=args.quick)
         sections += [f"## {name}", "", table.to_markdown(), ""]
     if args.from_trace:
-        section = _trace_report_section(args.from_trace)
-        if section is None:
-            return 2
-        sections += section
+        sections += _trace_report_section(args.from_trace)
     Path(args.out).write_text("\n".join(sections))
     print(f"report written to {args.out}")
-    return 0
+    return EXIT_OK
 
 
-def _trace_report_section(path: str) -> list[str] | None:
+def _trace_report_section(path: str) -> list[str]:
     """Markdown section summarizing a captured JSONL trace."""
     import json
 
     from repro.network.visualize import gantt
     from repro.obs import (
         names_from_trace,
-        read_jsonl,
         render_summary,
         result_from_trace,
         summarize_trace,
     )
 
-    try:
-        header, events = read_jsonl(path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read trace {path}: {exc}", file=sys.stderr)
-        return None
+    header, events = _read_trace(path)
     summary = summarize_trace(events, header)
     res = result_from_trace(events)
     lines = [f"## Trace summary: `{path}`", ""]
@@ -1498,12 +1170,36 @@ def _trace_report_section(path: str) -> list[str] | None:
     return lines
 
 
+def _verify_options(p) -> None:
+    p.add_argument(
+        "--scale-factor", type=_positive_float, default=60.0,
+        help="TPC-H scale factor for the sweeps (600 = paper scale)",
+    )
+    p.add_argument("--nodes", type=_positive_int, default=100)
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.experiments.paper_check import run_paper_check
+
+    table = run_paper_check(scale_factor=args.scale_factor, n_nodes=args.nodes)
+    print(table.render())
+    return EXIT_FAILURE if "FAIL" in table.column("verdict") else EXIT_OK
+
+
+def _trace_gen_options(p) -> None:
+    p.add_argument("out", help="output path")
+    p.add_argument("--format", choices=["json", "coflowsim"], default="json")
+    p.add_argument("--ports", type=int, default=40)
+    p.add_argument("--coflows", type=int, default=100)
+    p.add_argument("--arrival-rate", type=float, default=2.0)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def _cmd_trace_gen(args: argparse.Namespace) -> int:
     """Generate a synthetic trace in JSON or CoflowSim format."""
     from repro.workloads.coflowmix import CoflowMixConfig, generate_coflow_mix
 
-    if _unwritable(args.out):
-        return EXIT_USAGE
+    _check_writable(args.out)
     try:
         cfg = CoflowMixConfig(
             n_ports=args.ports,
@@ -1512,8 +1208,7 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     except ValueError as exc:
-        print(f"invalid trace configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"invalid trace configuration: {exc}")
     coflows = generate_coflow_mix(cfg)
     if args.format == "json":
         from repro.network.io import save_coflows
@@ -1525,14 +1220,34 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
         try:
             write_coflowsim_trace(coflows, args.out, n_ports=args.ports)
         except ValueError as exc:
-            print(f"cannot express trace in CoflowSim format: {exc}",
-                  file=sys.stderr)
-            return 1
+            _stderr(f"cannot express trace in CoflowSim format: {exc}")
+            return EXIT_FAILURE
     print(
         f"wrote {len(coflows)} coflows over {args.ports} ports to {args.out} "
         f"({args.format})"
     )
-    return 0
+    return EXIT_OK
+
+
+def _bench_options(p) -> None:
+    p.add_argument(
+        "--quick", action="store_true",
+        help="one small fleet case (CI smoke); its key is in the full run",
+    )
+    p.add_argument(
+        "--out", default="BENCH_simulator.json",
+        help="where to write the JSON payload ('-' for stdout only)",
+    )
+    p.add_argument(
+        "--check", metavar="BASELINE",
+        help="compare per-case speedups against a committed "
+        "BENCH_simulator.json and exit non-zero on regression",
+    )
+    p.add_argument(
+        "--tolerance", type=float, default=0.3,
+        help="allowed fractional speedup drop vs the baseline "
+        "(default 0.3)",
+    )
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -1545,11 +1260,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
     )
 
-    if args.out != "-" and _unwritable(args.out):
-        return EXIT_USAGE
+    if args.out != "-":
+        _check_writable(args.out)
     payload = run_bench(
         quick=args.quick,
-        progress=lambda msg: print(f"  {msg}", file=sys.stderr),
+        progress=lambda msg: _stderr(f"  {msg}"),
     )
     text = json.dumps(payload, indent=1)
     # With ``--out -`` stdout IS the JSON document; human-facing chatter
@@ -1570,20 +1285,32 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         file=chat,
     )
     if not s["all_bit_identical"]:
-        return 1
+        return EXIT_FAILURE
     if args.check:
         problems = check_regression(
             payload, load_baseline(args.check), tolerance=args.tolerance
         )
         if problems:
             for p in problems:
-                print(f"REGRESSION: {p}", file=sys.stderr)
-            return 1
+                _stderr(f"REGRESSION: {p}")
+            return EXIT_FAILURE
         print(
             f"no regression vs {args.check} (tolerance {args.tolerance})",
             file=chat,
         )
-    return 0
+    return EXIT_OK
+
+
+def _gantt_options(p) -> None:
+    p.add_argument("coflow_file", nargs="?")
+    p.add_argument(
+        "--from-trace", metavar="PATH",
+        help="read a JSONL trace written by 'ccf simulate --trace' "
+        "instead of re-running the simulation",
+    )
+    _add_scheduler(p)
+    p.add_argument("--rate", type=float, default=128e6)
+    p.add_argument("--width", type=int, default=60)
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
@@ -1591,25 +1318,16 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from repro.network.visualize import gantt
 
     if args.width < 10:
-        print(f"--width must be at least 10, got {args.width}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--width must be at least 10, got {args.width}")
     if (args.coflow_file is None) == (args.from_trace is None):
-        print(
+        raise _UsageError(
             "gantt needs exactly one input: a coflow JSON file "
-            "(simulates) or --from-trace PATH (replays a capture)",
-            file=sys.stderr,
+            "(simulates) or --from-trace PATH (replays a capture)"
         )
-        return 2
     if args.from_trace:
-        from repro.obs import names_from_trace, read_jsonl, result_from_trace
+        from repro.obs import names_from_trace, result_from_trace
 
-        try:
-            header, events = read_jsonl(args.from_trace)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read trace {args.from_trace}: {exc}",
-                  file=sys.stderr)
-            return 2
+        header, events = _read_trace(args.from_trace)
         res = result_from_trace(events)
         names = names_from_trace(events)
         bits = [
@@ -1620,37 +1338,24 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
         print(f"trace {args.from_trace}: {len(names)} coflows"
               + (f" ({'  '.join(bits)})" if bits else ""))
         print(gantt(res, names=names, width=args.width))
-        return 0
+        return EXIT_OK
 
-    from repro.network.fabric import Fabric
-    from repro.network.io import load_coflows
     from repro.network.schedulers import make_scheduler
     from repro.network.simulator import CoflowSimulator
 
-    if _nonpositive_rate(args.rate):
-        return EXIT_USAGE
-    try:
-        coflows = load_coflows(args.coflow_file)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read coflow file {args.coflow_file}: {exc}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if not coflows:
-        print("no coflows in file", file=sys.stderr)
-        return 1
-    n_ports = max(c.max_port for c in coflows) + 1
-    sim = CoflowSimulator(
-        Fabric(n_ports=n_ports, rate=args.rate), make_scheduler(args.scheduler)
-    )
-    res = sim.run(coflows)
+    loaded = _load_coflow_file(args)
+    if loaded is None:
+        return EXIT_FAILURE
+    coflows, fabric = loaded
+    res = CoflowSimulator(fabric, make_scheduler(args.scheduler)).run(coflows)
     names = {
         (c.coflow_id if c.coflow_id >= 0 else i): (c.name or f"cf{i}")
         for i, c in enumerate(coflows)
     }
     print(f"scheduler={args.scheduler}, {len(coflows)} coflows, "
-          f"{n_ports} ports")
+          f"{fabric.n_ports} ports")
     print(gantt(res, names=names, width=args.width))
-    return 0
+    return EXIT_OK
 
 
 def _arrival_config_from_args(args: argparse.Namespace):
@@ -1672,25 +1377,74 @@ def _arrival_config_from_args(args: argparse.Namespace):
     )
 
 
-def _serve_policy_params(args: argparse.Namespace) -> dict:
-    """Collect the explicit policy overrides from serve flags."""
-    params: dict = {}
-    if args.watermark is not None:
-        params["watermark_s"] = args.watermark
-    if args.queue_limit is not None:
-        params["queue_limit"] = args.queue_limit
-    return params
+def _add_policy(p) -> None:
+    p.add_argument(
+        "--policy",
+        choices=["accept-all", "bounded-queue", "load-shedding", "slo-guard"],
+        default="accept-all",
+        help="admission policy (default accept-all)",
+    )
+
+
+def _serve_options(p) -> None:
+    _add_arrival_args(p)
+    p.add_argument(
+        "--load", type=float, default=0.7,
+        help="offered utilization target; the port rate is derived so the "
+        "stream offers this fraction of fabric capacity (> 1 = overload; "
+        "default 0.7)",
+    )
+    p.add_argument(
+        "--rate", type=float,
+        help="explicit per-port rate in bytes/s (overrides --load)",
+    )
+    _add_scheduler(p)
+    _add_policy(p)
+    p.add_argument(
+        "--watermark", type=float, metavar="SECONDS",
+        help="backlog watermark for bounded-queue / load-shedding "
+        "(seconds of work outstanding)",
+    )
+    p.add_argument(
+        "--queue-limit", type=int, metavar="N",
+        help="deferred-coflow cap for bounded-queue",
+    )
+    p.add_argument(
+        "--slo", type=float, metavar="SECONDS",
+        help="steady-state p95 CCT budget; exit 4 when breached "
+        "(also the default budget of --policy slo-guard)",
+    )
+    _add_chaos(p, mttr=1.0, recovery="retry")
+    p.add_argument(
+        "--min-alive", type=int, default=2,
+        help="chaos never takes the fabric below this many live ports",
+    )
+    _add_watchdog(p, max_epochs=50_000_000)
+    _add_trace(
+        p, "the event log (lifecycle + admission rulings) as JSONL, "
+        "streamed while running -- bounded memory at any length",
+    )
+    p.add_argument(
+        "--flush-every", type=int, default=4096, metavar="N",
+        help="trace flush interval in events (default 4096)",
+    )
+    _add_formats(p, "json", what="the service report")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run one open-loop service scenario and report it."""
     import json
 
+    from repro.core.resilience import ResilienceError
     from repro.service import ServiceConfig, make_admission_policy, run_service
 
     try:
         arrival = _arrival_config_from_args(args)
-        policy_params = _serve_policy_params(args)
+        policy_params = {}
+        if args.watermark is not None:
+            policy_params["watermark_s"] = args.watermark
+        if args.queue_limit is not None:
+            policy_params["queue_limit"] = args.queue_limit
         # Validate the policy/override combination up front so a bad
         # flag pairing (e.g. --queue-limit with accept-all) is a usage
         # error, not a mid-run crash.
@@ -1711,15 +1465,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_epochs=args.max_epochs or 50_000_000,
         )
     except (ValueError, TypeError) as exc:
-        print(f"invalid service configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"invalid service configuration: {exc}")
 
     tracer = None
     if args.trace:
         from repro.obs import StreamingTracer, repro_header
 
-        if _unwritable(args.trace):
-            return EXIT_USAGE
+        _check_writable(args.trace)
         try:
             tracer = StreamingTracer(
                 args.trace,
@@ -1733,8 +1485,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
             )
         except ValueError as exc:
-            print(f"invalid trace configuration: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"invalid trace configuration: {exc}")
 
     try:
         report, result, _ = run_service(config, instrumentation=tracer)
@@ -1748,9 +1499,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         _print_service_report(report, args)
-    if tracer is not None and not args.json:
-        print(f"trace: {tracer.events_written} events -> {args.trace}")
-    return EXIT_SLO_BREACH if not report.slo_ok else EXIT_OK
+        if tracer is not None:
+            print(f"trace: {tracer.events_written} events -> {args.trace}")
+    return EXIT_OK if report.slo_ok else EXIT_SLO_BREACH
 
 
 def _print_service_report(report, args: argparse.Namespace) -> None:
@@ -1798,6 +1549,43 @@ def _print_service_report(report, args: argparse.Namespace) -> None:
         )
 
 
+def _capacity_options(p) -> None:
+    p.add_argument(
+        "axis", choices=["load", "nodes"],
+        help="search axis: 'load' finds the highest offered load within "
+        "budget; 'nodes' the smallest fabric (needs --rate)",
+    )
+    p.add_argument(
+        "--budget", type=float, required=True, metavar="SECONDS",
+        help="p95 CCT budget the knee is measured against",
+    )
+    _add_arrival_args(p)
+    p.add_argument(
+        "--rate", type=float,
+        help="fixed per-port rate in bytes/s (required for the nodes "
+        "axis; forbidden for the load axis)",
+    )
+    _add_scheduler(p)
+    _add_policy(p)
+    p.add_argument(
+        "--lo", type=float,
+        help="search lower bound (default: 0.2 load / 4 nodes)",
+    )
+    p.add_argument(
+        "--hi", type=float,
+        help="search upper bound (default: 2.0 load / 128 nodes)",
+    )
+    p.add_argument(
+        "--iters", type=int, default=6,
+        help="bisection iterations for the load axis (default 6)",
+    )
+    p.add_argument(
+        "--probe-arrivals", type=int, metavar="N",
+        help="shorten each probe stream to N arrivals",
+    )
+    _add_formats(p, "json", what="the probe list and knee")
+
+
 def _cmd_capacity(args: argparse.Namespace) -> int:
     """Binary-search the p95-CCT knee along one axis."""
     import json
@@ -1808,21 +1596,15 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         find_node_capacity,
     )
 
-    if args.axis == "load" and args.rate is not None:
-        print(
-            "--rate is forbidden on the load axis (the port rate is "
-            "derived from each probed load)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.axis == "nodes" and args.rate is None:
-        print(
-            "the nodes axis needs an explicit --rate (a load-derived "
-            "rate would re-absorb any node count)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
+    bound = float if args.axis == "load" else int
+    kwargs = dict(budget_s=args.budget, probe_arrivals=args.probe_arrivals)
+    if args.axis == "load":
+        kwargs["iters"] = args.iters
+    if args.lo is not None:
+        kwargs["lo"] = bound(args.lo)
+    if args.hi is not None:
+        kwargs["hi"] = bound(args.hi)
+    search = find_load_capacity if args.axis == "load" else find_node_capacity
     try:
         config = ServiceConfig(
             arrival=_arrival_config_from_args(args),
@@ -1830,30 +1612,9 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
             scheduler=args.scheduler,
             policy=args.policy,
         )
-        if args.axis == "load":
-            kwargs = dict(
-                budget_s=args.budget,
-                iters=args.iters,
-                probe_arrivals=args.probe_arrivals,
-            )
-            if args.lo is not None:
-                kwargs["lo"] = args.lo
-            if args.hi is not None:
-                kwargs["hi"] = args.hi
-            result = find_load_capacity(config, **kwargs)
-        else:
-            kwargs = dict(
-                budget_s=args.budget,
-                probe_arrivals=args.probe_arrivals,
-            )
-            if args.lo is not None:
-                kwargs["lo"] = int(args.lo)
-            if args.hi is not None:
-                kwargs["hi"] = int(args.hi)
-            result = find_node_capacity(config, **kwargs)
+        result = search(config, **kwargs)
     except ValueError as exc:
-        print(f"invalid capacity search: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"invalid capacity search: {exc}")
 
     if args.json:
         payload = {
@@ -1874,78 +1635,113 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     return EXIT_OK if result.best is not None else EXIT_FAILURE
 
 
+@dataclass(frozen=True)
+class Command:
+    """One ``ccf`` subcommand: its help line, a function adding its
+    options to its parser, and its handler (returns the exit code)."""
+
+    help: str
+    options: Callable[[argparse.ArgumentParser], None] | None
+    run: Callable[[argparse.Namespace], int]
+
+
+COMMANDS: dict[str, Command] = {
+    "list": Command("list available experiments", None, _cmd_list),
+    "run": Command(
+        "run one experiment and print its table", _run_options, _cmd_run
+    ),
+    "sweep": Command(
+        "run a grid experiment through the parallel, cache-aware "
+        "engine (bit-identical to 'ccf run', but cells fan out over "
+        "worker processes and completed cells are memoized on disk)",
+        _sweep_options, _cmd_sweep,
+    ),
+    "tournament": Command(
+        "rank every scheduling discipline on the weighted-CCT "
+        "objective: run the tournament grid (schedulers x workload "
+        "families x weight distributions) through the sweep engine and "
+        "fold it into a scorecard with per-scheduler optimality gaps "
+        "against the interval-indexed LP lower bound",
+        _tournament_options, _cmd_tournament,
+    ),
+    "chaos": Command(
+        "run the chaos campaign: named fault scenarios (fabric "
+        "chaos, noisy estimates, worker kills, cache corruption, cell "
+        "timeouts) executed through the supervised sweep engine and "
+        "scored for resilience",
+        _chaos_options, _cmd_chaos,
+    ),
+    "plan": Command(
+        "plan a synthetic join workload and export its coflow",
+        _plan_options, _cmd_plan,
+    ),
+    "simulate": Command(
+        "run a coflow JSON file through the simulator",
+        _simulate_options, _cmd_simulate,
+    ),
+    "stats": Command(
+        "summarize a captured JSONL trace: CCT percentiles, per-port "
+        "bottleneck attribution, failure counts",
+        _stats_options, _cmd_stats,
+    ),
+    "report": Command(
+        "run a set of experiments and write a markdown report",
+        _report_options, _cmd_report,
+    ),
+    "verify": Command(
+        "check every published claim of the paper (PASS/FAIL)",
+        _verify_options, _cmd_verify,
+    ),
+    "trace-gen": Command(
+        "generate a synthetic Facebook-style coflow trace file",
+        _trace_gen_options, _cmd_trace_gen,
+    ),
+    "bench": Command(
+        "benchmark event-horizon batching (batch_events off vs on) "
+        "on large service-mode fleets",
+        _bench_options, _cmd_bench,
+    ),
+    "gantt": Command(
+        "render an ASCII Gantt chart from a coflow file (simulates) "
+        "or from a captured JSONL trace (no re-simulation)",
+        _gantt_options, _cmd_gantt,
+    ),
+    "serve": Command(
+        "open-loop service mode: stream seeded coflow arrivals "
+        "through an admission policy into the simulator and report "
+        "steady-state CCT percentiles (exit 4 on SLO breach)",
+        _serve_options, _cmd_serve,
+    ),
+    "capacity": Command(
+        "binary-search the p95-CCT knee: the highest sustainable "
+        "offered load, or the smallest fabric for a target stream",
+        _capacity_options, _cmd_capacity,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser (exposed for testing)."""
+    parser = argparse.ArgumentParser(
+        prog="ccf",
+        description="Reproduce the CCF paper's evaluation (ICPP 2017).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.options is not None:
+            command.options(p)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-
-    if args.command == "list":
-        for name in sorted(EXPERIMENTS):
-            print(name)
-        return 0
-
-    if args.command == "plan":
-        return _cmd_plan(args)
-
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-
-    if args.command == "tournament":
-        return _cmd_tournament(args)
-
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-
-    if args.command == "stats":
-        return _cmd_stats(args)
-
-    if args.command == "report":
-        return _cmd_report(args)
-
-    if args.command == "trace-gen":
-        return _cmd_trace_gen(args)
-
-    if args.command == "bench":
-        return _cmd_bench(args)
-
-    if args.command == "gantt":
-        return _cmd_gantt(args)
-
-    if args.command == "serve":
-        return _cmd_serve(args)
-
-    if args.command == "capacity":
-        return _cmd_capacity(args)
-
-    if args.command == "verify":
-        from repro.experiments.paper_check import run_paper_check
-
-        table = run_paper_check(
-            scale_factor=args.scale_factor, n_nodes=args.nodes
-        )
-        print(table.render())
-        return 0 if "FAIL" not in table.column("verdict") else 1
-
-    name = args.experiment
-    if name in _CONFIGURABLE and (args.quick or args.scale_factor or args.nodes):
-        cfg = SweepConfig.quick() if args.quick else SweepConfig()
-        if args.scale_factor is not None:
-            cfg.scale_factor = args.scale_factor
-        if args.nodes is not None:
-            cfg.n_nodes = args.nodes
-        table = _CONFIGURABLE[name](cfg)
-    else:
-        table = run_experiment(name)
-
-    if args.csv:
-        print(table.to_csv(), end="")
-    elif args.markdown:
-        print(table.to_markdown())
-    else:
-        print(table.render())
-    return 0
+    try:
+        return COMMANDS[args.command].run(args)
+    except _UsageError as exc:
+        _stderr(str(exc))
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

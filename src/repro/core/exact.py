@@ -13,8 +13,9 @@ continuous makespan ``T``:
 
 The problem is an integer multi-commodity flow instance (NP-complete); the
 paper reports > 30 min solver time at n=500, p=7500, which motivates
-Algorithm 1.  ``benchmarks/bench_solver_scaling.py`` reproduces the scaling
-behaviour and measures the heuristic's optimality gap.
+Algorithm 1.  ``ccf run solver`` (:mod:`repro.experiments.solver`)
+reproduces the scaling behaviour and measures the heuristic's optimality
+gap.
 """
 
 from __future__ import annotations

@@ -12,12 +12,12 @@ Each experiment mirrors one artifact of the paper (§IV):
 ``ablation-heuristic``  Algorithm 1 design-choice ablation
 ===================  =================================================
 
-Run them via :func:`repro.experiments.registry.run_experiment`, the
-``ccf`` CLI, or the per-figure benches under ``benchmarks/``.  The
-grid-shaped experiments are also sweep-capable: ``ccf sweep <name>``
-(or :func:`repro.experiments.engine.run_sweep` on the spec from
-:func:`repro.experiments.registry.build_sweep`) runs their cells in
-parallel with on-disk memoization, bit-identically to the serial path.
+Run them via :func:`repro.experiments.registry.run_experiment` or the
+``ccf`` CLI.  The grid-shaped experiments are also sweep-capable:
+``ccf sweep <name>`` (or :func:`repro.experiments.engine.run_sweep` on
+the spec from :func:`repro.experiments.registry.build_sweep`) runs their
+cells in parallel with on-disk memoization, bit-identically to the
+serial path.
 """
 
 from repro import _lazy_exports

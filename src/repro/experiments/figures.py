@@ -20,6 +20,7 @@ from typing import Sequence
 
 from repro.core.framework import CCF, DEFAULT_STRATEGIES
 from repro.experiments.engine import Cell, SweepSpec, rows_to_table, run_sweep
+from repro.experiments.registry import QUICK_N_NODES, QUICK_SCALE_FACTOR
 from repro.experiments.tables import ResultTable
 from repro.workloads.analytic import AnalyticJoinWorkload
 
@@ -39,11 +40,6 @@ __all__ = [
 FIG5_NODES = (100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)
 FIG6_ZIPF = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 FIG7_SKEW = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-
-#: Reduced scale shared by ``ccf run --quick`` and ``ccf sweep --quick``
-#: (the single source of truth; the CLI must not redeclare these).
-QUICK_SCALE_FACTOR = 30.0
-QUICK_N_NODES = 50
 
 
 @dataclass

@@ -7,100 +7,98 @@ Two registries live here:
 * :data:`SWEEPS` -- the subset whose grids are declared as engine cell
   lists; :func:`build_sweep` turns a name plus CLI-style overrides into
   a :class:`~repro.experiments.engine.SweepSpec` for ``ccf sweep``.
+
+Entries name their function by module, and the module is imported the
+first time the entry is called, so importing the registry (as the
+``ccf`` parser does for its ``choices``) loads no experiment.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable
 
-from repro.experiments.ablation import (
-    heuristic_ablation_sweep,
-    run_heuristic_ablation,
-    run_scheduler_ablation,
-    scheduler_ablation_sweep,
-)
-from repro.experiments.chaoscampaign import campaign_sweep, run_chaos
-from repro.experiments.crossover import crossover_sweep, run_broadcast_crossover
-from repro.experiments.dagrecovery import run_dag_recovery
-from repro.experiments.engine import SweepSpec
-from repro.experiments.extensions import (
-    run_online_vs_oblivious,
-    run_topology_sweep,
-    run_trace_schedulers,
-)
-from repro.experiments.figures import (
-    fig5_sweep,
-    fig6_sweep,
-    fig7_sweep,
-    run_fig5_nodes,
-    run_fig6_zipf,
-    run_fig7_skew,
-)
-from repro.experiments.motivating import run_motivating
-from repro.experiments.psweep import psweep_sweep, run_partition_sweep
-from repro.experiments.querybench import queries_sweep, run_query_suite
-from repro.experiments.service import overload_sweep, run_overload
-from repro.experiments.robustness import (
-    recovery_sweep,
-    robustness_sweep,
-    run_failure_recovery,
-    run_robustness,
-)
-from repro.experiments.solver import run_solver_scaling
-from repro.experiments.summary import run_summary
-from repro.experiments.tables import ResultTable
-from repro.experiments.tournament import run_tournament, tournament_sweep
-from repro.experiments.validation import run_model_validation
+if TYPE_CHECKING:
+    from repro.experiments.engine import SweepSpec
+    from repro.experiments.tables import ResultTable
 
-__all__ = ["EXPERIMENTS", "SWEEPS", "build_sweep", "run_experiment"]
+__all__ = [
+    "EXPERIMENTS",
+    "SWEEPS",
+    "FIGURE_SWEEPS",
+    "QUICK_SCALE_FACTOR",
+    "QUICK_N_NODES",
+    "build_sweep",
+    "run_experiment",
+]
+
+#: Reduced scale of the figure sweeps behind every ``--quick`` flag
+#: (the single source of truth; figures.py and the CLI read it here).
+QUICK_SCALE_FACTOR = 30.0
+QUICK_N_NODES = 50
+
+
+def _lazy(module: str, name: str) -> Callable:
+    """``repro.experiments.<module>.<name>``, imported when first called.
+
+    Listing or parsing experiment names then loads no experiment module;
+    running one loads only the module it needs.
+    """
+
+    def call(*args, **kwargs):
+        target = getattr(import_module(f"repro.experiments.{module}"), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+#: Name -> (module, serial runner, engine sweep factory or None).
+_CATALOG: dict[str, tuple[str, str, str | None]] = {
+    "motivating": ("motivating", "run_motivating", None),
+    "fig5": ("figures", "run_fig5_nodes", "fig5_sweep"),
+    "fig6": ("figures", "run_fig6_zipf", "fig6_sweep"),
+    "fig7": ("figures", "run_fig7_skew", "fig7_sweep"),
+    "solver": ("solver", "run_solver_scaling", None),
+    "ablation-sched": (
+        "ablation", "run_scheduler_ablation", "scheduler_ablation_sweep"
+    ),
+    "ablation-heuristic": (
+        "ablation", "run_heuristic_ablation", "heuristic_ablation_sweep"
+    ),
+    "trace": ("extensions", "run_trace_schedulers", None),
+    "online": ("extensions", "run_online_vs_oblivious", None),
+    "topology": ("extensions", "run_topology_sweep", None),
+    "queries": ("querybench", "run_query_suite", "queries_sweep"),
+    "robustness": ("robustness", "run_robustness", "robustness_sweep"),
+    "recovery": ("robustness", "run_failure_recovery", "recovery_sweep"),
+    "dag-recovery": ("dagrecovery", "run_dag_recovery", None),
+    "validation": ("validation", "run_model_validation", None),
+    "crossover": ("crossover", "run_broadcast_crossover", "crossover_sweep"),
+    "psweep": ("psweep", "run_partition_sweep", "psweep_sweep"),
+    "chaos": ("chaoscampaign", "run_chaos", "campaign_sweep"),
+    "overload": ("service", "run_overload", "overload_sweep"),
+    "tournament": ("tournament", "run_tournament", "tournament_sweep"),
+    "summary": ("summary", "run_summary", None),
+}
 
 #: Name -> zero-argument runner returning a ResultTable.
 EXPERIMENTS: dict[str, Callable[[], ResultTable]] = {
-    "motivating": run_motivating,
-    "fig5": run_fig5_nodes,
-    "fig6": run_fig6_zipf,
-    "fig7": run_fig7_skew,
-    "solver": run_solver_scaling,
-    "ablation-sched": run_scheduler_ablation,
-    "ablation-heuristic": run_heuristic_ablation,
-    "trace": run_trace_schedulers,
-    "online": run_online_vs_oblivious,
-    "topology": run_topology_sweep,
-    "queries": run_query_suite,
-    "robustness": run_robustness,
-    "recovery": run_failure_recovery,
-    "dag-recovery": run_dag_recovery,
-    "validation": run_model_validation,
-    "crossover": run_broadcast_crossover,
-    "psweep": run_partition_sweep,
-    "chaos": run_chaos,
-    "overload": run_overload,
-    "tournament": run_tournament,
-    "summary": run_summary,
+    name: _lazy(module, runner)
+    for name, (module, runner, _) in _CATALOG.items()
 }
-
 
 #: Name -> keyword-only SweepSpec factory accepting at least ``quick``.
 #: Keys are a subset of :data:`EXPERIMENTS`: the grid-shaped experiments
 #: whose cells are independent and engine-runnable.
 SWEEPS: dict[str, Callable[..., SweepSpec]] = {
-    "fig5": fig5_sweep,
-    "fig6": fig6_sweep,
-    "fig7": fig7_sweep,
-    "ablation-sched": scheduler_ablation_sweep,
-    "ablation-heuristic": heuristic_ablation_sweep,
-    "queries": queries_sweep,
-    "robustness": robustness_sweep,
-    "recovery": recovery_sweep,
-    "crossover": crossover_sweep,
-    "psweep": psweep_sweep,
-    "chaos": campaign_sweep,
-    "overload": overload_sweep,
-    "tournament": tournament_sweep,
+    name: _lazy(module, sweep)
+    for name, (module, _, sweep) in _CATALOG.items()
+    if sweep is not None
 }
 
 #: Sweeps accepting the figure-style --scale-factor / --nodes overrides.
-_FIGURE_SWEEPS = frozenset({"fig5", "fig6", "fig7"})
+FIGURE_SWEEPS = frozenset({"fig5", "fig6", "fig7"})
 
 
 def run_experiment(name: str) -> ResultTable:
@@ -167,11 +165,11 @@ def build_sweep(
             f"experiment {name!r} is not sweep-capable; "
             f"choose from {sorted(SWEEPS)}"
         ) from None
-    if name in _FIGURE_SWEEPS:
+    if name in FIGURE_SWEEPS:
         return factory(quick=quick, scale_factor=scale_factor, n_nodes=n_nodes)
     if scale_factor is not None or n_nodes is not None:
         raise ValueError(
             f"--scale-factor/--nodes only apply to figure sweeps "
-            f"({sorted(_FIGURE_SWEEPS)}), not {name!r}"
+            f"({sorted(FIGURE_SWEEPS)}), not {name!r}"
         )
     return factory(quick=quick)

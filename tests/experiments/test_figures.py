@@ -80,6 +80,11 @@ class TestFig6Shapes:
         hash_ = fig6.column("hash_traffic_gb")
         assert (mini[0] - mini[-1]) > (hash_[0] - hash_[-1])
 
+    def test_ccf_beats_mini_at_every_zipf(self, fig6):
+        mini = fig6.column("mini_cct_s")
+        ccf = fig6.column("ccf_cct_s")
+        assert all(c < m for c, m in zip(ccf, mini))
+
     def test_largest_speedup_at_uniform(self, fig6):
         hash_ = fig6.column("hash_cct_s")
         ccf = fig6.column("ccf_cct_s")

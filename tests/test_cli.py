@@ -529,6 +529,8 @@ class TestInputErrorsExitUsage:
              "cannot write"),
             (["chaos", "--quick", "--no-cache", "--trace",
               "{missing}/c.jsonl"], "cannot write"),
+            (["chaos", "--quick", "--no-cache", "--report",
+              "{missing}/c.md"], "cannot write"),
             (["simulate", "{coflows}", "--rate", "0"], "--rate must be"),
             (["simulate", "{coflows}", "--rate", "-1"], "--rate must be"),
             (["gantt", "{coflows}", "--width", "0"], "--width must be"),
@@ -536,6 +538,7 @@ class TestInputErrorsExitUsage:
         ids=[
             "trace-gen-out", "trace-gen-ports", "report-out",
             "simulate-trace", "serve-trace", "bench-out", "chaos-trace",
+            "chaos-report",
             "simulate-rate-0", "simulate-rate-neg", "gantt-width",
         ],
     )
@@ -550,6 +553,26 @@ class TestInputErrorsExitUsage:
         self.assert_usage_error(
             [arg.format(**fill) for arg in argv], capsys, needle
         )
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig5", "--scale-factor", "-1"],
+            ["run", "fig6", "--nodes", "0"],
+            ["sweep", "fig6", "--quick", "--nodes", "0", "--no-cache"],
+            ["verify", "--nodes", "0", "--scale-factor", "1"],
+        ],
+        ids=["run-scale-factor", "run-nodes", "sweep-nodes", "verify-nodes"],
+    )
+    def test_nonpositive_figure_override(self, argv, capsys):
+        # Rejected while parsing, before any experiment runs.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be positive" in err
+        assert "Traceback" not in err
 
 
 class TestExitCodeContract:

@@ -10,7 +10,9 @@ Package ``__init__`` modules re-export lazily, and imports point down the
 layer stack: ``import repro`` loads no other ``repro`` module, and the
 simulator, the service loop and the benchmark hot path load neither the
 operator layers (``repro.analytics``, ``repro.join``) nor the sweep
-engine and the process pools it brings.
+engine and the process pools it brings.  The ``ccf`` parser reads
+experiment names from the lazy registry, so only a command that runs an
+experiment imports its module.
 
 Each check runs in a fresh interpreter, since the test process may
 already have loaded any of these modules.
@@ -147,3 +149,27 @@ def test_hot_path_imports_stay_down_the_stack(module, tmp_path):
                for bad in NOT_ON_THE_HOT_PATH)
     )
     assert not leaked, f"import {module} loaded {leaked}"
+
+
+@pytest.mark.parametrize("case", ["import", "stats"])
+def test_cli_loads_no_experiment_module(case, tmp_path):
+    code = "import repro.cli"
+    if case == "stats":
+        from repro.cli import main
+
+        cwd = os.getcwd()
+        os.chdir(tmp_path)
+        try:
+            assert main(["plan", "--nodes", "6", "--out", "p.json"]) == 0
+            assert main(["simulate", "p.json", "--trace", "t.jsonl"]) == 0
+        finally:
+            os.chdir(cwd)
+        code = _cli("stats", "t.jsonl")
+    loaded = _loaded_modules(code, tmp_path)
+    assert "repro.cli" in loaded
+    leaked = sorted(
+        m for m in loaded
+        if m.startswith("repro.experiments.")
+        and m != "repro.experiments.registry"
+    )
+    assert not leaked, f"ccf {case} loaded {leaked}"
