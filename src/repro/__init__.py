@@ -79,7 +79,7 @@ def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]) -> tuple:
 
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    "analytics": ("AnalyticalJob", "JobExecutor"),
+    "analytics": ("DAGExecutor", "JobDAG"),
     "core": (
         "CCF",
         "ExecutionPlan",

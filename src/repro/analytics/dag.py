@@ -299,14 +299,6 @@ class DAGResult:
             "bytes_lost": self.bytes_lost,
         }
 
-    def critical_path(self) -> list[str]:
-        """Stage chain ending at the last completion, following the
-        latest-finishing parent at each step (a lower-bound witness)."""
-        if not self.stages:
-            return []
-        last = max(self.stages.values(), key=lambda s: s.completion_time)
-        return [last.name]
-
 
 def _alive_at(
     base: Fabric, dynamics: FabricDynamics | None, t: float

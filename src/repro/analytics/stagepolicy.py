@@ -27,8 +27,8 @@ policy answers with one of three decisions:
     unreadable (a source node died -- lineage data gone until repair).
 
 Every decision is recorded as a :class:`StageFailureEvent` and surfaced
-on ``DAGResult`` / ``JobResult`` so experiments can report job-completion
--time inflation, retry counts and replans, not just CCTs.
+on ``DAGStageResult`` / ``DAGResult`` so experiments can report
+job-completion-time inflation, retry counts and replans, not just CCTs.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -63,6 +64,7 @@ __all__ = [
     "EXIT_WATCHDOG",
     "EXIT_SLO_BREACH",
     "EXIT_INTERRUPTED",
+    "EXIT_BROKEN_PIPE",
     "EXIT_CODES",
 ]
 
@@ -75,6 +77,7 @@ EXIT_USAGE = 2
 EXIT_WATCHDOG = 3
 EXIT_SLO_BREACH = 4
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 EXIT_CODES: dict[int, str] = {
     EXIT_OK: "success",
@@ -83,6 +86,7 @@ EXIT_CODES: dict[int, str] = {
     EXIT_WATCHDOG: "watchdog abort (crash report written)",
     EXIT_SLO_BREACH: "SLO breach (serve: p95 CCT over budget)",
     EXIT_INTERRUPTED: "interrupted (128 + SIGINT)",
+    EXIT_BROKEN_PIPE: "output pipe closed by the reader (128 + SIGPIPE)",
 }
 
 
@@ -264,7 +268,6 @@ def _check_writable(path) -> None:
     ``--out`` / ``--trace`` / ``--report`` exits 2 at once instead of a
     traceback (or a stray directory) after the whole run.
     """
-    import os
     from pathlib import Path
 
     if path is None:
@@ -407,15 +410,27 @@ def _experiment_table(
     scale_factor: float | None = None,
     n_nodes: int | None = None,
 ):
-    """Run one registered experiment; the figure sweeps take the figure
-    overrides, every other experiment runs at its defaults."""
-    if name not in FIGURE_SWEEPS:
+    """Run one registered experiment.
+
+    A sweep-capable experiment runs its engine grid with the overrides
+    (``build_sweep`` refuses the ones it cannot take); any other takes
+    none and runs at its defaults.
+    """
+    if name not in SWEEPS:
+        if quick or scale_factor is not None or n_nodes is not None:
+            raise _UsageError(
+                f"--quick/--scale-factor/--nodes only apply to sweep "
+                f"experiments ({', '.join(sorted(SWEEPS))}), not {name!r}"
+            )
         return run_experiment(name)
     from repro.experiments.engine import run_sweep
 
-    spec = build_sweep(
-        name, quick=quick, scale_factor=scale_factor, n_nodes=n_nodes
-    )
+    try:
+        spec = build_sweep(
+            name, quick=quick, scale_factor=scale_factor, n_nodes=n_nodes
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     return run_sweep(spec).table
 
 
@@ -1118,7 +1133,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     ]
     for name in names:
         print(f"running {name} ...", flush=True)
-        table = _experiment_table(name, quick=args.quick)
+        table = _experiment_table(
+            name, quick=args.quick and name in FIGURE_SWEEPS
+        )
         sections += [f"## {name}", "", table.to_markdown(), ""]
     if args.from_trace:
         sections += _trace_report_section(args.from_trace)
@@ -1738,10 +1755,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command].run(args)
+        status = COMMANDS[args.command].run(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
     except _UsageError as exc:
         _stderr(str(exc))
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader left early (``ccf list | head -1``): point stdout
+        # at devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

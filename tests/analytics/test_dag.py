@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from repro.analytics.dag import DAGExecutor, JobDAG
+from repro.core.framework import CCF
 from repro.core.model import ShuffleModel
+from repro.join.operators import DistributedAggregation, DistributedJoin
+from repro.join.partitioner import HashPartitioner
 from repro.network.fabric import Fabric
 from repro.network.flow import Coflow, Flow
 from repro.network.schedulers import make_scheduler
 from repro.network.simulator import CoflowSimulator
+from repro.workloads.tpch import TPCHConfig, generate_tpch_relations
 
 
 def model(volume=8.0, n=4, src=0, dst=None, rate=1.0):
@@ -22,6 +26,28 @@ def model(volume=8.0, n=4, src=0, dst=None, rate=1.0):
     v0 = np.zeros((n, n))
     v0[src, dst] = volume
     return ShuffleModel(h=np.zeros((n, 0)), v0=v0, rate=rate)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    """A sequential job (paper Fig. 3): a join, then an aggregation."""
+    cfg = TPCHConfig(n_nodes=4, scale_factor=0.002, seed=2)
+    customer, orders = generate_tpch_relations(cfg)
+    join = DistributedJoin(customer, orders, partitioner=HashPartitioner(20))
+    agg = DistributedAggregation(orders, partitioner=HashPartitioner(20))
+    return (
+        JobDAG("q")
+        .add("join", join)
+        .add("aggregate", agg, parents=("join",))
+    )
+
+
+def closed_form(dag, strategy="ccf"):
+    """Each stage's bandwidth-optimal CCT, the closed-form stage time."""
+    return {
+        name: CCF().plan(dag.stage(name).workload, strategy).cct
+        for name in dag.stage_names
+    }
 
 
 class TestInjection:
@@ -149,6 +175,27 @@ class TestDAGExecutor:
             assert set(result.stages) == {"a", "b", "c", "d"}
             assert result.strategy == strategy
 
-    def test_critical_path_nonempty(self):
-        result = DAGExecutor().run(self.make_diamond())
-        assert result.critical_path()
+    def test_chain_stages_match_closed_form_under_sebf(self, chain):
+        result = DAGExecutor(scheduler="sebf").run(chain)
+        for name, cct in closed_form(chain).items():
+            assert result.stages[name].duration == pytest.approx(cct, rel=1e-6)
+        s = result.stages
+        assert s["aggregate"].start_time >= s["join"].completion_time - 1e-9
+
+    def test_chain_fair_not_faster_than_closed_form(self, chain):
+        result = DAGExecutor(scheduler="fair").run(chain)
+        for name, cct in closed_form(chain).items():
+            assert result.stages[name].duration >= cct - 1e-9
+
+    def test_chain_ccf_not_slower_than_baselines(self, chain):
+        total = {
+            s: sum(closed_form(chain, s).values())
+            for s in ("hash", "mini", "ccf")
+        }
+        assert total["ccf"] <= total["hash"] + 1e-9
+        assert total["ccf"] <= total["mini"] + 1e-9
+
+    def test_chain_custom_ccf_instance(self, chain):
+        result = DAGExecutor(CCF(skew_handling=False)).run(chain)
+        assert result.completed and result.strategy == "ccf"
+        assert list(result.stages) == ["join", "aggregate"]

@@ -1,4 +1,4 @@
-"""Job-level fault tolerance: stage policies on the DAG/job executors.
+"""Job-level fault tolerance: stage policies on the DAG executor.
 
 Covers the acceptance scenario of the fault-tolerance tentpole: a DAG
 run with an injected node failure under ``replan-stage`` completes with
@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from repro.analytics.dag import DAGExecutor, JobDAG
-from repro.analytics.executor import JobExecutor
-from repro.analytics.query import AnalyticalJob
 from repro.analytics.stagepolicy import (
     FailJobPolicy,
     ReplanStagePolicy,
@@ -48,6 +46,15 @@ def diamond():
         .add("b", shuffle(2), dest=np.array([0, 1, 2, 0, 1, 2]))
         .add("c", shuffle(3), parents=("a", "b"))
         .add("d", shuffle(4), parents=("c",))
+    )
+
+
+def chain():
+    """A sequential two-stage job: ``reduce`` runs after ``map``."""
+    return (
+        JobDAG("pipeline")
+        .add("map", shuffle(5))
+        .add("reduce", shuffle(6), parents=("map",))
     )
 
 
@@ -139,6 +146,15 @@ class TestReplanRecovery:
         assert result.total_replans == 0
         assert result.makespan >= 50.0
 
+    def test_chain_replan_completes_with_records(self):
+        result = DAGExecutor().run(
+            chain(), dynamics=ingress_loss(), stage_policy="replan-stage"
+        )
+        assert result.completed
+        assert result.total_retries >= 1
+        assert result.bytes_lost > 0
+        assert result.makespan > FAIL_AT
+
 
 class TestFailJobAndRetry:
     def test_fail_job_reports_instead_of_raising(self):
@@ -154,6 +170,12 @@ class TestFailJobAndRetry:
         summary = result.failure_summary()
         assert summary["completed"] == 0.0
         assert summary["failed_stages"] == 1
+
+    def test_chain_fail_job_reports_failure(self):
+        result = DAGExecutor().run(
+            chain(), dynamics=ingress_loss(), stage_policy="fail-job"
+        )
+        assert result.failed and not result.completed
 
     def test_retry_waits_out_the_outage(self):
         healthy = DAGExecutor().run(diamond())
@@ -185,41 +207,6 @@ class TestValidation:
     def test_failures_without_policy_rejected(self):
         with pytest.raises(ValueError, match="stage_policy"):
             DAGExecutor().run(diamond(), dynamics=ingress_loss())
-
-
-class TestJobExecutorRecovery:
-    def job(self):
-        return (
-            AnalyticalJob(name="pipeline")
-            .add(shuffle(5), name="map")
-            .add(shuffle(6), name="reduce")
-        )
-
-    def test_dynamics_require_simulate(self):
-        with pytest.raises(ValueError, match="simulate=True"):
-            JobExecutor().run(self.job(), dynamics=ingress_loss())
-
-    def test_replan_completes_with_records(self):
-        result = JobExecutor().run(
-            self.job(),
-            simulate=True,
-            dynamics=ingress_loss(),
-            stage_policy="replan-stage",
-        )
-        assert result.completed
-        assert result.total_retries >= 1
-        assert result.bytes_lost > 0
-        assert not math.isnan(result.total_communication_seconds)
-
-    def test_fail_job_reports_failure(self):
-        result = JobExecutor().run(
-            self.job(),
-            simulate=True,
-            dynamics=ingress_loss(),
-            stage_policy="fail-job",
-        )
-        assert result.failed
-        assert math.isnan(result.total_communication_seconds)
 
 
 class TestOnlineRecovery:

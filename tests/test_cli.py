@@ -46,6 +46,13 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("**")
 
+    def test_run_quick_takes_the_sweep_grid(self, capsys):
+        # psweep's quick grid stops at 5 partitions per node; the
+        # default grid goes on to 15 and 30.
+        assert main(["run", "psweep", "--quick", "--csv"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "5"]
+
 
 class TestSimulateFailureInjection:
     @pytest.fixture()
@@ -575,6 +582,53 @@ class TestInputErrorsExitUsage:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["run", "motivating", "--scale-factor", "3", "--quick"],
+             "only apply to sweep experiments"),
+            (["run", "motivating", "--quick"],
+             "only apply to sweep experiments"),
+            (["run", "summary", "--nodes", "4"],
+             "only apply to sweep experiments"),
+            (["run", "psweep", "--scale-factor", "1"],
+             "only apply to figure sweeps"),
+        ],
+        ids=["motivating-both", "motivating-quick", "summary-nodes",
+             "psweep-scale-factor"],
+    )
+    def test_run_refuses_overrides_it_cannot_take(self, argv, needle, capsys):
+        self.assert_usage_error(argv, capsys, needle)
+
+
+class TestBrokenPipe:
+    """A reader that closes the pipe early ends the run quietly with 141."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered",
+                                                           "unbuffered"])
+    def test_closed_stdout_exits_141_without_traceback(self, unbuffered):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
+
 class TestExitCodeContract:
     """docs/architecture.md's exit-code table IS repro.cli.EXIT_CODES."""
 
@@ -605,7 +659,8 @@ class TestExitCodeContract:
         assert cli.EXIT_WATCHDOG == 3
         assert cli.EXIT_SLO_BREACH == 4
         assert cli.EXIT_INTERRUPTED == 130
-        assert set(cli.EXIT_CODES) == {0, 1, 2, 3, 4, 130}
+        assert cli.EXIT_BROKEN_PIPE == 141
+        assert set(cli.EXIT_CODES) == {0, 1, 2, 3, 4, 130, 141}
 
 
 class TestServeCli:

@@ -16,11 +16,17 @@ experiment imports its module.
 
 Each check runs in a fresh interpreter, since the test process may
 already have loaded any of these modules.
+
+Every module earns its place: one that no ``ccf`` command and no
+registered experiment can import is named, with its reason, in
+DESIGN.md's "Library-only modules" list.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -173,3 +179,83 @@ def test_cli_loads_no_experiment_module(case, tmp_path):
         and m != "repro.experiments.registry"
     )
     assert not leaked, f"ccf {case} loaded {leaked}"
+
+
+def _module_files() -> dict[str, Path]:
+    """Dotted name -> source file of every module under ``src/repro``."""
+    files = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+def _static_reach(roots: list[str], files: dict[str, Path]) -> set[str]:
+    """Modules reachable from ``roots`` through ``import`` statements.
+
+    Function-level imports count (handlers import what they run), and a
+    name taken from a lazily re-exporting package resolves through that
+    package's submodule -> names map to the submodule defining it.
+    """
+    trees = {m: ast.parse(path.read_text()) for m, path in files.items()}
+    lazy: dict[str, dict[str, str]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_lazy_exports"
+            ):
+                table = ast.literal_eval(node.args[1])
+                lazy[module] = {
+                    name: f"{module}.{sub}"
+                    for sub, names in table.items() for name in names
+                }
+
+    def provider(package: str, name: str) -> str:
+        """What ``from package import name`` loads, through the maps."""
+        while name in lazy.get(package, {}):
+            package = lazy[package][name]
+        return f"{package}.{name}"
+
+    def imported(module: str):
+        for node in ast.walk(trees[module]):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+                for alias in node.names:
+                    yield provider(node.module, alias.name)
+
+    seen: set[str] = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        while name and name not in files:  # a name inside a module
+            name = name.rpartition(".")[0]
+        if name and name not in seen:
+            seen.add(name)
+            todo.append(name.rpartition(".")[0])  # its package
+            todo.extend(imported(name))
+    return seen
+
+
+def _library_only_modules() -> set[str]:
+    """The modules DESIGN.md's "Library-only modules" list names."""
+    design = (SRC.parent / "DESIGN.md").read_text()
+    section = design.split("## 7. Library-only modules", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return set(re.findall(r"^- `(repro[\w.]+)` — \S", section, re.M))
+
+
+def test_unreached_modules_are_listed():
+    from repro.experiments.registry import _CATALOG
+
+    files = _module_files()
+    roots = ["repro.cli"] + [
+        f"repro.experiments.{module}" for module, _, _ in _CATALOG.values()
+    ]
+    unreached = set(files) - _static_reach(roots, files)
+    assert unreached == _library_only_modules()
