@@ -52,7 +52,7 @@ from repro.experiments.registry import (
     build_sweep,
     run_experiment,
 )
-from repro.network.schedulers import SCHEDULER_NAMES
+from repro.network.scheduler_names import SCHEDULER_NAMES
 
 __all__ = [
     "main",

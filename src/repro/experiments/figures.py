@@ -195,16 +195,27 @@ def fig5_sweep(
         scale when ``quick`` is set).
     nodes:
         The swept node counts.
-    quick, scale_factor, n_nodes:
+    quick, scale_factor:
         CLI-style overrides applied on top of ``config``.
+    n_nodes:
+        Refused: the node count is the swept axis.
 
     Returns
     -------
     SweepSpec
         One cell per node count, consumed by
         :func:`repro.experiments.engine.run_sweep`.
+
+    Raises
+    ------
+    ValueError
+        If ``n_nodes`` is given.
     """
-    config = _resolve_config(config, quick, scale_factor, n_nodes)
+    if n_nodes is not None:
+        raise ValueError(
+            "fig5 sweeps the node count; --nodes does not apply to it"
+        )
+    config = _resolve_config(config, quick, scale_factor, None)
     return _figure_spec(
         config,
         "fig5",

@@ -142,6 +142,29 @@ class FlowGroups:
             for lo, hi in zip(starts, starts[1:])
         ]
 
+    def scaled_value_sums(
+        self, scales: list[float], values: np.ndarray
+    ) -> list[list[float]]:
+        """``value_sums(values * s)`` for every ``s`` in ``scales``, as columns.
+
+        Returns one list per group (``unique_cids`` order) holding that
+        group's sum under each scale in turn, bit-identical to calling
+        :meth:`value_sums` once per scale: the outer product multiplies
+        the same element pairs, and each row of a group's 2-D slice is
+        reduced by the same contiguous pairwise ``np.add`` as the 1-D
+        gather (``np.add.reduceat`` would not be).  One call replaces
+        ``len(scales)`` gathers and reductions.
+        """
+        if len(scales) == 1:
+            return [[v] for v in self.value_sums(values * scales[0])]
+        scaled = np.multiply.outer(scales, values.take(self.order))
+        add = np.add.reduce
+        starts = self.starts.tolist()
+        return [
+            add(scaled[:, lo:hi], axis=1).tolist()
+            for lo, hi in zip(starts, starts[1:])
+        ]
+
     def expand(self, per_group: np.ndarray) -> np.ndarray:
         """Broadcast one value per group back onto the flow axis."""
         return np.asarray(per_group)[self.inverse]

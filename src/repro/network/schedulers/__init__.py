@@ -26,6 +26,7 @@ the matching LP lower bound so any run can report its optimality gap
 (see ``ccf tournament``).
 """
 
+from repro.network.scheduler_names import SCHEDULER_NAMES
 from repro.network.schedulers.approx import (
     LPOrderingScheduler,
     WeightedApproxScheduler,
@@ -57,9 +58,6 @@ _REGISTRY = {
     "wcct5": WeightedApproxScheduler,
     "lpcct": LPOrderingScheduler,
 }
-
-#: All registry names in sorted order -- the CLI's ``choices`` source.
-SCHEDULER_NAMES: tuple[str, ...] = tuple(sorted(_REGISTRY))
 
 
 def make_scheduler(name: str, **kwargs) -> CoflowScheduler:

@@ -58,7 +58,9 @@ class CoflowScheduler(ABC):
         arrivals; a discipline whose *priorities* change mid-epoch (e.g.
         D-CLAS queue transitions as attained service grows) returns the
         time until its next internal event so the simulator re-invokes it
-        there.
+        there.  The simulator calls it every epoch when a subclass
+        overrides it, with ``ctx.progress[cid].sent_bytes`` current up
+        to ``ctx.time``, as in every scheduler method.
         """
         return None
 
@@ -77,6 +79,10 @@ class CoflowScheduler(ABC):
         :meth:`allocate` would return a bit-identical array.
         :meth:`next_event_hint` still runs every epoch with up-to-date
         ``progress``, so it must not depend on ``allocate`` side effects.
+        The simulator credits ``sent_bytes`` lazily, but flushes the
+        credit before any scheduler method runs, so whenever one of
+        them reads ``ctx.progress[cid].sent_bytes`` it is current up to
+        ``ctx.time``.
 
         The base implementation returns ``ctx.time`` -- never reuse --
         which is the only safe answer for any discipline that reads

@@ -75,6 +75,11 @@ _VOLUME_EPS = 1e-6
 #: scheduler/dynamics interaction that will never terminate.
 DEFAULT_STALL_EPOCHS = 10_000
 
+#: Most epochs whose attained-service credit waits for one flush.  The
+#: flush builds a (queued epochs x flows) array, so the cap bounds its
+#: memory on long reuse streaks (a steady fleet under deferral polls).
+_MAX_QUEUED_CREDITS = 64
+
 #: Floor on the scheduler-reported remaining volume under estimate noise:
 #: censored flows report "size unknown" as this near-zero value, and a
 #: strictly positive view keeps every discipline's allocation well-defined.
@@ -703,6 +708,33 @@ class CoflowSimulator:
         cache_valid_until = -np.inf
         cache_dirty = True
 
+        # Deferred attained-service credit.  Only ``allocate``, an
+        # overridden ``next_event_hint`` and the recovery layer read
+        # ``sent_bytes``, so each epoch queues its ``dt`` against the
+        # (rates, groups) pair it drained with, and one flush credits the
+        # queue before any of them runs -- once per allocation instead of
+        # once per epoch, bit-identical to crediting every epoch (see
+        # :meth:`FlowGroups.scaled_value_sums`).
+        credit_rates: np.ndarray | None = None
+        credit_groups: FlowGroups | None = None
+        credit_dts: list[float] = []
+        hint_reads_progress = (
+            type(self.scheduler).next_event_hint
+            is not CoflowScheduler.next_event_hint
+        )
+
+        def flush_credit() -> None:
+            if not credit_dts:
+                return
+            sums = credit_groups.scaled_value_sums(credit_dts, credit_rates)
+            for cid, per_epoch in zip(credit_groups.unique_cids.tolist(), sums):
+                p = progress[cid]
+                sent = p.sent_bytes
+                for v in per_epoch:
+                    sent += v
+                p.sent_bytes = sent
+            credit_dts.clear()
+
         t = 0.0
         completion: dict[int, float] = {}
 
@@ -870,6 +902,7 @@ class CoflowSimulator:
                 # placements; conservatively invalidate the rate cache
                 # whenever it runs at all.
                 cache_dirty = True
+                flush_credit()
                 aborted, local = recovery.step(fabric, t, fl, progress)
                 for cid in aborted:
                     noise_factors.pop(cid, None)
@@ -910,6 +943,7 @@ class CoflowSimulator:
                     continue
                 if recovery is not None and recovery.has_suspended:
                     # Parked flows with no recovery event ever coming.
+                    flush_credit()
                     aborted = recovery.abort_unrecoverable(t)
                     for cid in aborted:
                         noise_factors.pop(cid, None)
@@ -944,8 +978,11 @@ class CoflowSimulator:
                 rates = cached_rates
                 moving = cached_moving
                 moving_rates = cached_moving_rates
+                reused = True
             else:
+                flush_credit()
                 rates = np.asarray(self.scheduler.allocate(ctx), dtype=float)
+                reused = False
                 if rates.shape != fl.srcs.shape:
                     raise ValueError(
                         f"scheduler returned {rates.shape}, "
@@ -975,9 +1012,11 @@ class CoflowSimulator:
                 nxt_src = source.next_time(t)
                 if nxt_src is not None:
                     dt = min(dt, max(nxt_src - t, 0.0))
-            hint = self.scheduler.next_event_hint(ctx, rates)
-            if hint is not None and hint > 1e-12:
-                dt = min(dt, hint)
+            if hint_reads_progress:
+                flush_credit()
+                hint = self.scheduler.next_event_hint(ctx, rates)
+                if hint is not None and hint > 1e-12:
+                    dt = min(dt, hint)
             if dynamics is not None:
                 nxt = dynamics.next_event_time(t)
                 if nxt is not None:
@@ -1030,16 +1069,18 @@ class CoflowSimulator:
                 obs.emit(
                     "epoch", t,
                     dur=float(dt), flows=fl.size, rate=float(rates.sum()),
-                    **sample,
+                    reused=reused, **sample,
                 )
 
-            # Drain volumes and credit attained service per coflow.
-            delivered = rates * dt
-            fl.remaining = fl.remaining - delivered
+            # Drain volumes; queue the attained-service credit.
+            fl.remaining = fl.remaining - rates * dt
             g = current_groups()
-            sums = g.value_sums(delivered)
-            for gi, cid in enumerate(g.unique_cids):
-                progress[int(cid)].sent_bytes += sums[gi]
+            if rates is not credit_rates or g is not credit_groups:
+                flush_credit()
+                credit_rates, credit_groups = rates, g
+            credit_dts.append(dt)
+            if len(credit_dts) == _MAX_QUEUED_CREDITS:
+                flush_credit()
             t += dt
 
             done = fl.remaining <= _VOLUME_EPS
@@ -1074,6 +1115,7 @@ class CoflowSimulator:
                 )
             )
 
+        flush_credit()
         ccts = {
             cid: completion[cid] - progress[cid].arrival_time for cid in completion
         }

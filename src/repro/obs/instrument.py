@@ -30,7 +30,7 @@ Event stream schema (one dict per event, ``kind`` discriminates)::
     coflow_first_byte  t, cid
     coflow_complete    t, cid, cct
     coflow_abort   t, cid
-    epoch          t (start), dur, flows, rate  [+ coflows, queue,
+    epoch          t (start), dur, flows, rate, reused  [+ coflows, queue,
                    residual, port_busy_send, port_busy_recv when sampled]
     failure        t, failure_kind, port, cid, flows, bytes_lost, detail
     planner_phase  t, stage, wall_s, strategy

@@ -8,7 +8,8 @@ Computes, from the one event stream alone (no re-simulation):
   utilized in each epoch, weighted by epoch duration -- the empirical
   counterpart of the paper's ``T = max(max_i send_i, max_j recv_j)``;
 * failure/recovery counters and bytes lost;
-* epoch statistics (count, busy time, mean duration).
+* epoch statistics (count, busy time, mean duration) and how many
+  epochs computed a fresh rate allocation vs reused the cached one.
 
 Also reconstructs a :class:`~repro.network.simulator.SimulationResult`
 from a trace so the existing text visualizations (``gantt``,
@@ -268,6 +269,7 @@ def summarize_trace(
             "bytes_lost": result.bytes_lost,
             "aborted_coflows": len(result.failed_coflows),
         },
+        "allocations": _allocation_counters(events),
         "platform": _platform_counters(events),
         "admission": _admission_counters(events),
         "ports": _port_attribution(events, top_k_ports),
@@ -377,6 +379,34 @@ def _admission_counters(
     }
 
 
+def _allocation_counters(
+    events: Sequence[dict[str, Any]],
+) -> dict[str, Any] | None:
+    """Rate allocations computed vs reused, from the epochs' ``reused`` flag.
+
+    With event-horizon batching the simulator reuses the last rate
+    array on epochs that change nothing the discipline reads; each
+    epoch sample says which it did.  Traces recorded before the flag
+    existed have none, in which case the section is ``None``.
+    """
+    computed = reused = 0
+    for e in events:
+        if e["kind"] != "epoch" or "reused" not in e:
+            continue
+        if e["reused"]:
+            reused += 1
+        else:
+            computed += 1
+    total = computed + reused
+    if not total:
+        return None
+    return {
+        "computed": computed,
+        "reused": reused,
+        "reuse_frac": reused / total,
+    }
+
+
 def _platform_counters(
     events: Sequence[dict[str, Any]],
 ) -> dict[str, int] | None:
@@ -453,6 +483,13 @@ def render_summary(summary: dict[str, Any]) -> str:
         f"{summary['epochs']['count']} epochs "
         f"(busy {_fmt_s(summary['epochs']['busy_time_s'])} s)"
     )
+    allocations = summary.get("allocations")
+    if allocations:
+        lines.append(
+            f"allocations: {allocations['computed']} computed, "
+            f"{allocations['reused']} reused (reuse fraction "
+            f"{allocations['reuse_frac']:.1%})"
+        )
     if summary["epochs"].get("truncated"):
         lines.append(
             "WARNING: epoch timeline is truncated (oldest samples "

@@ -318,6 +318,9 @@ class AdmissionController(ArrivalSource):
             else None
         )
         self._deferred: list[tuple[float, int, int, Coflow]] = []
+        # attempt -> deferral delay: policies are deterministic, and
+        # re-polls under backpressure ask for the same few attempts.
+        self._defer_delays: dict[int, float] = {}
         self._seq = 0
         #: cid -> (arrival_time, volume) of each admitted, unfinished coflow.
         self._outstanding: dict[int, tuple[float, float]] = {}
@@ -454,7 +457,11 @@ class AdmissionController(ArrivalSource):
         elif decision == "defer":
             self.deferrals += 1
             self._c_deferred.inc()
-            delay = max(self.policy.defer_delay(attempt), 1e-9)
+            delay = self._defer_delays.get(attempt)
+            if delay is None:
+                delay = self._defer_delays[attempt] = max(
+                    self.policy.defer_delay(attempt), 1e-9
+                )
             heapq.heappush(
                 self._deferred, (now + delay, self._seq, attempt + 1, cf)
             )

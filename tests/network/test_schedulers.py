@@ -6,7 +6,7 @@ import pytest
 from repro.network.events import CoflowProgress, SchedulingContext
 from repro.network.fabric import Fabric
 from repro.network.flow import Coflow, Flow
-from repro.network.schedulers import make_scheduler
+from repro.network.schedulers import SCHEDULER_NAMES, make_scheduler
 from repro.network.schedulers.base import madd_rates_fast, maxmin_fill_fast
 from repro.network.schedulers.dclas import DCLASScheduler
 from repro.network.simulator import CoflowSimulator
@@ -149,6 +149,16 @@ class TestOrderings:
         no_bf = make_scheduler("sebf", backfill=False).allocate(ctx)
         bf = make_scheduler("sebf", backfill=True).allocate(ctx)
         assert bf.sum() >= no_bf.sum() - 1e-12
+
+    def test_registry_names_match_class_names(self):
+        # The CLI's numpy-free name table, the registry's keys and each
+        # class's own ``name`` must agree.
+        from repro.network.schedulers import _REGISTRY
+
+        assert SCHEDULER_NAMES == tuple(sorted(_REGISTRY))
+        for name, cls in _REGISTRY.items():
+            assert cls.name == name
+            assert type(make_scheduler(name.upper())) is cls
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduler"):

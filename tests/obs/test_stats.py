@@ -4,7 +4,7 @@ import pytest
 
 from repro.network import Coflow, CoflowSimulator, Fabric, Flow
 from repro.network.dynamics import FabricDynamics, RateEvent
-from repro.network.schedulers import make_scheduler
+from repro.network.schedulers import FairSharingScheduler, make_scheduler
 from repro.network.visualize import gantt
 from repro.obs import (
     Tracer,
@@ -172,6 +172,67 @@ class TestHeader:
     def test_header_minimal(self):
         h = repro_header()
         assert "seed" not in h and "scheduler" not in h and "fabric" not in h
+
+
+class _Polls:
+    """A source that releases nothing, polled every 0.25 s until 8 s."""
+
+    def next_time(self, now):
+        nxt = (int(now / 0.25) + 1) * 0.25
+        return nxt if nxt < 8.0 else None
+
+    def take(self, now, slack):
+        return []
+
+
+class TestAllocationCounters:
+    def _fair_run(self, batch_events):
+        calls = []
+
+        class Counting(FairSharingScheduler):
+            def allocate(self, ctx):
+                calls.append(ctx.time)
+                return super().allocate(ctx)
+
+        tracer = Tracer()
+        CoflowSimulator(
+            Fabric(n_ports=3, rate=1.0), Counting(),
+            instrumentation=tracer, batch_events=batch_events,
+        ).run(
+            [Coflow([Flow(0, 1, 4.0), Flow(1, 2, 2.0)], 0.0, coflow_id=0)],
+            source=_Polls(),
+        )
+        return tracer, len(calls)
+
+    def test_reuse_is_counted(self):
+        tracer, n_allocations = self._fair_run(batch_events=True)
+        s = summarize_trace(tracer.events, tracer.header)
+        alloc = s["allocations"]
+        assert alloc["computed"] == n_allocations
+        assert alloc["reused"] == s["epochs"]["count"] - n_allocations > 0
+        assert alloc["reuse_frac"] == alloc["reused"] / s["epochs"]["count"]
+        assert (
+            f"allocations: {alloc['computed']} computed, "
+            f"{alloc['reused']} reused" in render_summary(s)
+        )
+
+    def test_no_reuse_without_batching(self):
+        tracer, n_allocations = self._fair_run(batch_events=False)
+        s = summarize_trace(tracer.events, tracer.header)
+        assert s["allocations"] == {
+            "computed": n_allocations, "reused": 0, "reuse_frac": 0.0,
+        }
+
+    def test_traces_without_the_flag_have_no_section(self):
+        tracer = Tracer()
+        _run(tracer)
+        events = [
+            {k: v for k, v in e.items() if k != "reused"}
+            for e in tracer.events
+        ]
+        s = summarize_trace(events, tracer.header)
+        assert s["allocations"] is None
+        assert "allocations:" not in render_summary(s)
 
 
 class TestPlatformCounters:

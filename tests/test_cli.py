@@ -593,9 +593,13 @@ class TestInputErrorsExitUsage:
              "only apply to sweep experiments"),
             (["run", "psweep", "--scale-factor", "1"],
              "only apply to figure sweeps"),
+            (["run", "fig5", "--quick", "--nodes", "20"],
+             "fig5 sweeps the node count"),
+            (["sweep", "fig5", "--quick", "--nodes", "20", "--no-cache"],
+             "fig5 sweeps the node count"),
         ],
         ids=["motivating-both", "motivating-quick", "summary-nodes",
-             "psweep-scale-factor"],
+             "psweep-scale-factor", "fig5-nodes", "sweep-fig5-nodes"],
     )
     def test_run_refuses_overrides_it_cannot_take(self, argv, needle, capsys):
         self.assert_usage_error(argv, capsys, needle)

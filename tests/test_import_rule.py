@@ -11,8 +11,9 @@ layer stack: ``import repro`` loads no other ``repro`` module, and the
 simulator, the service loop and the benchmark hot path load neither the
 operator layers (``repro.analytics``, ``repro.join``) nor the sweep
 engine and the process pools it brings.  The ``ccf`` parser reads
-experiment names from the lazy registry, so only a command that runs an
-experiment imports its module.
+experiment names from the lazy registry and scheduler names from a
+numpy-free table, so only a command that runs an experiment imports its
+module, and ``import repro.cli`` loads no numpy.
 
 Each check runs in a fresh interpreter, since the test process may
 already have loaded any of these modules.
@@ -179,6 +180,13 @@ def test_cli_loads_no_experiment_module(case, tmp_path):
         and m != "repro.experiments.registry"
     )
     assert not leaked, f"ccf {case} loaded {leaked}"
+
+
+def test_cli_loads_no_numpy(tmp_path):
+    # ``--scheduler``'s choices come from ``repro.network.scheduler_names``.
+    loaded = _loaded_modules("import repro.cli", tmp_path)
+    assert "repro.cli" in loaded
+    assert not [m for m in loaded if m.partition(".")[0] == "numpy"]
 
 
 def _module_files() -> dict[str, Path]:

@@ -14,6 +14,7 @@ batching (``batch_events``) must leave every result bit-identical.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,11 @@ from repro.network import CoflowSimulator, Fabric
 from repro.network.dynamics import FabricDynamics, RateEvent
 from repro.network.events import CoflowProgress, FlowGroups, SchedulingContext
 from repro.network.flow import Coflow, Flow
-from repro.network.schedulers import make_scheduler
+from repro.network.schedulers import (
+    DCLASScheduler,
+    FairSharingScheduler,
+    make_scheduler,
+)
 from repro.network.schedulers.base import (
     _SCALAR_MAX,
     CoflowScheduler,
@@ -437,6 +442,52 @@ class TestFlowGroupsKept:
         _assert_same_groups(FlowGroups(cids).kept(mask), FlowGroups(cids))
 
 
+@st.composite
+def scaled_sum_cases(draw):
+    """Interleaved groups of 1 to 300 flows (past numpy's 128-element
+    pairwise block), magnitudes over 12 decades, 1 to 16 epoch lengths
+    (zero included)."""
+    sizes = draw(
+        st.lists(
+            st.integers(1, 8) | st.integers(100, 300), min_size=1, max_size=5
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    cids = rng.permutation(np.repeat(np.arange(len(sizes)) * 3, sizes))
+    values = rng.random(cids.size) * 10.0 ** rng.uniform(-3, 9, cids.size)
+    scales = draw(
+        st.lists(
+            st.just(0.0) | st.floats(1e-9, 1e3), min_size=1, max_size=16
+        )
+    )
+    return cids, values, scales
+
+
+class TestFlowGroupsScaledSums:
+    """``scaled_value_sums`` is K sequential ``value_sums`` credits -- the
+    simulator queues reuse epochs and credits ``sent_bytes`` in one
+    flush."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_sum_cases())
+    def test_matches_sequential_value_sums(self, case):
+        cids, values, scales = case
+        g = FlowGroups(cids)
+        batched = g.scaled_value_sums(scales, values)
+        per_epoch = [g.value_sums(values * s) for s in scales]
+        got = np.array(batched)
+        want = np.array(per_epoch).T
+        assert got.tobytes() == want.tobytes()
+        # Crediting the columns left to right is the per-epoch ``+=``.
+        for gi, column in enumerate(batched):
+            flushed = sequential = 0.0
+            for v in column:
+                flushed += v
+            for sums in per_epoch:
+                sequential += sums[gi]
+            assert flushed.hex() == sequential.hex()
+
+
 class TestArrivalSlack:
     """The admission tolerance is ``max(1e-15, 4 ulp)`` at the clock."""
 
@@ -501,6 +552,151 @@ def sourced_workloads(draw):
         else:
             initial.append(c)
     return n_ports, initial, scripted
+
+
+class _PollingSource:
+    """An ``ArrivalSource`` that releases nothing but is polled every
+    ``period`` until ``until``: admission re-polls on an unchanged fleet,
+    the epochs that reuse the cached rates."""
+
+    def __init__(self, period, until):
+        self.period = period
+        self.until = until
+
+    def next_time(self, now):
+        k = math.floor(now / self.period) + 1
+        while k * self.period <= now:  # ``now / period`` rounded down
+            k += 1
+        nxt = k * self.period
+        return nxt if nxt < self.until else None
+
+    def take(self, now, slack):
+        return []
+
+
+def _snapshotting(cls, *, hint):
+    """``cls`` recording ``{cid: sent_bytes}`` on every ``allocate`` and,
+    with ``hint``, on every ``next_event_hint`` too."""
+
+    class Snapshotting(cls):
+        def reset(self):
+            super().reset()
+            self.snapshots = []
+
+        def _snap(self, where, ctx):
+            self.snapshots.append((where, ctx.time, {
+                cid: p.sent_bytes.hex() for cid, p in ctx.progress.items()
+            }))
+
+        def allocate(self, ctx):
+            self._snap("allocate", ctx)
+            return super().allocate(ctx)
+
+    if hint:
+        def next_event_hint(self, ctx, rates):
+            self._snap("hint", ctx)
+            return super(Snapshotting, self).next_event_hint(ctx, rates)
+
+        Snapshotting.next_event_hint = next_event_hint
+    return Snapshotting
+
+
+def _is_subsequence(short, long):
+    it = iter(long)
+    return all(any(item == other for other in it) for item in short)
+
+
+class TestDeferredCredit:
+    """``sent_bytes`` is credited lazily, once per allocation; whatever
+    reads it -- ``allocate``, D-CLAS's hint, recovery's ``bytes_lost`` --
+    must see the value the per-epoch credit produced."""
+
+    def _pair(self, cls, n_ports, coflows, *, hint, **kwargs):
+        runs = []
+        for batch in (False, True):
+            sched = _snapshotting(cls, hint=hint)()
+            result = _run(
+                n_ports, coflows, sched, batch_events=batch, **kwargs
+            )
+            runs.append((sched.snapshots, result))
+        return runs
+
+    @staticmethod
+    def _chaos(port, fail_at):
+        return FabricDynamics([
+            RateEvent.failure(fail_at, port),
+            RateEvent.recovery(fail_at + 5.0, port, egress=1.0, ingress=1.0),
+        ])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        workloads(),
+        st.integers(0, 2),
+        st.floats(0.5, 20.0),
+        st.sampled_from(("retry", "abort")),
+        st.floats(0.05, 1.0),
+        st.booleans(),
+    )
+    def test_fair_sees_per_epoch_credit(
+        self, wl, port, fail_at, policy, period, hint
+    ):
+        n_ports, coflows = wl
+        (off, r_off), (on, r_on) = self._pair(
+            FairSharingScheduler, n_ports, coflows, hint=hint,
+            dynamics=self._chaos(port, fail_at), recovery=policy,
+            source=_PollingSource(period, 40.0),
+        )
+        # Reuse skips allocations; every one that runs sees the state
+        # the allocation-per-epoch run saw at that epoch.  A hint runs
+        # every epoch in both runs.
+        assert _is_subsequence(on, off)
+        hints = [s for s in off if s[0] == "hint"]
+        assert hints == [s for s in on if s[0] == "hint"]
+        assert _fingerprint(r_off) == _fingerprint(r_on)
+        assert [r.bytes_lost for r in r_off.failures] == [
+            r.bytes_lost for r in r_on.failures
+        ]
+
+    @pytest.mark.parametrize("hint", [False, True])
+    def test_fair_reuse_epochs_are_credited(self, hint):
+        coflows = [
+            Coflow([Flow(0, 1, 5.0), Flow(2, 1, 3.0)], 0.0, coflow_id=0),
+            Coflow([Flow(1, 2, 4.0)], 0.5, coflow_id=1),
+            Coflow([Flow(2, 0, 6.0)], 2.0, coflow_id=2),
+        ]
+        # Polls every 10 ms: reuse streaks outgrow the credit queue's cap.
+        (off, _), (on, _) = self._pair(
+            FairSharingScheduler, 3, coflows, hint=hint,
+            source=_PollingSource(0.01, 20.0),
+        )
+        allocations = [s for s in on if s[0] == "allocate"]
+        assert len(allocations) < len(off) / 100  # most epochs reused
+        assert any(
+            float.fromhex(v) > 0 for _, _, snap in on for v in snap.values()
+        )
+        assert _is_subsequence(on, off)
+        assert [s for s in off if s[0] == "hint"] == [
+            s for s in on if s[0] == "hint"
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        workloads(),
+        st.integers(0, 2),
+        st.floats(0.5, 20.0),
+        st.floats(0.05, 1.0),
+    )
+    def test_dclas_hint_sees_per_epoch_credit(self, wl, port, fail_at, period):
+        n_ports, coflows = wl
+        (off, r_off), (on, r_on) = self._pair(
+            DCLASScheduler, n_ports, coflows, hint=True,
+            dynamics=self._chaos(port, fail_at), recovery="retry",
+            source=_PollingSource(period, 40.0),
+        )
+        # D-CLAS never reuses rates, so both runs call the same methods.
+        assert any(where == "hint" for where, _, _ in on)
+        assert on == off
+        assert _fingerprint(r_off) == _fingerprint(r_on)
 
 
 class TestBatchEventsBitIdentity:
