@@ -168,7 +168,7 @@ def _add_watchdog(p, max_epochs: int | None = None) -> None:
     where a crash report goes."""
     if max_epochs is not None:
         p.add_argument(
-            "--max-epochs", type=int, metavar="N",
+            "--max-epochs", type=int, default=max_epochs, metavar="N",
             help="watchdog: abort (with a crash report) after this many "
             f"epochs (default {max_epochs:,})",
         )
@@ -181,6 +181,25 @@ def _add_watchdog(p, max_epochs: int | None = None) -> None:
         "--crash-dir", default="crash-reports", metavar="DIR",
         help="where crash reports are written (default crash-reports/)",
     )
+
+
+def _watchdog_limits(args: argparse.Namespace) -> dict:
+    """The watchdog flags as simulator keyword arguments; a value the
+    simulator would reject is a usage error before any work starts."""
+    if args.max_epochs < 1:
+        raise _UsageError(f"--max-epochs must be >= 1, got {args.max_epochs}")
+    budget = args.wall_clock_budget
+    if budget is not None and not budget > 0:
+        raise _UsageError(
+            f"--wall-clock-budget must be positive, got {budget:g}"
+        )
+    limits = {"max_epochs": args.max_epochs, "wall_clock_budget_s": budget}
+    stall = getattr(args, "stall_epochs", None)  # simulate only
+    if stall is not None:
+        if stall < 0:
+            raise _UsageError(f"--stall-epochs must be >= 0, got {stall}")
+        limits["stall_epochs"] = stall
+    return limits
 
 
 def _add_chaos(p, mttr: float, recovery: str | None) -> None:
@@ -816,8 +835,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     """Replay a coflow JSON file through the chosen discipline."""
     from repro.core.resilience import ResilienceError
     from repro.network.schedulers import make_scheduler
-    from repro.network.simulator import DEFAULT_STALL_EPOCHS, CoflowSimulator
+    from repro.network.simulator import CoflowSimulator
 
+    limits = _watchdog_limits(args)
     _check_writable(args.trace)
     loaded = _load_coflow_file(args)
     if loaded is None:
@@ -928,13 +948,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         record_timeline=args.timeline,
         timeline_limit=args.timeline_limit,
         instrumentation=tracer,
-        max_epochs=args.max_epochs or 10_000_000,
-        wall_clock_budget_s=args.wall_clock_budget,
-        stall_epochs=(
-            args.stall_epochs
-            if args.stall_epochs is not None
-            else DEFAULT_STALL_EPOCHS
-        ),
+        **limits,
     )
     try:
         res = sim.run(coflows)
@@ -1478,8 +1492,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             chaos_mttr=args.chaos_mttr,
             min_alive=args.min_alive,
             recovery=args.recovery,
-            wall_clock_budget_s=args.wall_clock_budget,
-            max_epochs=args.max_epochs or 50_000_000,
+            **_watchdog_limits(args),
         )
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"invalid service configuration: {exc}")

@@ -1,12 +1,13 @@
 """Event-driven flow-level (fluid) coflow simulator.
 
 Substitute for CoflowSim, the measurement back-end of Varys, Aalo and the
-CCF paper.  The simulator advances in *epochs*: at each epoch the active
-scheduling discipline assigns a rate to every active flow; the epoch lasts
-until the next flow completion or coflow arrival; volumes are then drained
-fluidly at the assigned rates.  Because at least one flow finishes (or one
-coflow arrives) per epoch, a run takes at most ``n_flows + n_coflows``
-epochs, each costing one scheduler invocation.
+CCF paper.  The simulator advances in *epochs* of constant per-flow
+rates, drained fluidly.  An epoch ends at the next flow completion,
+coflow arrival, source poll, scheduler hint, fabric event or recovery
+wakeup, so the epoch count is not bounded by ``n_flows + n_coflows``
+(admission re-polls end most epochs of a service run).  An epoch calls the
+scheduler only when its inputs changed; otherwise it reuses the last
+allocation (``batch_events``), so scheduler calls never exceed epochs.
 
 The simulator validates every allocation against the fabric's port
 capacities, so an infeasible scheduler fails loudly rather than silently
@@ -31,6 +32,7 @@ spinning forever.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
@@ -125,14 +127,9 @@ def _arrival_slack(t: float) -> float:
 
     The epoch clock accumulates ``t += dt`` rounding error, so a coflow
     arriving exactly at an epoch boundary can find ``t`` a few ULP short
-    of its arrival time.  A fixed absolute epsilon (the old ``1e-15``)
-    falls below one ULP once ``t`` exceeds ~4.5 -- at large simulated
-    times (arrivals of 1e9 and beyond) boundary arrivals were admitted an
-    epoch late.  The slack therefore scales with the float spacing at
-    ``t`` while keeping the absolute floor for times near zero.
-    ``math.ulp(t)`` is ``np.spacing(abs(t))`` without the numpy call
-    (they differ only at the largest double, where ``t + slack``
-    overflows to inf either way).
+    of its arrival time.  A fixed ``1e-15`` falls below one ULP once
+    ``t`` exceeds ~4.5, so the slack scales with the float spacing at
+    ``t`` and keeps that floor for times near zero.
     """
     return max(1e-15, 4.0 * math.ulp(t))
 
@@ -323,34 +320,27 @@ class CoflowSimulator:
         information -- non-clairvoyant disciplines (D-CLAS) are immune by
         construction.
     batch_events:
-        When True (default) the epoch loop runs event-horizon batching:
-        after each allocation the scheduler reports how long the rate
-        array stays valid (:meth:`CoflowScheduler.rates_valid_until`),
-        and epochs that change neither the active flow set, the fabric,
-        nor the recovery state *reuse* the cached array instead of
-        re-invoking the scheduler.  Epoch boundaries are unchanged --
-        the loop still stops at every completion, arrival, source poll,
-        scheduler hint and fabric event, so results (including
-        ``n_epochs``) are bit-identical to ``batch_events=False``;
-        only the redundant recomputation is skipped.  The win shows on
-        service-mode runs where admission-deferral polls slice the
-        timeline into many epochs with an unchanged fleet.  Pass False
-        to force a fresh allocation every epoch (the escape hatch, and
-        the ``ccf bench`` reference for the large-fleet cases).
+        When True (default) an epoch whose active flow set, fabric and
+        recovery state did not change, and whose clock is below the
+        horizon the discipline declared
+        (:meth:`CoflowScheduler.rates_valid_until`), *reuses* the last
+        allocation instead of calling the scheduler.  Epoch boundaries
+        do not move, so results (``n_epochs`` included) are
+        bit-identical to ``batch_events=False``, which allocates every
+        epoch (the escape hatch and the ``ccf bench`` reference).
     instrumentation:
         Optional :class:`repro.obs.Instrumentation` sink whose ``emit``
         receives the run's event stream: coflow lifecycle transitions
         (submit -> admit -> first-byte -> complete/abort), per-epoch
-        samples and every failure-log record.  The epoch sample fields
-        (active coflows, queue depth, residual bytes and, when the sink
-        wants port samples, per-port busy fractions) are computed only
-        when the sink asks for flow events or port samples.  Defaults to
-        off; with no sink attached the epoch loop pays one boolean test
-        per emission site and results are bit-identical to an
-        uninstrumented run (pinned by property tests and the bench
-        gate).  Control-plane feedback does not travel on this stream:
-        a caller that must react to completions or aborts passes
-        ``injector`` / ``on_abort`` to :meth:`run`.
+        samples and every failure-log record.  The costly sample fields
+        (active coflows, queue depth, residual bytes, per-port busy
+        fractions) are computed only when the sink asks for flow events
+        or port samples; results are bit-identical with or without a
+        sink.  A caller that must react to completions or aborts passes
+        ``injector`` / ``on_abort`` to :meth:`run` instead.
+    max_epochs:
+        Epoch budget: a run still going after this many epochs aborts
+        with :class:`repro.core.resilience.BudgetExceeded`.  At least 1.
     wall_clock_budget_s:
         Optional hard bound on the run's *wall-clock* time.  When the
         epoch loop is still running after this many real seconds it
@@ -394,7 +384,9 @@ class CoflowSimulator:
         stall_epochs: int | None = DEFAULT_STALL_EPOCHS,
         timeline_limit: int | None = None,
     ) -> None:
-        if wall_clock_budget_s is not None and wall_clock_budget_s <= 0:
+        if max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
+        if wall_clock_budget_s is not None and not wall_clock_budget_s > 0:
             raise ValueError(
                 f"wall_clock_budget_s must be strictly positive or None, "
                 f"got {wall_clock_budget_s}"
@@ -475,670 +467,13 @@ class CoflowSimulator:
             exhausted (``next_time`` returns None and ``take`` drains
             empty) and no flows remain.
         """
-        coflows = list(coflows)
+        coflows = [self._with_id(c, i) for i, c in enumerate(coflows)]
         if not coflows and source is None:
             return SimulationResult({}, {}, 0.0, 0.0)
-        coflows = [self._with_id(c, i) for i, c in enumerate(coflows)]
-        ids = [c.coflow_id for c in coflows]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate coflow ids: {sorted(ids)}")
-        for c in coflows:
-            if c.max_port >= self.fabric.n_ports:
-                raise ValueError(
-                    f"coflow {c.coflow_id} references port {c.max_port} "
-                    f">= fabric size {self.fabric.n_ports}"
-                )
-        self.scheduler.reset()
-
-        # Observability: the legacy ``record_timeline`` epochs list and
-        # any user-supplied sink consume one shared event stream -- a
-        # timeline collector is just another Instrumentation attached to
-        # the same emission sites (see repro.obs).
-        obs: Instrumentation | None = self.instrumentation
-        collector: _TimelineCollector | None = None
-        if self.record_timeline:
-            collector = _TimelineCollector(self.timeline_limit)
-            obs = (
-                collector
-                if obs is None
-                else MultiInstrumentation([collector, obs])
-            )
-        track = obs is not None
-        wants_flow_events = track and obs.wants_flow_events
-        wants_port_samples = track and obs.wants_port_samples
-        wants_detail = wants_flow_events or wants_port_samples
-        first_byte_seen: set[int] = set()
-        failures_seen = 0
-
-        def sync_failures(manager: RecoveryManager) -> None:
-            """Emit the newly appended failure-log records as events."""
-            nonlocal failures_seen
-            records = manager.records
-            while failures_seen < len(records):
-                r = records[failures_seen]
-                obs.emit(
-                    "failure", r.time,
-                    failure_kind=r.kind, port=int(r.port),
-                    cid=int(r.coflow_id), flows=int(r.flows),
-                    bytes_lost=float(r.bytes_lost), detail=r.detail,
-                )
-                failures_seen += 1
-
-        def submitted(c: Coflow, now: float) -> None:
-            """Emit ``coflow_submit`` for a coflow known from ``now``."""
-            obs.emit(
-                "coflow_submit", now,
-                cid=int(c.coflow_id), arrival=float(c.arrival_time),
-                volume=float(c.total_volume), width=int(c.width),
-                name=str(c.name), weight=float(c.weight),
-            )
-
-        # With dynamics, work on a private fabric copy and a private event
-        # schedule so runs are repeatable and the caller's fabric pristine.
-        fabric = self.fabric
-        dynamics: FabricDynamics | None = None
-        recovery: RecoveryManager | None = None
-        if self.dynamics is not None:
-            fabric = Fabric(
-                n_ports=self.fabric.n_ports,
-                rate=self.fabric.rate,
-                egress_rates=self.fabric.egress_rates,
-                ingress_rates=self.fabric.ingress_rates,
-            )
-            dynamics = FabricDynamics(list(self.dynamics.events))
-            if self.recovery is not None:
-                recovery = RecoveryManager(self.recovery, fabric.n_ports)
-
-        progress = {
-            c.coflow_id: CoflowProgress(
-                coflow_id=c.coflow_id,
-                arrival_time=c.arrival_time,
-                total_volume=c.total_volume,
-                width=c.width,
-                name=c.name,
-                deadline=c.deadline,
-                weight=c.weight,
-            )
-            for c in coflows
-        }
-        # Min-heap on (arrival, id): O(log n) admission instead of the
-        # O(n) ``pop(0)`` + full re-sort the list queue needed.  Ids are
-        # unique, so the Coflow payload never gets compared.
-        pending: list[tuple[float, int, Coflow]] = [
-            (c.arrival_time, c.coflow_id, c) for c in coflows
-        ]
-        heapq.heapify(pending)
-        total_bytes = float(sum(c.total_volume for c in coflows))
-        known_ids = {c.coflow_id for c in coflows}
-        if track:
-            obs.emit(
-                "run_start", 0.0,
-                coflows=len(coflows), total_bytes=total_bytes,
-            )
-            for c in coflows:
-                submitted(c, 0.0)
-
-        def admit(
-            new: list[Coflow], now: float, *, allow_past: bool = False
-        ) -> None:
-            """Validate and admit callback-provided coflows mid-run.
-
-            ``allow_past`` relaxes the no-time-travel check for source
-            releases: a deferred coflow keeps its original arrival time
-            (before ``now``) so its CCT honestly includes the queueing
-            delay the admission policy imposed.
-            """
-            nonlocal total_bytes
-            if not new:
-                return
-            for c in new:
-                if c.coflow_id < 0 or c.coflow_id in known_ids:
-                    raise ValueError(
-                        f"injected coflow needs a fresh non-negative id, "
-                        f"got {c.coflow_id}"
-                    )
-                if not allow_past and c.arrival_time < now - 1e-9:
-                    raise ValueError(
-                        f"injected coflow {c.coflow_id} arrives in the past "
-                        f"({c.arrival_time} < {now})"
-                    )
-                if c.max_port >= self.fabric.n_ports:
-                    raise ValueError(
-                        f"injected coflow {c.coflow_id} references port "
-                        f"{c.max_port} >= fabric size {self.fabric.n_ports}"
-                    )
-                known_ids.add(c.coflow_id)
-                progress[c.coflow_id] = CoflowProgress(
-                    coflow_id=c.coflow_id,
-                    arrival_time=c.arrival_time,
-                    total_volume=c.total_volume,
-                    width=c.width,
-                    name=c.name,
-                    deadline=c.deadline,
-                    weight=c.weight,
-                )
-                total_bytes += c.total_volume
-                heapq.heappush(pending, (c.arrival_time, c.coflow_id, c))
-                if track:
-                    submitted(c, now)
-
-        def inject_after(cid: int, now: float) -> None:
-            """Admit the injector's new coflows for a completed one."""
-            if injector is not None:
-                admit(injector(cid, now), now)
-
-        def resubmit_after(aborted: list[int], now: float) -> None:
-            """Hand aborted coflows to ``on_abort`` and admit replacements."""
-            if on_abort is None:
-                return
-            for cid in aborted:
-                admit(on_abort(cid, now), now)
-
-        fl = ActiveFlows.empty()
-
-        noise = self.estimate_noise
-        # Factors are memoized per coflow so a whole coflow's entries can
-        # be evicted in O(1) when it completes or aborts -- the old flat
-        # ``(cid, src, dst)`` dict grew without bound over the run.
-        noise_factors: dict[int, dict[tuple[int, int], float]] = {}
-        # Debug/test handle: lets callers verify entries are evicted as
-        # coflows leave the system instead of accumulating over the run.
-        self._noise_factors = noise_factors
-        if noise is not None:
-            # Activate the flow-aligned factor column; rows appended by
-            # the recovery layer arrive as NaN and are filled lazily.
-            fl.view_factor = np.empty(0)
-
-        def flow_noise_factor(cid: int, src: int, dst: int) -> float:
-            per = noise_factors.get(cid)
-            if per is None:
-                per = noise_factors[cid] = {}
-            factor = per.get((src, dst))
-            if factor is None:
-                factor = noise.flow_factor(cid, src, dst)
-                per[(src, dst)] = factor
-            return factor
-
-        def scheduler_view(flows: ActiveFlows) -> np.ndarray:
-            """Remaining volumes as the discipline sees them (maybe noisy)."""
-            if noise is None:
-                return flows.remaining
-            # One multiply over the cached factor column; only rows the
-            # recovery layer appended since the last epoch (NaN sentinel)
-            # hit the per-flow memo.
-            vf = flows.view_factor
-            missing = np.isnan(vf)
-            if missing.any():
-                for i in np.flatnonzero(missing):
-                    vf[i] = flow_noise_factor(
-                        int(flows.cids[i]),
-                        int(flows.srcs[i]),
-                        int(flows.dsts[i]),
-                    )
-            return np.maximum(flows.remaining * vf, _ESTIMATE_FLOOR)
-
-        # FlowGroups cache: the grouping only depends on flow identity, so
-        # it survives every epoch that neither appends nor removes flows.
-        # Appends and recovery edits rebuild it here; completions derive
-        # it from the previous grouping (see the drain step).
-        groups_cache: FlowGroups | None = None
-        groups_version: int = -1
-
-        def current_groups() -> FlowGroups:
-            nonlocal groups_cache, groups_version
-            if groups_cache is None or groups_version != fl.version:
-                groups_cache = FlowGroups(fl.cids)
-                groups_version = fl.version
-            return groups_cache
-
-        # Event-horizon rate cache (batch_events): one allocation is
-        # reused across epochs while (a) the active flow set is unchanged
-        # (``fl.version``), (b) no fabric/recovery mutation occurred since
-        # it was computed (``cache_dirty``) and (c) the clock is strictly
-        # before the scheduler's self-reported validity horizon.  The
-        # epoch *boundaries* are untouched -- only the recomputation is
-        # skipped -- so results are bit-identical to ``batch_events=False``.
-        batch = self.batch_events
-        # The cache also carries the moving flows' indices and rates, the
-        # only ones each epoch's completion horizon reads.
-        cached_rates: np.ndarray | None = None
-        cached_moving: np.ndarray | None = None
-        cached_moving_rates: np.ndarray | None = None
-        cache_version = -1
-        cache_valid_until = -np.inf
-        cache_dirty = True
-
-        # Deferred attained-service credit.  Only ``allocate``, an
-        # overridden ``next_event_hint`` and the recovery layer read
-        # ``sent_bytes``, so each epoch queues its ``dt`` against the
-        # (rates, groups) pair it drained with, and one flush credits the
-        # queue before any of them runs -- once per allocation instead of
-        # once per epoch, bit-identical to crediting every epoch (see
-        # :meth:`FlowGroups.scaled_value_sums`).
-        credit_rates: np.ndarray | None = None
-        credit_groups: FlowGroups | None = None
-        credit_dts: list[float] = []
-        hint_reads_progress = (
-            type(self.scheduler).next_event_hint
-            is not CoflowScheduler.next_event_hint
-        )
-
-        def flush_credit() -> None:
-            if not credit_dts:
-                return
-            sums = credit_groups.scaled_value_sums(credit_dts, credit_rates)
-            for cid, per_epoch in zip(credit_groups.unique_cids.tolist(), sums):
-                p = progress[cid]
-                sent = p.sent_bytes
-                for v in per_epoch:
-                    sent += v
-                p.sent_bytes = sent
-            credit_dts.clear()
-
-        t = 0.0
-        completion: dict[int, float] = {}
-
-        def complete(cid: int, now: float) -> None:
-            completion[cid] = now
-            progress[cid].completion_time = now
-            noise_factors.pop(cid, None)
-            if track:
-                obs.emit(
-                    "coflow_complete", now,
-                    cid=int(cid),
-                    cct=float(now - progress[cid].arrival_time),
-                )
-            inject_after(cid, now)
-
-        def watchdog_abort(error):
-            """Attach a crash report to a watchdog error and raise it.
-
-            The report carries everything a post-mortem needs: the repro
-            header, the simulation clock and epoch count, the active
-            coflows with their outstanding bytes, the failure-log tail
-            and (when a recording sink is attached) the last observed
-            events.
-            """
-            from dataclasses import asdict
-
-            from repro.core.resilience import crash_report
-
-            active = []
-            if fl.size:
-                for cid in np.unique(fl.cids)[:20]:
-                    mask = fl.cids == cid
-                    active.append(
-                        {
-                            "coflow_id": int(cid),
-                            "flows": int(mask.sum()),
-                            "remaining_bytes": float(fl.remaining[mask].sum()),
-                        }
-                    )
-            events = None
-            if obs is not None:
-                for sink in (obs, *getattr(obs, "children", ())):
-                    if hasattr(sink, "events"):
-                        events = sink.events
-                        break
-            context = {
-                "sim_time": float(t),
-                "n_epochs": n_epochs,
-                "active_flows": int(fl.size),
-                "active_coflows": active,
-                "pending_coflows": len(pending),
-                "completed_coflows": len(completion),
-                "scheduler": getattr(
-                    self.scheduler, "name", type(self.scheduler).__name__
-                ),
-                "max_epochs": self.max_epochs,
-                "wall_clock_budget_s": self.wall_clock_budget_s,
-                "stall_epochs": self.stall_epochs,
-            }
-            if recovery is not None and recovery.records:
-                context["failures"] = [
-                    asdict(r) for r in recovery.records[-10:]
-                ]
-            error.report = crash_report(error, context=context, events=events)
-            raise error
-
-        n_epochs = 0
-        stall_limit = self.stall_epochs
-        stalled = 0
-        last_clock = -np.inf  # strictly below any valid t, including 0.0
-        wall_start = (
-            time.monotonic() if self.wall_clock_budget_s is not None else 0.0
-        )
-        for _ in range(self.max_epochs):
-            n_epochs += 1
-            # Watchdogs (inlined: the stall check is two comparisons per
-            # epoch, the wall-clock check only runs when a budget is set).
-            if stall_limit:
-                if t <= last_clock:
-                    stalled += 1
-                    if stalled >= stall_limit:
-                        from repro.core.resilience import StallError
-
-                        watchdog_abort(
-                            StallError(
-                                f"simulation clock stalled at t={t:.6g}: "
-                                f"{stalled} consecutive epochs without "
-                                f"progress (stall_epochs={stall_limit})"
-                            )
-                        )
-                else:
-                    stalled = 0
-                last_clock = t
-            if (
-                self.wall_clock_budget_s is not None
-                and time.monotonic() - wall_start > self.wall_clock_budget_s
-            ):
-                from repro.core.resilience import BudgetExceeded
-
-                watchdog_abort(
-                    BudgetExceeded(
-                        f"simulation exceeded its wall-clock budget of "
-                        f"{self.wall_clock_budget_s:.6g}s at t={t:.6g} "
-                        f"after {n_epochs} epochs"
-                    )
-                )
-            # Admit coflows that have arrived.  The tolerance scales with
-            # the ULP at ``t`` so boundary arrivals are admitted on time
-            # even at large simulation clocks (see :func:`_arrival_slack`).
-            slack = _arrival_slack(t)
-            if source is not None:
-                # Open-loop arrivals: whatever the source releases at (or
-                # before) ``t`` joins the pending heap now, ahead of the
-                # drain below, so a release is admitted the same epoch.
-                admit(source.take(t, slack), t, allow_past=True)
-            while pending and pending[0][0] <= t + slack:
-                _, _, cf = heapq.heappop(pending)
-                if track:
-                    obs.emit("coflow_admit", t, cid=int(cf.coflow_id))
-                if cf.width == 0:
-                    # Degenerate coflow with no network flows completes instantly.
-                    complete(cf.coflow_id, max(t, cf.arrival_time))
-                    continue
-                srcs_a, dsts_a, vols_a = cf.flow_arrays()
-                if float(vols_a.max()) <= _VOLUME_EPS:
-                    # Every flow is below the completion epsilon: the first
-                    # epoch would drop them all without draining a byte, so
-                    # treat the coflow like width == 0 and finish it now
-                    # instead of letting it linger one epoch at zero rate.
-                    complete(cf.coflow_id, max(t, cf.arrival_time))
-                    continue
-                factors = None
-                if fl.view_factor is not None:
-                    factors = np.array(
-                        [
-                            flow_noise_factor(cf.coflow_id, int(s), int(d))
-                            for s, d in zip(srcs_a, dsts_a)
-                        ],
-                        dtype=float,
-                    )
-                # ``ActiveFlows.append`` concatenates (always copies), so
-                # handing it the coflow's cached arrays is aliasing-safe.
-                fl.append(
-                    srcs=srcs_a,
-                    dsts=dsts_a,
-                    remaining=vols_a,
-                    volume0=vols_a,
-                    attempts=np.zeros(cf.width, dtype=np.int64),
-                    cids=np.full(cf.width, cf.coflow_id),
-                    view_factor=factors,
-                )
-
-            changed = False
-            if dynamics is not None:
-                changed = dynamics.apply_due(fabric, t)
-                if changed:
-                    cache_dirty = True
-
-            # Fault handling: strand flows pinned to dead ports, resume
-            # recovered ones, and apply the recovery policy.
-            if recovery is not None and (
-                changed or recovery.any_dead(fabric) or recovery.has_suspended
-            ):
-                # The recovery step may strand/resume flows or replan
-                # placements; conservatively invalidate the rate cache
-                # whenever it runs at all.
-                cache_dirty = True
-                flush_credit()
-                aborted, local = recovery.step(fabric, t, fl, progress)
-                for cid in aborted:
-                    noise_factors.pop(cid, None)
-                if track:
-                    sync_failures(recovery)
-                    for cid in aborted:
-                        obs.emit("coflow_abort", t, cid=int(cid))
-                resubmit_after(aborted, t)
-                for cid in local:
-                    # Replan kept the chunk on its source: if that was the
-                    # coflow's last outstanding flow, the coflow is done.
-                    if (
-                        cid not in completion
-                        and cid not in recovery.failed_coflows
-                        and not (fl.cids == cid).any()
-                        and cid not in recovery.suspended_coflow_ids()
-                    ):
-                        complete(cid, t)
-
-            if fl.size == 0:
-                waits = []
-                if pending:
-                    waits.append(pending[0][0])
-                if source is not None:
-                    nxt_src = source.next_time(t)
-                    if nxt_src is not None:
-                        waits.append(nxt_src)
-                if dynamics is not None:
-                    nxt = dynamics.next_event_time(t)
-                    if nxt is not None:
-                        waits.append(nxt)
-                if recovery is not None:
-                    wake = recovery.next_wakeup(fabric, t)
-                    if wake is not None:
-                        waits.append(wake)
-                if waits:
-                    t = max(min(waits), t)
-                    continue
-                if recovery is not None and recovery.has_suspended:
-                    # Parked flows with no recovery event ever coming.
-                    flush_credit()
-                    aborted = recovery.abort_unrecoverable(t)
-                    for cid in aborted:
-                        noise_factors.pop(cid, None)
-                    if track:
-                        sync_failures(recovery)
-                        for cid in aborted:
-                            obs.emit("coflow_abort", t, cid=int(cid))
-                    resubmit_after(aborted, t)
-                    if pending:
-                        continue
-                break
-
-            ctx = SchedulingContext(
-                time=t,
-                fabric=fabric,
-                srcs=fl.srcs,
-                dsts=fl.dsts,
-                remaining=scheduler_view(fl),
-                coflow_ids=fl.cids,
-                progress=progress,
-                groups=current_groups(),
-            )
-            if (
-                batch
-                and cache_version == fl.version
-                and not cache_dirty
-                and t < cache_valid_until
-            ):
-                # Horizon reuse: the discipline promised (through
-                # ``rates_valid_until``) that a fresh allocation would be
-                # bit-identical under these exact conditions.
-                rates = cached_rates
-                moving = cached_moving
-                moving_rates = cached_moving_rates
-                reused = True
-            else:
-                flush_credit()
-                rates = np.asarray(self.scheduler.allocate(ctx), dtype=float)
-                reused = False
-                if rates.shape != fl.srcs.shape:
-                    raise ValueError(
-                        f"scheduler returned {rates.shape}, "
-                        f"expected {fl.srcs.shape}"
-                    )
-                fabric.validate_rates(fl.srcs, fl.dsts, rates)
-                moving = (rates > 0).nonzero()[0]
-                moving_rates = rates[moving]
-                if batch:
-                    cached_rates = rates
-                    cached_moving = moving
-                    cached_moving_rates = moving_rates
-                    cache_version = fl.version
-                    cache_dirty = False
-                    cache_valid_until = self.scheduler.rates_valid_until(
-                        ctx, rates
-                    )
-            if moving.size:
-                dt_complete = float(
-                    (fl.remaining[moving] / moving_rates).min()
-                )
-            else:
-                dt_complete = np.inf
-            dt_arrival = pending[0][0] - t if pending else np.inf
-            dt = min(dt_complete, dt_arrival)
-            if source is not None:
-                nxt_src = source.next_time(t)
-                if nxt_src is not None:
-                    dt = min(dt, max(nxt_src - t, 0.0))
-            if hint_reads_progress:
-                flush_credit()
-                hint = self.scheduler.next_event_hint(ctx, rates)
-                if hint is not None and hint > 1e-12:
-                    dt = min(dt, hint)
-            if dynamics is not None:
-                nxt = dynamics.next_event_time(t)
-                if nxt is not None:
-                    dt = min(dt, nxt - t)
-            if recovery is not None:
-                wake = recovery.next_wakeup(fabric, t)
-                if wake is not None:
-                    dt = min(dt, wake - t)
-            if not math.isfinite(dt):
-                raise RuntimeError(
-                    f"scheduler starved all {fl.size} active flows at t={t:.6g} "
-                    "with no pending arrivals (deadlock)"
-                )
-            dt = max(dt, 0.0)
-
-            if track:
-                if wants_flow_events:
-                    for cid in np.unique(fl.cids[moving]):
-                        cid = int(cid)
-                        if cid not in first_byte_seen:
-                            first_byte_seen.add(cid)
-                            obs.emit("coflow_first_byte", t, cid=cid)
-                sample = {}
-                if wants_detail:
-                    sample["coflows"] = int(np.unique(fl.cids).size)
-                    sample["queue"] = len(pending)
-                    sample["residual"] = float(fl.remaining.sum())
-                    if wants_port_samples:
-                        used_out = np.bincount(
-                            fl.srcs, weights=rates, minlength=fabric.n_ports
-                        )
-                        used_in = np.bincount(
-                            fl.dsts, weights=rates, minlength=fabric.n_ports
-                        )
-                        with np.errstate(divide="ignore", invalid="ignore"):
-                            busy_s = np.where(
-                                fabric.egress_rates > 0,
-                                used_out / fabric.egress_rates, 0.0,
-                            )
-                            busy_r = np.where(
-                                fabric.ingress_rates > 0,
-                                used_in / fabric.ingress_rates, 0.0,
-                            )
-                        sample["port_busy_send"] = [
-                            round(float(x), 9) for x in busy_s
-                        ]
-                        sample["port_busy_recv"] = [
-                            round(float(x), 9) for x in busy_r
-                        ]
-                obs.emit(
-                    "epoch", t,
-                    dur=float(dt), flows=fl.size, rate=float(rates.sum()),
-                    reused=reused, **sample,
-                )
-
-            # Drain volumes; queue the attained-service credit.
-            fl.remaining = fl.remaining - rates * dt
-            g = current_groups()
-            if rates is not credit_rates or g is not credit_groups:
-                flush_credit()
-                credit_rates, credit_groups = rates, g
-            credit_dts.append(dt)
-            if len(credit_dts) == _MAX_QUEUED_CREDITS:
-                flush_credit()
-            t += dt
-
-            done = fl.remaining <= _VOLUME_EPS
-            if done.any():
-                suspended_cids = (
-                    recovery.suspended_coflow_ids()
-                    if recovery is not None
-                    else set()
-                )
-                for gi in np.flatnonzero(g.all_done_mask(done)):
-                    cid = int(g.unique_cids[gi])
-                    if cid in suspended_cids:
-                        # Other flows of this coflow are parked on a
-                        # dead port; the coflow is not finished yet.
-                        continue
-                    complete(cid, t)
-                # Flows of incomplete coflows that drained to zero are
-                # removed either way; parked siblings keep the coflow open.
-                # ``g`` is current, so the survivors' grouping is derived
-                # from it rather than rebuilt.
-                kept = ~done
-                fl.keep(kept)
-                groups_cache = g.kept(kept)
-                groups_version = fl.version
-        else:
-            from repro.core.resilience import BudgetExceeded
-
-            watchdog_abort(
-                BudgetExceeded(
-                    f"simulation exceeded max_epochs={self.max_epochs} "
-                    f"at t={t:.6g}"
-                )
-            )
-
-        flush_credit()
-        ccts = {
-            cid: completion[cid] - progress[cid].arrival_time for cid in completion
-        }
-        makespan = max(completion.values()) if completion else 0.0
-        if track:
-            if recovery is not None:
-                sync_failures(recovery)
-            obs.emit("run_end", t, makespan=float(makespan))
-        return SimulationResult(
-            completion_times=completion,
-            ccts=ccts,
-            makespan=makespan,
-            total_bytes=total_bytes,
-            epochs=list(collector.epochs) if collector is not None else [],
-            epochs_dropped=(
-                collector.dropped if collector is not None else 0
-            ),
-            failures=list(recovery.records) if recovery is not None else [],
-            failed_coflows=(
-                dict(recovery.failed_coflows) if recovery is not None else {}
-            ),
-            n_epochs=n_epochs,
-        )
+        loop = _EpochLoop(self, coflows, injector, on_abort, source)
+        while loop.step():
+            pass
+        return loop.result()
 
     @staticmethod
     def _with_id(coflow: Coflow, default_id: int) -> Coflow:
@@ -1153,3 +488,648 @@ class CoflowSimulator:
                 weight=coflow.weight,
             )
         return coflow
+
+
+class _EpochLoop:
+    """The state of one :meth:`CoflowSimulator.run` and its epoch phases.
+
+    :meth:`step` runs one epoch: :meth:`watchdog`, :meth:`admit_due`,
+    :meth:`apply_fabric`, then either :meth:`idle` fast-forwards an empty
+    fabric to :meth:`next_wake`, or the epoch takes its rates from
+    :meth:`reuse` or :meth:`allocate` and :meth:`advance` drains to the
+    next completion or event.  Every coflow enters through
+    :meth:`intake` and every abort goes through :meth:`abort`.
+    ``SchedulingContext`` is looked up in the module globals on every
+    epoch, where tracers may wrap it.
+    """
+
+    __slots__ = (
+        "scheduler", "max_epochs", "wall_clock_budget_s", "stall_epochs",
+        "batch", "hint_reads_progress", "injector", "on_abort", "source",
+        "wakers", "obs", "collector", "track", "wants_flow_events",
+        "wants_port_samples", "first_byte_seen", "failures_seen",
+        "fabric", "dynamics", "recovery", "fl", "noise", "noise_factors",
+        "progress", "pending", "total_bytes", "completion",
+        "groups_cache", "groups_version", "cached", "cache_version",
+        "cache_valid_until", "cache_dirty", "credit_rates",
+        "credit_groups", "credit_dts", "t", "n_epochs", "stalled",
+        "last_clock", "wall_start",
+    )
+
+    def __init__(
+        self, sim: CoflowSimulator, coflows: list[Coflow],
+        injector: "Callable[[int, float], list[Coflow]] | None",
+        on_abort: "Callable[[int, float], list[Coflow]] | None",
+        source: "ArrivalSource | None",
+    ) -> None:
+        self.scheduler = sim.scheduler
+        self.max_epochs = sim.max_epochs
+        self.wall_clock_budget_s = sim.wall_clock_budget_s
+        self.stall_epochs = sim.stall_epochs
+        self.batch = sim.batch_events
+        self.injector, self.on_abort, self.source = injector, on_abort, source
+        self.scheduler.reset()
+
+        # ``record_timeline`` is one more sink on the event stream.
+        obs: Instrumentation | None = sim.instrumentation
+        self.collector = None
+        if sim.record_timeline:
+            self.collector = _TimelineCollector(sim.timeline_limit)
+            obs = (
+                self.collector
+                if obs is None
+                else MultiInstrumentation([self.collector, obs])
+            )
+        self.obs = obs
+        self.track = obs is not None
+        self.wants_flow_events = self.track and obs.wants_flow_events
+        self.wants_port_samples = self.track and obs.wants_port_samples
+        self.first_byte_seen: set[int] = set()
+        self.failures_seen = 0
+
+        # With dynamics, work on a private fabric copy and a private event
+        # schedule so runs are repeatable and the caller's fabric pristine.
+        fabric = self.fabric = sim.fabric
+        self.dynamics = self.recovery = None
+        # Bound "next event" queries, in the order the horizon reads them.
+        self.wakers = [] if source is None else [source.next_time]
+        if sim.dynamics is not None:
+            fabric = self.fabric = Fabric(
+                n_ports=fabric.n_ports,
+                rate=fabric.rate,
+                egress_rates=fabric.egress_rates,
+                ingress_rates=fabric.ingress_rates,
+            )
+            self.dynamics = FabricDynamics(list(sim.dynamics.events))
+            self.wakers.append(self.dynamics.next_event_time)
+            if sim.recovery is not None:
+                self.recovery = RecoveryManager(sim.recovery, fabric.n_ports)
+                self.wakers.append(
+                    functools.partial(self.recovery.next_wakeup, fabric)
+                )
+
+        self.fl = ActiveFlows.empty()
+        self.noise = sim.estimate_noise
+        # Factors are memoized per coflow so a whole coflow's entries can
+        # be evicted in O(1) when it completes or aborts.
+        self.noise_factors: dict[int, dict[tuple[int, int], float]] = {}
+        # Debug/test handle: lets callers verify entries are evicted as
+        # coflows leave the system instead of accumulating over the run.
+        sim._noise_factors = self.noise_factors
+        if self.noise is not None:
+            # Activate the flow-aligned factor column; rows appended by
+            # the recovery layer arrive as NaN and are filled lazily.
+            self.fl.view_factor = np.empty(0)
+
+        # FlowGroups cache: the grouping only depends on flow identity, so
+        # it survives every epoch that neither appends nor removes flows.
+        # Appends and recovery edits rebuild it in :meth:`groups`;
+        # completions derive it from the previous grouping (see
+        # :meth:`advance`).
+        self.groups_cache: FlowGroups | None = None
+        self.groups_version = -1
+
+        # Event-horizon rate cache (batch_events, see :meth:`reuse`): the
+        # last (rates, moving indices, moving rates), the flow-list
+        # version it was computed for, the scheduler's validity horizon
+        # and a dirty bit set by fabric or recovery changes.
+        self.cached: "tuple[np.ndarray, ...] | None" = None
+        self.cache_version = -1
+        self.cache_valid_until = -np.inf
+        self.cache_dirty = True
+
+        # Deferred attained-service credit.  Only ``allocate``, an
+        # overridden ``next_event_hint`` and the recovery layer read
+        # ``sent_bytes``, so each epoch queues its ``dt`` against the
+        # (rates, groups) pair it drained with, and one flush credits the
+        # queue before any of them runs -- once per allocation instead of
+        # once per epoch, bit-identical to crediting every epoch (see
+        # :meth:`FlowGroups.scaled_value_sums`).
+        self.credit_rates = self.credit_groups = None
+        self.credit_dts: list[float] = []
+        self.hint_reads_progress = (
+            type(self.scheduler).next_event_hint
+            is not CoflowScheduler.next_event_hint
+        )
+
+        self.t = 0.0
+        self.completion: dict[int, float] = {}
+        self.progress: dict[int, CoflowProgress] = {}
+        # Min-heap on (arrival, id): O(log n) admission.  Ids are
+        # unique, so the Coflow payload never gets compared.
+        self.pending: list[tuple[float, int, Coflow]] = []
+        self.total_bytes = 0.0
+        if self.track:
+            obs.emit(
+                "run_start", 0.0,
+                coflows=len(coflows),
+                total_bytes=float(sum(c.total_volume for c in coflows)),
+            )
+        self.intake(coflows, 0.0)
+
+        self.n_epochs = self.stalled = 0
+        self.last_clock = -np.inf  # strictly below any valid t, including 0.0
+        self.wall_start = time.monotonic()
+
+    # -- coflows entering and leaving ------------------------------------
+    def intake(
+        self, new: list[Coflow], now: float, allow_past: bool = False
+    ) -> None:
+        """Validate coflows known from ``now`` and queue them for admission.
+
+        The initial coflows, source releases and the coflows the
+        ``injector`` / ``on_abort`` callbacks return all enter here.
+        ``allow_past`` relaxes the no-time-travel check for source
+        releases: a deferred coflow keeps its original arrival time
+        (before ``now``) so its CCT honestly includes the queueing delay
+        the admission policy imposed.
+        """
+        n_ports = self.fabric.n_ports
+        for c in new:
+            cid = c.coflow_id
+            if cid < 0 or cid in self.progress:
+                raise ValueError(
+                    f"coflow id {cid} is negative or a duplicate: every "
+                    f"coflow needs a fresh non-negative id"
+                )
+            if not allow_past and c.arrival_time < now - 1e-9:
+                raise ValueError(
+                    f"injected coflow {cid} arrives in the past "
+                    f"({c.arrival_time} < {now})"
+                )
+            if c.max_port >= n_ports:
+                raise ValueError(
+                    f"coflow {cid} references port {c.max_port} "
+                    f">= fabric size {n_ports}"
+                )
+            volume = c.total_volume
+            self.progress[cid] = CoflowProgress(
+                cid, c.arrival_time, volume, c.width, name=c.name,
+                deadline=c.deadline, weight=c.weight,
+            )
+            self.total_bytes += volume
+            heapq.heappush(self.pending, (c.arrival_time, cid, c))
+            if self.track:
+                self.obs.emit(
+                    "coflow_submit", now,
+                    cid=int(cid), arrival=float(c.arrival_time),
+                    volume=float(volume), width=int(c.width),
+                    name=str(c.name), weight=float(c.weight),
+                )
+
+    def complete(self, cid: int, now: float) -> None:
+        """Record a finished coflow and admit what ``injector`` releases."""
+        self.completion[cid] = now
+        progress = self.progress[cid]
+        progress.completion_time = now
+        self.noise_factors.pop(cid, None)
+        if self.track:
+            self.obs.emit(
+                "coflow_complete", now,
+                cid=int(cid), cct=float(now - progress.arrival_time),
+            )
+        if self.injector is not None:
+            self.intake(self.injector(cid, now), now)
+
+    def abort(self, aborted: list[int], now: float) -> None:
+        """Publish new failure-log records, retire the ``aborted`` coflows
+        and admit what ``on_abort`` resubmits for them."""
+        for cid in aborted:
+            self.noise_factors.pop(cid, None)
+        if self.track:
+            self.sync_failures()
+            for cid in aborted:
+                self.obs.emit("coflow_abort", now, cid=int(cid))
+        if self.on_abort is not None:
+            for cid in aborted:
+                self.intake(self.on_abort(cid, now), now)
+
+    def sync_failures(self) -> None:
+        """Emit the newly appended failure-log records as events."""
+        records = self.recovery.records
+        while self.failures_seen < len(records):
+            r = records[self.failures_seen]
+            self.obs.emit(
+                "failure", r.time,
+                failure_kind=r.kind, port=int(r.port),
+                cid=int(r.coflow_id), flows=int(r.flows),
+                bytes_lost=float(r.bytes_lost), detail=r.detail,
+            )
+            self.failures_seen += 1
+
+    # -- per-epoch helpers -------------------------------------------------
+    def noise_factor(self, cid: int, src: int, dst: int) -> float:
+        per = self.noise_factors.get(cid)
+        if per is None:
+            per = self.noise_factors[cid] = {}
+        factor = per.get((src, dst))
+        if factor is None:
+            factor = per[(src, dst)] = self.noise.flow_factor(cid, src, dst)
+        return factor
+
+    def scheduler_view(self) -> np.ndarray:
+        """Remaining volumes as the discipline sees them (maybe noisy)."""
+        fl = self.fl
+        if self.noise is None:
+            return fl.remaining
+        # One multiply over the cached factor column; only rows the
+        # recovery layer appended since the last epoch (NaN sentinel)
+        # hit the per-flow memo.
+        vf = fl.view_factor
+        missing = np.isnan(vf)
+        if missing.any():
+            for i in np.flatnonzero(missing):
+                vf[i] = self.noise_factor(
+                    int(fl.cids[i]), int(fl.srcs[i]), int(fl.dsts[i])
+                )
+        return np.maximum(fl.remaining * vf, _ESTIMATE_FLOOR)
+
+    def groups(self) -> FlowGroups:
+        """The active flows' grouping, rebuilt only after they changed."""
+        if self.groups_cache is None or self.groups_version != self.fl.version:
+            self.groups_cache = FlowGroups(self.fl.cids)
+            self.groups_version = self.fl.version
+        return self.groups_cache
+
+    def flush_credit(self) -> None:
+        """Credit the queued epochs' bytes to ``sent_bytes``."""
+        credit_dts = self.credit_dts
+        if not credit_dts:
+            return
+        g = self.credit_groups
+        sums = g.scaled_value_sums(credit_dts, self.credit_rates)
+        progress = self.progress
+        for cid, per_epoch in zip(g.unique_cids.tolist(), sums):
+            p = progress[cid]
+            sent = p.sent_bytes
+            for v in per_epoch:
+                sent += v
+            p.sent_bytes = sent
+        credit_dts.clear()
+
+    def next_wake(self, t: float) -> float | None:
+        """Earliest pending arrival, source release, fabric event or
+        recovery wakeup after ``t`` -- None when nothing is scheduled."""
+        wake = self.pending[0][0] if self.pending else None
+        for waker in self.wakers:
+            nxt = waker(t)
+            if nxt is not None and (wake is None or nxt < wake):
+                wake = nxt
+        return wake
+
+    # -- the phases --------------------------------------------------------
+    def step(self) -> bool:
+        """Run one epoch; False once nothing is left to simulate."""
+        self.watchdog()
+        t = self.t
+        self.admit_due(t)
+        if self.dynamics is not None:
+            self.apply_fabric(t)
+        fl = self.fl
+        if fl.size == 0:
+            return self.idle(t)
+        ctx = SchedulingContext(
+            time=t,
+            fabric=self.fabric,
+            srcs=fl.srcs,
+            dsts=fl.dsts,
+            remaining=self.scheduler_view(),
+            coflow_ids=fl.cids,
+            progress=self.progress,
+            groups=self.groups(),
+        )
+        cached = self.reuse(t)
+        if cached is None:
+            self.advance(ctx, *self.allocate(ctx), False)
+        else:
+            self.advance(ctx, *cached, True)
+        return True
+
+    def watchdog(self) -> None:
+        """Count the epoch; trip on the epoch budget, a stalled clock or
+        the wall-clock budget."""
+        t, budget, trip = self.t, self.wall_clock_budget_s, None
+        if self.n_epochs >= self.max_epochs:
+            trip = "BudgetExceeded", (
+                f"simulation exceeded max_epochs={self.max_epochs} "
+                f"at t={t:.6g}"
+            )
+        else:
+            self.n_epochs += 1
+            if self.stall_epochs:
+                if t <= self.last_clock:
+                    self.stalled += 1
+                    if self.stalled >= self.stall_epochs:
+                        trip = "StallError", (
+                            f"simulation clock stalled at t={t:.6g}: "
+                            f"{self.stalled} consecutive epochs without "
+                            f"progress (stall_epochs={self.stall_epochs})"
+                        )
+                else:
+                    self.stalled = 0
+                self.last_clock = t
+            if trip is None and budget is not None and (
+                time.monotonic() - self.wall_start > budget
+            ):
+                trip = "BudgetExceeded", (
+                    f"simulation exceeded its wall-clock budget of "
+                    f"{budget:.6g}s at t={t:.6g} after {self.n_epochs} epochs"
+                )
+        if trip is not None:
+            self.watchdog_abort(*trip)
+
+    def watchdog_abort(self, error_type: str, message: str) -> None:
+        """Raise a :mod:`repro.core.resilience` watchdog error carrying
+        a crash report.
+
+        The report carries everything a post-mortem needs: the repro
+        header, the simulation clock and epoch count, the active
+        coflows with their outstanding bytes, the failure-log tail and
+        (when a recording sink is attached) the last observed events.
+        """
+        from dataclasses import asdict
+
+        from repro.core import resilience
+
+        error = getattr(resilience, error_type)(message)
+        fl = self.fl
+        masks = [(cid, fl.cids == cid) for cid in np.unique(fl.cids)[:20]]
+        active = [
+            {
+                "coflow_id": int(cid),
+                "flows": int(mask.sum()),
+                "remaining_bytes": float(fl.remaining[mask].sum()),
+            }
+            for cid, mask in masks
+        ]
+        events = None
+        if self.obs is not None:
+            for sink in (self.obs, *getattr(self.obs, "children", ())):
+                if hasattr(sink, "events"):
+                    events = sink.events
+                    break
+        context = {
+            "sim_time": float(self.t),
+            "n_epochs": self.n_epochs,
+            "active_flows": int(fl.size),
+            "active_coflows": active,
+            "pending_coflows": len(self.pending),
+            "completed_coflows": len(self.completion),
+            "scheduler": getattr(
+                self.scheduler, "name", type(self.scheduler).__name__
+            ),
+            "max_epochs": self.max_epochs,
+            "wall_clock_budget_s": self.wall_clock_budget_s,
+            "stall_epochs": self.stall_epochs,
+        }
+        if self.recovery is not None and self.recovery.records:
+            context["failures"] = [
+                asdict(r) for r in self.recovery.records[-10:]
+            ]
+        error.report = resilience.crash_report(
+            error, context=context, events=events
+        )
+        raise error
+
+    def admit_due(self, t: float) -> None:
+        """Poll the source, then move every coflow due by ``t`` from the
+        pending heap onto the fabric."""
+        # The tolerance scales with the ULP at ``t`` so boundary arrivals
+        # are admitted on time even at large simulation clocks (see
+        # :func:`_arrival_slack`).
+        slack = _arrival_slack(t)
+        if self.source is not None:
+            # Open-loop arrivals: whatever the source releases at (or
+            # before) ``t`` joins the pending heap now, ahead of the
+            # drain below, so a release is admitted the same epoch.
+            self.intake(self.source.take(t, slack), t, allow_past=True)
+        pending, fl = self.pending, self.fl
+        while pending and pending[0][0] <= t + slack:
+            _, cid, cf = heapq.heappop(pending)
+            if self.track:
+                self.obs.emit("coflow_admit", t, cid=int(cid))
+            if cf.width == 0 or cf.flow_arrays()[2].max() <= _VOLUME_EPS:
+                # No flow, or every flow below the completion epsilon (the
+                # first epoch would drop them all without draining a
+                # byte): the coflow completes at once.
+                self.complete(cid, max(t, cf.arrival_time))
+                continue
+            srcs, dsts, vols = cf.flow_arrays()
+            factors = None
+            if fl.view_factor is not None:
+                factors = np.array(
+                    [
+                        self.noise_factor(cid, int(s), int(d))
+                        for s, d in zip(srcs, dsts)
+                    ],
+                    dtype=float,
+                )
+            # ``ActiveFlows.append`` concatenates (always copies), so
+            # handing it the coflow's cached arrays is aliasing-safe.
+            fl.append(
+                srcs=srcs,
+                dsts=dsts,
+                remaining=vols,
+                volume0=vols,
+                attempts=np.zeros(cf.width, dtype=np.int64),
+                cids=np.full(cf.width, cid),
+                view_factor=factors,
+            )
+
+    def apply_fabric(self, t: float) -> None:
+        """Apply the fabric events due by ``t``; strand flows pinned to
+        dead ports, resume recovered ones and apply the recovery policy."""
+        fabric, recovery = self.fabric, self.recovery
+        changed = self.dynamics.apply_due(fabric, t)
+        if changed:
+            self.cache_dirty = True
+        if recovery is None or not (
+            changed or recovery.any_dead(fabric) or recovery.has_suspended
+        ):
+            return
+        # The recovery step may strand/resume flows or replan placements;
+        # conservatively invalidate the rate cache whenever it runs at all.
+        self.cache_dirty = True
+        self.flush_credit()
+        aborted, local = recovery.step(fabric, t, self.fl, self.progress)
+        self.abort(aborted, t)
+        for cid in local:
+            # Replan kept the chunk on its source: if that was the
+            # coflow's last outstanding flow, the coflow is done.
+            if (
+                cid not in self.completion
+                and cid not in recovery.failed_coflows
+                and not (self.fl.cids == cid).any()
+                and cid not in recovery.suspended_coflow_ids()
+            ):
+                self.complete(cid, t)
+
+    def idle(self, t: float) -> bool:
+        """No active flow: fast-forward to the next event, or end the run
+        (aborting parked flows no recovery event will ever resume)."""
+        wake = self.next_wake(t)
+        if wake is not None:
+            self.t = max(wake, t)
+            return True
+        recovery = self.recovery
+        if recovery is not None and recovery.has_suspended:
+            self.flush_credit()
+            self.abort(recovery.abort_unrecoverable(t), t)
+            return bool(self.pending)
+        return False
+
+    def reuse(self, t: float) -> "tuple[np.ndarray, ...] | None":
+        """The cached allocation, while the discipline promised (through
+        ``rates_valid_until``) that a fresh one would be bit-identical."""
+        if (
+            self.batch
+            and self.cache_version == self.fl.version
+            and not self.cache_dirty
+            and t < self.cache_valid_until
+        ):
+            return self.cached
+        return None
+
+    def allocate(self, ctx: SchedulingContext) -> "tuple[np.ndarray, ...]":
+        """Ask the discipline for rates, validate them and cache them."""
+        self.flush_credit()
+        fl = self.fl
+        rates = np.asarray(self.scheduler.allocate(ctx), dtype=float)
+        if rates.shape != fl.srcs.shape:
+            raise ValueError(
+                f"scheduler returned {rates.shape}, expected {fl.srcs.shape}"
+            )
+        self.fabric.validate_rates(fl.srcs, fl.dsts, rates)
+        moving = (rates > 0).nonzero()[0]
+        alloc = (rates, moving, rates[moving])
+        if self.batch:
+            self.cached = alloc
+            self.cache_version = fl.version
+            self.cache_dirty = False
+            self.cache_valid_until = self.scheduler.rates_valid_until(
+                ctx, rates
+            )
+        return alloc
+
+    def advance(
+        self, ctx: SchedulingContext, rates: np.ndarray, moving: np.ndarray,
+        moving_rates: np.ndarray, reused: bool,
+    ) -> None:
+        """Drain the flows to the next completion or event, queue the
+        attained-service credit and complete the finished coflows."""
+        t, fl = ctx.time, self.fl
+        if moving.size:
+            dt = float((fl.remaining[moving] / moving_rates).min())
+        else:
+            dt = np.inf
+        if self.hint_reads_progress:
+            self.flush_credit()
+            hint = self.scheduler.next_event_hint(ctx, rates)
+            if hint is not None and hint > 1e-12:
+                dt = min(dt, hint)
+        wake = self.next_wake(t)
+        if wake is not None:
+            dt = min(dt, wake - t)
+        if not math.isfinite(dt):
+            raise RuntimeError(
+                f"scheduler starved all {fl.size} active flows at t={t:.6g} "
+                "with no pending arrivals (deadlock)"
+            )
+        dt = max(dt, 0.0)
+        if self.track:
+            self.emit_epoch(t, dt, rates, moving, reused)
+
+        fl.remaining = fl.remaining - rates * dt
+        g = self.groups()
+        credit_dts = self.credit_dts
+        if rates is not self.credit_rates or g is not self.credit_groups:
+            self.flush_credit()
+            self.credit_rates, self.credit_groups = rates, g
+        credit_dts.append(dt)
+        if len(credit_dts) == _MAX_QUEUED_CREDITS:
+            self.flush_credit()
+        self.t = t = t + dt
+
+        done = fl.remaining <= _VOLUME_EPS
+        if done.any():
+            suspended_cids = (
+                self.recovery.suspended_coflow_ids()
+                if self.recovery is not None
+                else set()
+            )
+            for gi in np.flatnonzero(g.all_done_mask(done)):
+                cid = int(g.unique_cids[gi])
+                if cid in suspended_cids:
+                    # Other flows of this coflow are parked on a
+                    # dead port; the coflow is not finished yet.
+                    continue
+                self.complete(cid, t)
+            # Flows of incomplete coflows that drained to zero are
+            # removed either way; parked siblings keep the coflow open.
+            # ``g`` is current, so the survivors' grouping is derived
+            # from it rather than rebuilt.
+            kept = ~done
+            fl.keep(kept)
+            self.groups_cache = g.kept(kept)
+            self.groups_version = fl.version
+
+    def emit_epoch(
+        self, t: float, dt: float, rates: np.ndarray, moving: np.ndarray,
+        reused: bool,
+    ) -> None:
+        """Emit first-byte events and the epoch sample to the sink."""
+        obs, fl = self.obs, self.fl
+        if self.wants_flow_events:
+            for cid in np.unique(fl.cids[moving]):
+                cid = int(cid)
+                if cid not in self.first_byte_seen:
+                    self.first_byte_seen.add(cid)
+                    obs.emit("coflow_first_byte", t, cid=cid)
+        sample = {}
+        if self.wants_flow_events or self.wants_port_samples:
+            sample["coflows"] = int(np.unique(fl.cids).size)
+            sample["queue"] = len(self.pending)
+            sample["residual"] = float(fl.remaining.sum())
+            if self.wants_port_samples:
+                fab = self.fabric
+                for key, ports, cap in (
+                    ("port_busy_send", fl.srcs, fab.egress_rates),
+                    ("port_busy_recv", fl.dsts, fab.ingress_rates),
+                ):
+                    used = np.bincount(ports, rates, minlength=fab.n_ports)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        busy = np.where(cap > 0, used / cap, 0.0)
+                    sample[key] = [round(float(x), 9) for x in busy]
+        obs.emit(
+            "epoch", t,
+            dur=float(dt), flows=fl.size, rate=float(rates.sum()),
+            reused=reused, **sample,
+        )
+
+    def result(self) -> SimulationResult:
+        """Credit the last queued epochs and build the run's result."""
+        self.flush_credit()
+        completion, recovery = self.completion, self.recovery
+        ccts = {
+            cid: completion[cid] - self.progress[cid].arrival_time
+            for cid in completion
+        }
+        makespan = max(completion.values()) if completion else 0.0
+        if self.track:
+            if recovery is not None:
+                self.sync_failures()
+            self.obs.emit("run_end", self.t, makespan=float(makespan))
+        collector = self.collector
+        return SimulationResult(
+            completion_times=completion,
+            ccts=ccts,
+            makespan=makespan,
+            total_bytes=self.total_bytes,
+            epochs=list(collector.epochs) if collector is not None else [],
+            epochs_dropped=collector.dropped if collector is not None else 0,
+            failures=list(recovery.records) if recovery is not None else [],
+            failed_coflows=(
+                dict(recovery.failed_coflows) if recovery is not None else {}
+            ),
+            n_epochs=self.n_epochs,
+        )

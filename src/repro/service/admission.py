@@ -77,10 +77,8 @@ class ServiceState:
     enough samples exist.
     """
 
-    now: float
     outstanding_bytes: float
     capacity: float
-    active_coflows: int
     queued: int
     recent_p95: float | None
 
@@ -430,14 +428,12 @@ class AdmissionController(ArrivalSource):
 
     @property
     def backlog_seconds(self) -> float:
-        return self.state(0.0).backlog_seconds
+        return self.state().backlog_seconds
 
-    def state(self, now: float) -> ServiceState:
+    def state(self) -> ServiceState:
         return ServiceState(
-            now=now,
             outstanding_bytes=self._outstanding_bytes,
             capacity=self.capacity,
-            active_coflows=len(self._outstanding),
             queued=len(self._deferred),
             recent_p95=self.recent_p95,
         )
@@ -445,7 +441,7 @@ class AdmissionController(ArrivalSource):
     def _decide(
         self, cf: Coflow, now: float, attempt: int, released: list[Coflow]
     ) -> None:
-        decision, reason = self.policy.decide(cf, self.state(now), attempt)
+        decision, reason = self.policy.decide(cf, self.state(), attempt)
         if decision == "admit":
             self.admitted += 1
             self._c_admitted.inc()

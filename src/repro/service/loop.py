@@ -299,7 +299,7 @@ def run_service(
         aborted=controller.aborted,
         overall=overall,
         steady=steady,
-        backlog_end_s=controller.state(result.makespan).backlog_seconds,
+        backlog_end_s=controller.backlog_seconds,
         makespan=result.makespan,
         n_epochs=result.n_epochs,
         port_failures=result.n_port_failures,

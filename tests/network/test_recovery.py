@@ -125,6 +125,40 @@ class TestRetry:
         assert res.failed_coflows == {0: 2.0}
         assert any(r.kind == "unrecoverable" for r in res.failures)
 
+    def test_unrecoverable_abort_is_traced_and_called_back(self):
+        # Same scenario, traced: the abort of parked flows no recovery
+        # event will ever resume logs, emits and calls back like any other.
+        from repro.core.noise import NoisyEstimates
+        from repro.obs import Tracer
+
+        dyn = FabricDynamics.fail(
+            time=2.0, ports=[3], fabric=Fabric(n_ports=4, rate=1.0)
+        )
+        tracer = Tracer()
+        sim = CoflowSimulator(
+            Fabric(n_ports=4, rate=1.0),
+            make_scheduler("sebf"),
+            dynamics=dyn,
+            recovery="retry",
+            estimate_noise=NoisyEstimates(sigma=0.4, seed=3),
+            instrumentation=tracer,
+        )
+        aborts = []
+        res = sim.run(
+            [shuffle_into(3)],
+            on_abort=lambda cid, now: aborts.append((cid, now)) or [],
+        )
+        assert res.failed_coflows == {0: 2.0}
+        assert aborts == [(0, 2.0)]
+        assert sim._noise_factors == {}
+        kinds = [
+            (e["kind"], e.get("failure_kind"), e.get("cid"), e["t"])
+            for e in tracer.events
+        ]
+        unrecoverable = kinds.index(("failure", "unrecoverable", 0, 2.0))
+        abort = kinds.index(("coflow_abort", None, 0, 2.0))
+        assert unrecoverable < abort
+
     def test_repeated_failures_increase_attempts(self):
         # Port 1 dies twice; flow must restart twice, backing off longer.
         cf = Coflow([Flow(0, 1, 10.0)])

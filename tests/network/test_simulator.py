@@ -102,6 +102,42 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="duplicate"):
             simulate([c1, c2])
 
+    def test_one_scheduling_context_per_allocate_without_reuse(
+        self, monkeypatch
+    ):
+        # Benchmarks count active epochs by wrapping the module-level
+        # ``SchedulingContext``; the epoch loop must look it up there on
+        # every epoch and build exactly one per active epoch.
+        from repro.network import simulator
+
+        built = []
+
+        class CountingContext(simulator.SchedulingContext):
+            def __post_init__(self):
+                built.append(self.time)
+                super().__post_init__()
+
+        allocated = []
+
+        class CountingSEBF(type(make_scheduler("sebf"))):
+            def allocate(self, ctx):
+                allocated.append(ctx)
+                return super().allocate(ctx)
+
+        monkeypatch.setattr(simulator, "SchedulingContext", CountingContext)
+        coflows = [
+            Coflow([Flow(0, 1, 2.0), Flow(2, 1, 1.0)], arrival_time=0.0),
+            Coflow([Flow(1, 2, 1.0)], arrival_time=0.5),
+            Coflow([Flow(0, 2, 1.0)], arrival_time=10.0),  # idle gap
+        ]
+        sim = CoflowSimulator(
+            Fabric(n_ports=3, rate=1.0), CountingSEBF(), batch_events=False
+        )
+        res = sim.run(coflows)
+        assert len(res.ccts) == 3
+        assert len(built) == len(allocated) > 0
+        assert all(type(ctx) is CountingContext for ctx in allocated)
+
     def test_timeline_recording(self):
         cf = Coflow([Flow(0, 1, 3.0), Flow(1, 2, 2.0)])
         fab = Fabric(n_ports=3, rate=1.0)

@@ -22,14 +22,10 @@ def state(
     capacity=1.0,
     queued=0,
     p95=None,
-    active=0,
-    now=0.0,
 ):
     return ServiceState(
-        now=now,
         outstanding_bytes=backlog_bytes,
         capacity=capacity,
-        active_coflows=active,
         queued=queued,
         recent_p95=p95,
     )
@@ -208,10 +204,10 @@ class TestAdmissionController:
         c = make_controller(AcceptAll(), rate=1.0, arrivals=5)
         released = c.take(1e9, 0.0)
         total = sum(cf.total_volume for cf in released)
-        assert c.state(0.0).outstanding_bytes == pytest.approx(total)
+        assert c.state().outstanding_bytes == pytest.approx(total)
         for cf in released:
             c.record_completion(cf.coflow_id, time=10.0)
-        assert c.state(0.0).backlog_seconds == 0.0
+        assert c.backlog_seconds == 0.0
         assert c.completed == 5
         # Unknown / duplicate completions are ignored, not crashed on.
         c.record_completion(999, time=10.0)

@@ -158,6 +158,32 @@ class TestSimulateWatchdog:
         ) == 0
         assert not crash_dir.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("simulate", ["--max-epochs", "0"]),
+            ("simulate", ["--max-epochs", "-1"]),
+            ("simulate", ["--wall-clock-budget", "0"]),
+            ("simulate", ["--stall-epochs", "-1"]),
+            ("serve", ["--max-epochs", "0"]),
+            ("serve", ["--max-epochs", "-1"]),
+            ("serve", ["--wall-clock-budget", "0"]),
+        ],
+    )
+    def test_bad_watchdog_flag_is_a_usage_error(
+        self, plan_file, tmp_path, capsys, command, flags
+    ):
+        crash_dir = tmp_path / "crashes"
+        args = [plan_file] if command == "simulate" else ["--arrivals", "5"]
+        assert main(
+            [command, *args, *flags, "--crash-dir", str(crash_dir)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert flags[0] in captured.err
+        assert captured.out == ""
+        assert not crash_dir.exists()
+
 
 class TestSweepSupervision:
     def test_interrupt_exits_130_with_partial_summary(
