@@ -343,6 +343,11 @@ class DAGExecutor:
         Optional scheduler-view noise forwarded to the simulator (the
         *discipline* sees perturbed remaining volumes; distinct from the
         plan-time ``noise`` argument of :meth:`run`).
+    sim_limits:
+        Watchdog keyword arguments forwarded to the simulator
+        (``max_epochs``, ``wall_clock_budget_s``, ``stall_epochs``);
+        a tripped watchdog propagates its
+        :class:`repro.core.resilience.ResilienceError` out of :meth:`run`.
     """
 
     def __init__(
@@ -351,10 +356,12 @@ class DAGExecutor:
         *,
         scheduler: str = "sebf",
         estimate_noise: NoisyEstimates | None = None,
+        sim_limits: dict | None = None,
     ) -> None:
         self.ccf = ccf or CCF()
         self.scheduler_name = scheduler
         self.estimate_noise = estimate_noise
+        self.sim_limits = dict(sim_limits or {})
 
     def run(
         self,
@@ -654,6 +661,7 @@ class DAGExecutor:
             recovery="abort" if failure_aware else None,
             estimate_noise=self.estimate_noise,
             instrumentation=obs,
+            **self.sim_limits,
         )
         res = sim.run(
             initial,

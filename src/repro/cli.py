@@ -923,7 +923,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "or --chaos-mtbf so there is something to recover from"
             )
         return _simulate_with_stage_policy(
-            args, coflows, fabric, dynamics, noise, tracer
+            args, coflows, fabric, dynamics, noise, tracer, limits
         )
 
     if dynamics is not None and dynamics.has_failures and args.recovery is None:
@@ -987,19 +987,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _simulate_with_stage_policy(
-    args, coflows, fabric, dynamics, noise, tracer=None
+    args, coflows, fabric, dynamics, noise, tracer, limits
 ) -> int:
     """Replay a coflow file with job-level (stage) fault tolerance.
 
     Each coflow becomes an independent stage of a :class:`JobDAG` with a
     fixed identity assignment that reproduces its flows exactly; the
     failure-aware :class:`DAGExecutor` then retries / replans attempts
-    that fabric failures abort, per ``--stage-policy``.
+    that fabric failures abort, per ``--stage-policy``.  The watchdog
+    ``limits`` supervise its simulator as they do the plain replay.
     """
     import numpy as np
 
     from repro.analytics.dag import DAGExecutor, JobDAG
     from repro.core.model import ShuffleModel
+    from repro.core.resilience import ResilienceError
 
     n_ports = fabric.n_ports
     dag = JobDAG(name="replay")
@@ -1020,14 +1022,19 @@ def _simulate_with_stage_policy(
             dest=np.arange(n_ports),
             min_start=cf.arrival_time,
         )
-    executor = DAGExecutor(scheduler=args.scheduler, estimate_noise=noise)
-    res = executor.run(
-        dag,
-        strategy="replay",
-        dynamics=dynamics,
-        stage_policy=args.stage_policy,
-        instrumentation=tracer,
+    executor = DAGExecutor(
+        scheduler=args.scheduler, estimate_noise=noise, sim_limits=limits
     )
+    try:
+        res = executor.run(
+            dag,
+            strategy="replay",
+            dynamics=dynamics,
+            stage_policy=args.stage_policy,
+            instrumentation=tracer,
+        )
+    except ResilienceError as exc:
+        return _report_watchdog_abort(exc, args)
     print(
         f"scheduler={args.scheduler} ports={n_ports} rate={args.rate:.3g} B/s "
         f"stage-policy={args.stage_policy}"
@@ -1293,6 +1300,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.out != "-":
         _check_writable(args.out)
+    # Read the baseline first: ``--out`` may name the same file.
+    baseline = None
+    if args.check:
+        try:
+            baseline = load_baseline(args.check)
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"cannot read --check baseline: {exc}")
     payload = run_bench(
         quick=args.quick,
         progress=lambda msg: _stderr(f"  {msg}"),
@@ -1317,9 +1331,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     if not s["all_bit_identical"]:
         return EXIT_FAILURE
-    if args.check:
+    if baseline is not None:
         problems = check_regression(
-            payload, load_baseline(args.check), tolerance=args.tolerance
+            payload, baseline, tolerance=args.tolerance
         )
         if problems:
             for p in problems:

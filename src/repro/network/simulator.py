@@ -77,10 +77,16 @@ _VOLUME_EPS = 1e-6
 #: scheduler/dynamics interaction that will never terminate.
 DEFAULT_STALL_EPOCHS = 10_000
 
-#: Most epochs whose attained-service credit waits for one flush.  The
-#: flush builds a (queued epochs x flows) array, so the cap bounds its
-#: memory on long reuse streaks (a steady fleet under deferral polls).
+#: Most epochs whose attained-service credit, or whose lazy drain, waits
+#: for one flush.  Each flush builds a (queued epochs x flows) array, so
+#: the cap bounds its memory on long reuse streaks (a steady fleet under
+#: deferral polls); it also bounds the rounding a lazy streak piles up.
 _MAX_QUEUED_CREDITS = 64
+
+#: Relative safety margin of the lazy-drain floor (see
+#: :meth:`_EpochLoop.advance`): about eight orders of magnitude above the
+#: rounding of ``_MAX_QUEUED_CREDITS`` queued subtractions.
+_DRAIN_MARGIN = 1e-6
 
 #: Floor on the scheduler-reported remaining volume under estimate noise:
 #: censored flows report "size unknown" as this near-zero value, and a
@@ -324,10 +330,12 @@ class CoflowSimulator:
         recovery state did not change, and whose clock is below the
         horizon the discipline declared
         (:meth:`CoflowScheduler.rates_valid_until`), *reuses* the last
-        allocation instead of calling the scheduler.  Epoch boundaries
-        do not move, so results (``n_epochs`` included) are
-        bit-identical to ``batch_events=False``, which allocates every
-        epoch (the escape hatch and the ``ccf bench`` reference).
+        allocation instead of calling the scheduler, and such an epoch
+        that ends on a wake no flow can drain to by then defers its
+        drain (a *lazy* epoch).  Epoch boundaries do not move, so
+        results (``n_epochs`` included) are bit-identical to
+        ``batch_events=False``, which allocates and drains every epoch
+        (the escape hatch and the ``ccf bench`` reference).
     instrumentation:
         Optional :class:`repro.obs.Instrumentation` sink whose ``emit``
         receives the run's event stream: coflow lifecycle transitions
@@ -497,8 +505,9 @@ class _EpochLoop:
     :meth:`apply_fabric`, then either :meth:`idle` fast-forwards an empty
     fabric to :meth:`next_wake`, or the epoch takes its rates from
     :meth:`reuse` or :meth:`allocate` and :meth:`advance` drains to the
-    next completion or event.  Every coflow enters through
-    :meth:`intake` and every abort goes through :meth:`abort`.
+    next completion or event (or, lazily, queues the drain for
+    :meth:`flush_drain`).  Every coflow enters through :meth:`intake`
+    and every abort goes through :meth:`abort`.
     ``SchedulingContext`` is looked up in the module globals on every
     epoch, where tracers may wrap it.
     """
@@ -512,8 +521,8 @@ class _EpochLoop:
         "progress", "pending", "total_bytes", "completion",
         "groups_cache", "groups_version", "cached", "cache_version",
         "cache_valid_until", "cache_dirty", "credit_rates",
-        "credit_groups", "credit_dts", "t", "n_epochs", "stalled",
-        "last_clock", "wall_start",
+        "credit_groups", "credit_dts", "drain_dts", "drain_floor",
+        "lazy_ok", "t", "n_epochs", "stalled", "last_clock", "wall_start",
     )
 
     def __init__(
@@ -610,6 +619,18 @@ class _EpochLoop:
         self.hint_reads_progress = (
             type(self.scheduler).next_event_hint
             is not CoflowScheduler.next_event_hint
+        )
+
+        # Lazy drain (see :meth:`advance`): a reuse epoch that ends on a
+        # wake before ``drain_floor`` only queues its ``dt``; whatever
+        # reads ``fl.remaining`` first replays the queue (:meth:`flush_drain`).
+        # Off when a hint or an epoch sample reads the volumes every epoch.
+        self.drain_dts: list[float] = []
+        self.drain_floor = -np.inf
+        self.lazy_ok = not (
+            self.hint_reads_progress
+            or self.wants_flow_events
+            or self.wants_port_samples
         )
 
         self.t = 0.0
@@ -767,6 +788,24 @@ class _EpochLoop:
             p.sent_bytes = sent
         credit_dts.clear()
 
+    def flush_drain(self) -> None:
+        """Drain ``fl.remaining`` by the queued lazy epochs, in order.
+
+        Every lazy epoch reused the cached rates, so row ``k`` of the
+        stacked table is ``dts[k] * rates``; subtracting the rows one
+        after another is each epoch's ``remaining - rates * dt``, bit
+        for bit.
+        """
+        dts = self.drain_dts
+        if not dts:
+            return
+        fl = self.fl
+        table = np.empty((len(dts) + 1, fl.size))
+        table[0] = fl.remaining
+        np.multiply.outer(dts, self.cached[0], out=table[1:])
+        fl.remaining = np.subtract.reduce(table)
+        dts.clear()
+
     def next_wake(self, t: float) -> float | None:
         """Earliest pending arrival, source release, fabric event or
         recovery wakeup after ``t`` -- None when nothing is scheduled."""
@@ -788,6 +827,11 @@ class _EpochLoop:
         fl = self.fl
         if fl.size == 0:
             return self.idle(t)
+        cached = self.reuse(t)
+        if cached is None:
+            # ``allocate`` reads the volumes; a reuse epoch's context keeps
+            # them as of the last drain and reaches no scheduler method.
+            self.flush_drain()
         ctx = SchedulingContext(
             time=t,
             fabric=self.fabric,
@@ -798,7 +842,6 @@ class _EpochLoop:
             progress=self.progress,
             groups=self.groups(),
         )
-        cached = self.reuse(t)
         if cached is None:
             self.advance(ctx, *self.allocate(ctx), False)
         else:
@@ -852,6 +895,7 @@ class _EpochLoop:
         from repro.core import resilience
 
         error = getattr(resilience, error_type)(message)
+        self.flush_drain()
         fl = self.fl
         masks = [(cid, fl.cids == cid) for cid in np.unique(fl.cids)[:20]]
         active = [
@@ -926,6 +970,7 @@ class _EpochLoop:
                 )
             # ``ActiveFlows.append`` concatenates (always copies), so
             # handing it the coflow's cached arrays is aliasing-safe.
+            self.flush_drain()
             fl.append(
                 srcs=srcs,
                 dsts=dsts,
@@ -951,6 +996,7 @@ class _EpochLoop:
         # conservatively invalidate the rate cache whenever it runs at all.
         self.cache_dirty = True
         self.flush_credit()
+        self.flush_drain()
         aborted, local = recovery.step(fabric, t, self.fl, self.progress)
         self.abort(aborted, t)
         for cid in local:
@@ -1016,30 +1062,55 @@ class _EpochLoop:
         moving_rates: np.ndarray, reused: bool,
     ) -> None:
         """Drain the flows to the next completion or event, queue the
-        attained-service credit and complete the finished coflows."""
+        attained-service credit and complete the finished coflows.
+
+        A reuse epoch whose next wake comes before ``drain_floor`` is
+        *lazy*: no flow can reach ``_VOLUME_EPS`` by then, so its length
+        is the wake's and it only queues ``dt`` for :meth:`flush_drain`
+        instead of draining and checking every flow.  The floor is set
+        by an eager epoch whose rates the next epoch may reuse: the
+        earliest time a moving flow could drain to ``_VOLUME_EPS``, less
+        a relative ``_DRAIN_MARGIN`` that covers the rounding of the
+        queued subtractions.
+        """
         t, fl = ctx.time, self.fl
-        if moving.size:
-            dt = float((fl.remaining[moving] / moving_rates).min())
-        else:
-            dt = np.inf
+        hint = None
         if self.hint_reads_progress:
             self.flush_credit()
             hint = self.scheduler.next_event_hint(ctx, rates)
+        wake = self.next_wake(t)
+        drain_dts = self.drain_dts
+        lazy = (
+            reused
+            and wake is not None
+            and t <= wake < self.drain_floor
+            and len(drain_dts) < _MAX_QUEUED_CREDITS
+        )
+        if lazy:
+            dt = wake - t
+        else:
+            self.flush_drain()
+            if moving.size:
+                dt = float((fl.remaining[moving] / moving_rates).min())
+            else:
+                dt = np.inf
             if hint is not None and hint > 1e-12:
                 dt = min(dt, hint)
-        wake = self.next_wake(t)
-        if wake is not None:
-            dt = min(dt, wake - t)
-        if not math.isfinite(dt):
-            raise RuntimeError(
-                f"scheduler starved all {fl.size} active flows at t={t:.6g} "
-                "with no pending arrivals (deadlock)"
-            )
-        dt = max(dt, 0.0)
+            if wake is not None:
+                dt = min(dt, wake - t)
+            if not math.isfinite(dt):
+                raise RuntimeError(
+                    f"scheduler starved all {fl.size} active flows at "
+                    f"t={t:.6g} with no pending arrivals (deadlock)"
+                )
+            dt = max(dt, 0.0)
         if self.track:
             self.emit_epoch(t, dt, rates, moving, reused)
 
-        fl.remaining = fl.remaining - rates * dt
+        if lazy:
+            drain_dts.append(dt)
+        else:
+            fl.remaining = fl.remaining - rates * dt
         g = self.groups()
         credit_dts = self.credit_dts
         if rates is not self.credit_rates or g is not self.credit_groups:
@@ -1049,8 +1120,11 @@ class _EpochLoop:
         if len(credit_dts) == _MAX_QUEUED_CREDITS:
             self.flush_credit()
         self.t = t = t + dt
+        if lazy:
+            return
 
         done = fl.remaining <= _VOLUME_EPS
+        floor = -np.inf
         if done.any():
             suspended_cids = (
                 self.recovery.suspended_coflow_ids()
@@ -1072,6 +1146,14 @@ class _EpochLoop:
             fl.keep(kept)
             self.groups_cache = g.kept(kept)
             self.groups_version = fl.version
+        elif self.lazy_ok and t < self.cache_valid_until:
+            # The next epoch may reuse these rates: record the floor.
+            floor = np.inf
+            if moving.size:
+                floor = t + (1.0 - _DRAIN_MARGIN) * float(
+                    ((fl.remaining[moving] - _VOLUME_EPS) / moving_rates).min()
+                )
+        self.drain_floor = floor
 
     def emit_epoch(
         self, t: float, dt: float, rates: np.ndarray, moving: np.ndarray,

@@ -324,13 +324,15 @@ class AdmissionController(ArrivalSource):
         self._outstanding: dict[int, tuple[float, float]] = {}
         self._outstanding_bytes = 0.0
         self._ccts: deque[float] = deque(maxlen=window)
-        # recent_p95 cache: policies consult the state on every ruling,
-        # but the CCT window only moves on completions, which are far
-        # rarer than rulings under backpressure.  The version counter
-        # bumps whenever the window changes, so cached reads return the
-        # exact float a fresh percentile would.
+        # State cache: policies rule against ``state()`` on every ruling,
+        # but its inputs move only on admissions, deferrals and
+        # completions, which are far rarer than re-polls under
+        # backpressure.  The last state is kept with its key
+        # ``(outstanding_bytes, queued, cct_version)``; the version
+        # counter bumps whenever the CCT window changes, so a cached
+        # state holds the exact floats a fresh one would.
         self._cct_version = 0
-        self._p95_cache: tuple[int, float | None] = (-1, None)
+        self._state: tuple[tuple[float, int, int], ServiceState] | None = None
         #: (arrival_time, cct) per completed admitted coflow, for the
         #: steady-state window (O(arrivals) floats, not O(events)).
         self.cct_samples: list[tuple[float, float]] = []
@@ -416,27 +418,33 @@ class AdmissionController(ArrivalSource):
     @property
     def recent_p95(self) -> float | None:
         """Sliding-window p95 CCT, or None until enough completions."""
-        version, value = self._p95_cache
-        if version == self._cct_version:
-            return value
-        if len(self._ccts) < _MIN_P95_SAMPLES:
-            value = None
-        else:
-            value = float(np.percentile(np.asarray(self._ccts), 95))
-        self._p95_cache = (self._cct_version, value)
-        return value
+        return self.state().recent_p95
 
     @property
     def backlog_seconds(self) -> float:
         return self.state().backlog_seconds
 
     def state(self) -> ServiceState:
-        return ServiceState(
-            outstanding_bytes=self._outstanding_bytes,
+        """The live signals; a streak of rulings against an unchanged
+        system (deferral re-polls) shares one state."""
+        key = (self._outstanding_bytes, len(self._deferred), self._cct_version)
+        cached = self._state
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        if cached is not None and cached[0][2] == key[2]:
+            p95 = cached[1].recent_p95
+        elif len(self._ccts) < _MIN_P95_SAMPLES:
+            p95 = None
+        else:
+            p95 = float(np.percentile(np.asarray(self._ccts), 95))
+        state = ServiceState(
+            outstanding_bytes=key[0],
             capacity=self.capacity,
-            queued=len(self._deferred),
-            recent_p95=self.recent_p95,
+            queued=key[1],
+            recent_p95=p95,
         )
+        self._state = (key, state)
+        return state
 
     def _decide(
         self, cf: Coflow, now: float, attempt: int, released: list[Coflow]

@@ -255,6 +255,75 @@ class TestAdmissionController:
         assert all(e["decision"] == "admit" for e in rulings)
         assert all(e["policy"] == "accept-all" for e in rulings)
 
+    def test_a_repoll_streak_builds_one_state(self, monkeypatch):
+        from repro.core.resilience import Backoff
+        from repro.service import admission
+
+        built = []
+
+        class Counting(ServiceState):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(admission, "ServiceState", Counting)
+        policy = BoundedQueue(
+            watermark_s=1.0, queue_limit=10,
+            backoff=Backoff(max_attempts=50, base_delay=0.1, jitter=0.0),
+        )
+        c = make_controller(policy, rate=0.001, arrivals=2)
+        assert len(c.take(c.stream.peek_time() + 1e-9, 0.0)) == 1
+        assert len(built) == 1  # the admit ruling's state
+        now = c.stream.peek_time()
+        for _ in range(20):  # first ruling, then 19 re-polls: all defer
+            assert c.take(now, 0.0) == []
+            now = c.next_time(now)
+        assert c.deferrals == 20
+        assert len(built) == 2  # the outstanding bytes moved once
+
+    def test_cached_states_equal_fresh_ones(self):
+        # An overloaded drain (2x load, deferral re-polls and completions
+        # interleaved): every ruling's state equals one built from the
+        # controller's live signals at that moment.
+        import numpy as np
+
+        from repro.core.resilience import Backoff
+        from repro.network import CoflowSimulator
+        from repro.network.schedulers import make_scheduler
+        from repro.service.arrivals import rate_for_load
+
+        class Checked(BoundedQueue):
+            def decide(self, coflow, state, attempt):
+                c = self.controller
+                p95 = None
+                if len(c._ccts) >= 20:
+                    p95 = float(np.percentile(np.asarray(c._ccts), 95))
+                assert state == ServiceState(
+                    c._outstanding_bytes, c.capacity, len(c._deferred), p95
+                )
+                self.states.append(state)
+                return super().decide(coflow, state, attempt)
+
+        cfg = ArrivalConfig(
+            n_ports=8, users=20, max_arrivals=60, seed=11,
+            size_mix="facebook",
+        )
+        fabric = Fabric(n_ports=8, rate=rate_for_load(cfg, 2.0))
+        policy = Checked(
+            watermark_s=5.0, queue_limit=64,
+            backoff=Backoff(max_attempts=60, base_delay=0.1,
+                            multiplier=1.2, max_delay=1.0, jitter=0.1),
+        )
+        policy.states = []
+        c = policy.controller = AdmissionController(
+            ArrivalStream(cfg), policy, fabric, metrics=MetricsRegistry()
+        )
+        CoflowSimulator(fabric, make_scheduler("fair")).run(
+            [], injector=c.record_completion, source=c
+        )
+        assert c.deferrals > 0 and c.completed >= 20
+        assert len({id(s) for s in policy.states}) < len(policy.states) / 2
+
     def test_recent_p95_needs_samples(self):
         c = make_controller(AcceptAll(), arrivals=25)
         released = c.take(1e9, 0.0)

@@ -251,6 +251,55 @@ class TestSweepSupervision:
         assert seen["cell_timeout_s"] == 60.0
 
 
+class TestBenchCheck:
+    @staticmethod
+    def _payload(speedup):
+        return {
+            "fleet": {"case": {
+                "speedup": speedup, "bit_identical": True,
+                "on": {"epochs_per_sec": 1.0},
+            }},
+            "summary": {
+                "n_cases": 1, "min_speedup": speedup,
+                "max_speedup": speedup, "geomean_speedup": speedup,
+                "all_bit_identical": True,
+            },
+        }
+
+    def test_check_reads_the_baseline_before_out_overwrites_it(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import json
+
+        from repro.experiments import hotpath
+
+        baseline = tmp_path / "BENCH.json"
+        baseline.write_text(json.dumps(self._payload(10.0)))
+        monkeypatch.setattr(
+            hotpath, "run_bench", lambda **kw: self._payload(1.0)
+        )
+        assert main(
+            ["bench", "--quick", "--out", str(baseline),
+             "--check", str(baseline)]
+        ) == 1
+        assert "REGRESSION: case: speedup 1.00x" in capsys.readouterr().err
+
+    def test_unreadable_baseline_is_a_usage_error(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.experiments import hotpath
+
+        monkeypatch.setattr(
+            hotpath, "run_bench",
+            lambda **kw: pytest.fail("benchmarked without a baseline"),
+        )
+        assert main(
+            ["bench", "--quick", "--out", str(tmp_path / "b.json"),
+             "--check", str(tmp_path / "missing.json")]
+        ) == 2
+        assert "cannot read --check baseline" in capsys.readouterr().err
+
+
 class TestSimulateStagePolicy:
     @pytest.fixture()
     def plan_file(self, tmp_path):
@@ -274,6 +323,24 @@ class TestSimulateStagePolicy:
              "--fail-direction", "ingress", "--stage-policy", "fail-job"]
         ) == 1
         assert "job FAILED" in capsys.readouterr().out
+
+    def test_epoch_budget_breach_exits_3_with_crash_report(
+        self, plan_file, tmp_path, capsys
+    ):
+        import json
+
+        crash_dir = tmp_path / "crashes"
+        assert main(
+            ["simulate", plan_file, "--fail-port", "1", "--fail-at", "0.01",
+             "--recover-at", "0.05", "--stage-policy", "retry-stage",
+             "--max-epochs", "1", "--crash-dir", str(crash_dir)]
+        ) == 3
+        assert "watchdog abort" in capsys.readouterr().err
+        reports = list(crash_dir.glob("crash-*.json"))
+        assert len(reports) == 1
+        doc = json.loads(reports[0].read_text())
+        assert doc["error"]["type"] == "BudgetExceeded"
+        assert doc["context"]["max_epochs"] == 1
 
     def test_policy_without_failures_is_a_clean_error(self, plan_file, capsys):
         assert main(

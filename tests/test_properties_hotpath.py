@@ -10,19 +10,22 @@ per-flow factor loop, and the kernels must return the oracle floats for
 any input shape (full set and subsets above and below the scalar
 threshold, weighted fills, blocked MADD ports).  The grouping the
 simulator derives after completions must equal a rebuild.  Event-horizon
-batching (``batch_events``) must leave every result bit-identical.
+batching (``batch_events``), deferred credit and lazy drains must leave
+every result bit-identical.
 """
 
+import contextlib
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.noise import NoisyEstimates
-from repro.network import CoflowSimulator, Fabric
+from repro.core.resilience import BudgetExceeded
+from repro.network import CoflowSimulator, Fabric, simulator
 from repro.network.dynamics import FabricDynamics, RateEvent
 from repro.network.events import CoflowProgress, FlowGroups, SchedulingContext
 from repro.network.flow import Coflow, Flow
@@ -36,7 +39,13 @@ from repro.network.schedulers.base import (
     CoflowScheduler,
     madd_rates_fast,
 )
-from repro.network.simulator import _arrival_slack
+from repro.network.simulator import (
+    _DRAIN_MARGIN,
+    _MAX_QUEUED_CREDITS,
+    _VOLUME_EPS,
+    _arrival_slack,
+)
+from repro.obs.instrument import Instrumentation, Tracer
 from tests.oracles import (
     assert_fill_matches_reference,
     madd_rates_reference,
@@ -109,17 +118,15 @@ def _fingerprint(result):
     )
 
 
-def _run(n_ports, coflows, scheduler, *, dynamics=None, recovery=None,
-         noise=None, batch_events=True, source=None):
+def _run(n_ports, coflows, scheduler, *, noise=None, source=None,
+         **sim_kwargs):
     if isinstance(scheduler, str):
         scheduler = make_scheduler(scheduler)
     sim = CoflowSimulator(
         Fabric(n_ports=n_ports, rate=1.0),
         scheduler,
-        dynamics=dynamics,
-        recovery=recovery,
         estimate_noise=noise,
-        batch_events=batch_events,
+        **sim_kwargs,
     )
     return sim.run(
         [dataclasses.replace(c, flows=list(c.flows)) for c in coflows],
@@ -697,6 +704,288 @@ class TestDeferredCredit:
         assert any(where == "hint" for where, _, _ in on)
         assert on == off
         assert _fingerprint(r_off) == _fingerprint(r_on)
+
+
+class _WakeSource:
+    """An ``ArrivalSource`` that releases nothing and wakes the epoch loop
+    once per listed time: ``take`` consumes one due entry per epoch, so a
+    repeated time is a zero-length same-instant re-poll.  ``calls``
+    counts ``next_time``, which the loop must call once per epoch."""
+
+    def __init__(self, times):
+        self.times = sorted(times)
+        self.i = 0
+        self.calls = 0
+
+    def next_time(self, now):
+        self.calls += 1
+        return self.times[self.i] if self.i < len(self.times) else None
+
+    def take(self, now, slack):
+        if self.i < len(self.times) and self.times[self.i] <= now + slack:
+            self.i += 1
+        return []
+
+
+class _EventRecorder(Instrumentation):
+    """Records the event stream like :class:`Tracer`, but asks for no
+    flow events or port samples -- so a traced run keeps its lazy
+    epochs."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, kind, t, **fields):
+        self.events.append({"kind": kind, "t": float(t), **fields})
+
+
+def _stream(sink):
+    """The recorded events without the ``reused`` flag, which tells a
+    batched run from an unbatched one."""
+    return [
+        {k: v for k, v in event.items() if k != "reused"}
+        for event in sink.events
+    ]
+
+
+class _FairHorizon(FairSharingScheduler):
+    """``fair`` promising its rates for ``horizon`` seconds only, so an
+    allocation can follow a lazy streak with nothing else changed; it
+    records the volumes every allocation sees."""
+
+    horizon = 0.37
+
+    def reset(self):
+        super().reset()
+        self.views = []
+
+    def allocate(self, ctx):
+        self.views.append((ctx.time, ctx.remaining.tobytes()))
+        return super().allocate(ctx)
+
+    def rates_valid_until(self, ctx, rates):
+        return ctx.time + self.horizon
+
+
+#: Disciplines whose ``rates_valid_until`` can pass ``ctx.time``.
+REUSING = {
+    "fair": FairSharingScheduler,
+    "sequential": lambda: make_scheduler("sequential"),
+    "fair-horizon": _FairHorizon,
+}
+
+
+@contextlib.contextmanager
+def _lazy_drains():
+    """Record the queue length at every ``flush_drain`` in the block: the
+    sum is the number of lazy epochs, the maximum the longest queue."""
+    flushes = []
+    flush = simulator._EpochLoop.flush_drain
+
+    def recording(self):
+        flushes.append(len(self.drain_dts))
+        flush(self)
+
+    simulator._EpochLoop.flush_drain = recording
+    try:
+        yield flushes
+    finally:
+        simulator._EpochLoop.flush_drain = flush
+
+
+@st.composite
+def floor_cases(draw):
+    """Volumes of 1 to 5 flows sharing a port, the first wake (before any
+    completion), a number of polls and wakes as (edge, ulps) picks."""
+    volumes = draw(st.lists(st.floats(0.5, 50.0), min_size=1, max_size=5))
+    t_f = draw(st.floats(0.01, 0.3)) * min(volumes) * len(volumes)
+    polls = draw(st.integers(0, 9))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(-4, 3)),
+        min_size=1, max_size=4,
+    ))
+    return volumes, t_f, polls, picks
+
+
+class TestLazyDrain:
+    """A reuse epoch that ends on a wake before the drain floor queues its
+    drain; whatever reads the volumes replays the queue first.  Against
+    ``batch_events=False`` (allocate and drain every epoch) the results,
+    failure logs, traced streams, allocations and source polls must not
+    move, and ``next_time`` runs exactly once per epoch."""
+
+    def _pair(self, n_ports, coflows, make, times, *, sink=_EventRecorder,
+              **kwargs):
+        runs = []
+        for batch in (False, True):
+            src, obs, sched = _WakeSource(times), sink(), make()
+            with _lazy_drains() as flushes:
+                result = _run(
+                    n_ports, coflows, sched, batch_events=batch,
+                    source=src, instrumentation=obs, **kwargs,
+                )
+            assert src.calls == result.n_epochs
+            runs.append((result, obs, sched, sum(flushes), flushes))
+        (r_off, o_off, s_off, lazy_off, _), (r_on, o_on, s_on, _, _) = runs
+        assert lazy_off == 0
+        assert _fingerprint(r_off) == _fingerprint(r_on)
+        assert [r.bytes_lost for r in r_off.failures] == [
+            r.bytes_lost for r in r_on.failures
+        ]
+        assert _stream(o_off) == _stream(o_on)
+        if isinstance(s_on, _FairHorizon):
+            assert _is_subsequence(s_on.views, s_off.views)
+        return runs[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        workloads(rich=True),
+        st.sampled_from(sorted(REUSING)),
+        st.floats(0.02, 1.0),
+        st.lists(st.integers(0, 60), max_size=6),
+        st.none() | st.integers(0, 2 ** 16),
+    )
+    def test_reuse_streaks(self, wl, scheduler, period, repeats, noise_seed):
+        n_ports, coflows = wl
+        times = [k * period for k in range(1, int(30 / period))]
+        # Repeated polls: zero-length re-polls at the same instant.
+        times += [times[i] for i in repeats if i < len(times)]
+        noise = None
+        if noise_seed is not None:
+            noise = NoisyEstimates(sigma=0.3, censor_fraction=0.2,
+                                   seed=noise_seed)
+        self._pair(n_ports, coflows, REUSING[scheduler], times, noise=noise)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        workloads(),
+        st.sampled_from(sorted(REUSING)),
+        st.integers(0, 2),
+        st.floats(0.5, 20.0),
+        st.sampled_from(("retry", "abort")),
+        st.floats(0.05, 1.0),
+        st.none() | st.integers(0, 2 ** 16),
+    )
+    def test_chaos(self, wl, scheduler, port, fail_at, policy, period,
+                   noise_seed):
+        n_ports, coflows = wl
+        noise = None
+        if noise_seed is not None:
+            noise = NoisyEstimates(sigma=0.3, seed=noise_seed)
+        self._pair(
+            n_ports, coflows, REUSING[scheduler],
+            [k * period for k in range(1, int(40 / period))],
+            dynamics=TestDeferredCredit._chaos(port, fail_at),
+            recovery=policy, noise=noise,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(floor_cases())
+    @example((
+        [15.049250670740602, 38.49878736418194], 5.282244483313775, 7,
+        [(1, -1)],
+    ))
+    @example((
+        [39.56315387340473, 40.060220795947686, 16.45319287462167,
+         39.9336395459297, 11.653757872845425], 6.704949132655625, 7,
+        [(1, -2)],
+    ))
+    def test_wakes_around_the_floor(self, case):
+        # ``k`` flows into port 0 share it at rate 1/k.  The first epoch
+        # allocates and ends on the first wake ``t_f``; the floor then
+        # has a closed form.  After a few polls, wakes land a few ulps
+        # either side of the floor, of the margin-free floor and of the
+        # first completion.  (The two examples are wakes a margin-free
+        # floor would wrongly take as lazy.)
+        volumes, t_f, polls, picks = case
+        k = len(volumes)
+        coflows = [Coflow(
+            [Flow(i + 1, 0, v) for i, v in enumerate(volumes)], 0.0,
+            coflow_id=0,
+        )]
+        rate = 1.0 / k
+        r_f = min(v - rate * t_f for v in volumes)
+        edges = (
+            t_f + (1.0 - _DRAIN_MARGIN) * (r_f - _VOLUME_EPS) / rate,
+            t_f + (r_f - _VOLUME_EPS) / rate,
+            t_f + r_f / rate,
+        )
+        times = [t_f]
+        times += [
+            t_f + (edges[1] - t_f) * j / (polls + 1)
+            for j in range(1, polls + 1)
+        ]
+        for edge, ulps in picks:
+            wake = edges[edge]
+            for _ in range(abs(ulps)):
+                wake = np.nextafter(wake, math.copysign(np.inf, ulps))
+            times.append(float(wake))
+        self._pair(k + 1, coflows, FairSharingScheduler, times)
+
+    @pytest.mark.parametrize("sink", [_EventRecorder, Tracer])
+    def test_streaks_past_the_cap(self, sink):
+        coflows = [
+            Coflow([Flow(0, 1, 5.0), Flow(2, 1, 3.0)], 0.0, coflow_id=0),
+            Coflow([Flow(1, 2, 4.0)], 0.5, coflow_id=1),
+            Coflow([Flow(2, 0, 6.0)], 2.0, coflow_id=2),
+        ]
+        times = [k * 0.01 for k in range(1, 1000)]
+        result, _, _, lazy, flushes = self._pair(
+            3, coflows, FairSharingScheduler, times, sink=sink,
+        )
+        if sink is Tracer:
+            # Residual samples read the volumes every epoch: no lazy drain.
+            assert lazy == 0
+        else:
+            assert lazy > result.n_epochs / 2
+            assert max(flushes) == _MAX_QUEUED_CREDITS
+
+    def test_allocation_after_a_streak(self):
+        # The horizon expires mid-streak: the allocation that follows
+        # (no arrival, no fabric event) must see the drained volumes.
+        coflows = [Coflow([Flow(0, 1, 5.0), Flow(2, 1, 3.0)], 0.0,
+                          coflow_id=0)]
+        _, _, sched, lazy, _ = self._pair(
+            3, coflows, _FairHorizon, [k * 0.01 for k in range(1, 1000)],
+        )
+        assert lazy > 0 and len(sched.views) > 10
+
+    def test_admission_mid_streak(self):
+        coflows = [
+            Coflow([Flow(0, 1, 5.0), Flow(2, 3, 9.0)], 0.0, coflow_id=0),
+            Coflow([Flow(1, 2, 4.0)], 1.234, coflow_id=1),
+            Coflow([Flow(3, 0, 2.0)], 1.234, coflow_id=2),
+        ]
+        _, _, _, lazy, _ = self._pair(
+            4, coflows, FairSharingScheduler,
+            [k * 0.05 for k in range(1, 300)],
+        )
+        assert lazy > 0
+
+    def test_watchdog_report_sees_drained_volumes(self):
+        coflows = [
+            Coflow([Flow(0, 1, 5.0), Flow(2, 1, 3.0)], 0.0, coflow_id=0),
+            Coflow([Flow(1, 2, 40.0)], 0.5, coflow_id=1),
+        ]
+        queued_at_trip = []
+        for budget in range(30, 400, 23):
+            reports = []
+            for batch in (False, True):
+                with _lazy_drains() as flushes:
+                    with pytest.raises(BudgetExceeded) as err:
+                        _run(
+                            3, coflows, "fair", batch_events=batch,
+                            source=_WakeSource(
+                                [k * 0.01 for k in range(1, 5000)]
+                            ),
+                            max_epochs=budget,
+                        )
+                reports.append(err.value.report["context"])
+            queued_at_trip.append(flushes[-1])
+            assert reports[0] == reports[1]
+        assert any(queued_at_trip)
 
 
 class TestBatchEventsBitIdentity:
