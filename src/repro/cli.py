@@ -1270,7 +1270,8 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
 def _bench_options(p) -> None:
     p.add_argument(
         "--quick", action="store_true",
-        help="one small fleet case (CI smoke); its key is in the full run",
+        help="one small fleet case and one small trace replay (CI "
+        "smoke); their keys are in the full run",
     )
     p.add_argument(
         "--out", default="BENCH_simulator.json",
@@ -1278,7 +1279,8 @@ def _bench_options(p) -> None:
     )
     p.add_argument(
         "--check", metavar="BASELINE",
-        help="compare per-case speedups against a committed "
+        help="compare per-case speedups (and, on the same platform, "
+        "trace fingerprints) against a committed "
         "BENCH_simulator.json and exit non-zero on regression",
     )
     p.add_argument(
@@ -1329,11 +1331,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"(geomean {s['geomean_speedup']:.2f}x); bit-identical: {ident}",
         file=chat,
     )
+    for key, case in payload.get("trace", {}).items():
+        print(
+            f"{key}: {case['wall_s']:.2f} s, {case['n_epochs']} epochs, "
+            f"fingerprint {case['fingerprint'][:12]}",
+            file=chat,
+        )
     if not s["all_bit_identical"]:
         return EXIT_FAILURE
     if baseline is not None:
         problems = check_regression(
-            payload, baseline, tolerance=args.tolerance
+            payload, baseline, tolerance=args.tolerance,
+            say=lambda msg: print(msg, file=chat),
         )
         if problems:
             for p in problems:
@@ -1742,7 +1751,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "bench": Command(
         "benchmark event-horizon batching (batch_events off vs on) "
-        "on large service-mode fleets",
+        "on large service-mode fleets and time 200-coflow trace replays",
         _bench_options, _cmd_bench,
     ),
     "gantt": Command(

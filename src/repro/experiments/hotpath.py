@@ -1,4 +1,4 @@
-"""Event-horizon benchmark harness for the coflow simulator (``ccf bench``).
+"""Simulator benchmark harness (``ccf bench``): fleets and trace replays.
 
 Runs large-fleet service-mode cases (10^4+ offered flows through
 ``run_service`` under overload with a bounded-queue admission policy)
@@ -7,26 +7,35 @@ allocation every epoch) and on (the default, which reuses a rate
 allocation while the scheduler declares it valid).  Every run checks
 that the two sides produce **bit-identical** ``SimulationResult``s --
 same CCT floats, same epoch counts, same failure logs -- so the speedup
-is a pure performance win.
+is a pure performance win.  It also replays the paper-scale Facebook
+coflow mix under the clairvoyant disciplines, where every epoch
+allocates afresh.
 
-The emitted ``BENCH_simulator.json`` has two sections:
+The emitted ``BENCH_simulator.json`` has three sections:
 
 ``fleet``
     Per case: wall time and epochs/sec with batching ``off`` and
     ``on``, the off/on ``speedup`` and the bit-identity verdict.
+``trace``
+    Per replay (200 coflows over 50 ports under sebf and wcct5): the
+    absolute ``wall_s``, ``n_epochs`` and a sha256 ``fingerprint`` of
+    the CCTs and completion times.
 ``summary``
-    Aggregates used by the CI regression gate.
+    Aggregates of the fleet cases used by the CI regression gate.
 
 The harness is deterministic (fixed arrival seeds and retry cadence),
 so two runs on the same machine differ only by timer noise;
-``check_regression`` compares each case's off/on speedup against a
-committed baseline with a configurable tolerance (the ratio cancels
-machine-speed drift that absolute epochs/sec cannot).  Absolute
-per-layer timings of the whole pipeline live in ``perfbench/``.
+``check_regression`` compares each fleet case's off/on speedup against
+a committed baseline with a configurable tolerance (the ratio cancels
+machine-speed drift that absolute epochs/sec cannot), and each trace
+replay's epochs and fingerprint bit for bit when the baseline was made
+on the same platform.  Absolute per-layer timings of the whole pipeline
+live in ``perfbench/``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import time
@@ -37,13 +46,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.resilience import Backoff
+from repro.network import CoflowSimulator, Fabric
+from repro.network.schedulers import make_scheduler
 from repro.service.arrivals import ArrivalConfig, ArrivalStream
 from repro.service.loop import ServiceConfig, run_service
+from repro.workloads.coflowmix import CoflowMixConfig, generate_coflow_mix
 
 __all__ = [
     "FleetSpec",
     "fleet_cases",
     "run_fleet_case",
+    "TraceSpec",
+    "trace_cases",
+    "run_trace_case",
     "run_bench",
     "check_regression",
     "load_baseline",
@@ -215,6 +230,67 @@ def run_fleet_case(spec: FleetSpec) -> dict:
     return out
 
 
+#: The synthetic Facebook mix every trace case replays, on an idle
+#: fabric of this many ports at the default port rate.
+_TRACE_MIX = {"n_ports": 50, "arrival_rate": 40.0, "seed": 0}
+
+
+@dataclass(frozen=True)
+class TraceSpec:
+    """One replay of the first ``n_coflows`` coflows of ``_TRACE_MIX``.
+
+    Clairvoyant disciplines re-rank as volumes drain, so every epoch
+    allocates afresh: the case times ``allocate`` (ordering, MADD and
+    the backfill waterfill) at the scale the paper's comparisons run.
+    """
+
+    scheduler: str
+    n_coflows: int
+
+    @property
+    def key(self) -> str:
+        m = _TRACE_MIX
+        return (
+            f"trace/{self.scheduler}/facebook/p{m['n_ports']}"
+            f"c{self.n_coflows}r{m['arrival_rate']:g}s{m['seed']}"
+        )
+
+
+def trace_cases(*, quick: bool = False) -> list[TraceSpec]:
+    """The 200-coflow replays; the quick case is also in the full set."""
+    quick_cases = [TraceSpec("sebf", n_coflows=40)]
+    if quick:
+        return quick_cases
+    return quick_cases + [
+        TraceSpec("sebf", n_coflows=200),
+        TraceSpec("wcct5", n_coflows=200),
+    ]
+
+
+def run_trace_case(spec: TraceSpec) -> dict:
+    """Time one replay and fingerprint its results (one draw)."""
+    coflows = generate_coflow_mix(
+        CoflowMixConfig(n_coflows=spec.n_coflows, **_TRACE_MIX)
+    )
+    fabric = Fabric(_TRACE_MIX["n_ports"])
+    sim = CoflowSimulator(fabric, make_scheduler(spec.scheduler))
+    t0 = time.perf_counter()
+    result = sim.run(coflows)
+    wall = time.perf_counter() - t0
+    times = repr((
+        sorted(result.ccts.items()), sorted(result.completion_times.items())
+    ))
+    return {
+        "scheduler": spec.scheduler,
+        "n_coflows": spec.n_coflows,
+        **_TRACE_MIX,
+        "n_flows": sum(c.width for c in coflows),
+        "wall_s": round(wall, 4),
+        "n_epochs": result.n_epochs,
+        "fingerprint": hashlib.sha256(times.encode()).hexdigest(),
+    }
+
+
 def _geomean(values: Sequence[float]) -> float:
     return float(np.exp(np.mean(np.log(values)))) if values else 0.0
 
@@ -230,11 +306,15 @@ def run_bench(
     for spec in fleet_cases(quick=quick):
         say(f"case {spec.key} ...")
         fleet[spec.key] = run_fleet_case(spec)
+    trace: dict[str, dict] = {}
+    for spec in trace_cases(quick=quick):
+        say(f"case {spec.key} ...")
+        trace[spec.key] = run_trace_case(spec)
     from repro.obs.header import repro_header
 
     speedups = [c["speedup"] for c in fleet.values()]
     return {
-        "schema": 2,
+        "schema": 3,
         "generated_by": "ccf bench" + (" --quick" if quick else ""),
         "repro": repro_header(),
         "platform": {
@@ -244,6 +324,7 @@ def run_bench(
         },
         "config": {"quick": quick},
         "fleet": fleet,
+        "trace": trace,
         "summary": {
             "n_cases": len(fleet),
             "all_bit_identical": all(
@@ -257,9 +338,13 @@ def run_bench(
 
 
 def check_regression(
-    current: dict, baseline: dict, *, tolerance: float = 0.3
+    current: dict,
+    baseline: dict,
+    *,
+    tolerance: float = 0.3,
+    say: Callable[[str], None] | None = None,
 ) -> list[str]:
-    """Compare each fleet case's off/on speedup against a baseline.
+    """Compare a payload against a baseline: fleet speedups, trace prints.
 
     Returns a list of human-readable problems (empty = gate passes).
     Absolute epochs/sec tracks the machine's clock as much as the code
@@ -272,6 +357,13 @@ def check_regression(
     key; a broken bit-identity verdict is always a failure, and so is a
     payload none of whose keys appear in the baseline (the gate would
     otherwise pass having compared nothing).
+
+    Trace replays sharing a key must match the baseline's ``n_epochs``
+    and ``fingerprint`` exactly -- but only when the baseline's
+    ``platform`` (python, numpy, machine) is the current one, since
+    another numpy may round differently.  Otherwise, or when the
+    baseline predates the trace section, ``say`` (default ``print``)
+    gets one line saying the trace was not compared.
     """
     problems: list[str] = []
     base_cases = baseline.get("fleet", {})
@@ -299,8 +391,84 @@ def check_regression(
             f"none of the {len(current_cases)} current case(s) has a key "
             f"in the baseline's {len(base_cases)}: nothing was compared"
         )
-    return problems
+    return problems + _trace_problems(current, baseline, say or print)
+
+
+def _trace_problems(
+    current: dict, baseline: dict, say: Callable[[str], None]
+) -> list[str]:
+    """The trace half of :func:`check_regression`."""
+    cur, base = current.get("trace", {}), baseline.get("trace")
+    if not cur:
+        return []
+    if base is None:
+        say("trace: not compared (the baseline has no trace section)")
+        return []
+    if baseline.get("platform") != current.get("platform"):
+        say(
+            f"trace: not compared (baseline platform "
+            f"{baseline.get('platform')} is not {current.get('platform')})"
+        )
+        return []
+    shared = [key for key in cur if key in base]
+    if not shared:
+        return [
+            f"none of the {len(cur)} current trace replay(s) has a key "
+            f"in the baseline's {len(base)}: nothing was compared"
+        ]
+    return [
+        f"{key}: {field} {cur[key][field]} != baseline {base[key][field]}"
+        for key in shared
+        for field in ("n_epochs", "fingerprint")
+        if cur[key][field] != base[key][field]
+    ]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+#: What ``check_regression`` reads of each baseline case, by section.
+_BASELINE_FIELDS: dict[str, dict[tuple[str, ...], Callable]] = {
+    "fleet": {
+        ("speedup",): _is_number,
+        ("on", "epochs_per_sec"): _is_number,
+    },
+    "trace": {
+        ("n_epochs",): lambda x: isinstance(x, int) and _is_number(x),
+        ("fingerprint",): lambda x: isinstance(x, str),
+    },
+}
+
+
+def _baseline_problem(data) -> str | None:
+    """What keeps ``data`` from being a baseline ``check_regression``
+    can read (``trace`` is optional), or ``None``."""
+    if not isinstance(data, dict):
+        return f"expected a JSON object, got {type(data).__name__}"
+    for name, fields in _BASELINE_FIELDS.items():
+        if name == "trace" and name not in data:
+            continue
+        cases = data.get(name)
+        if not isinstance(cases, dict):
+            return f"'{name}' must map case keys to cases"
+        for key, case in cases.items():
+            for path, ok in fields.items():
+                value = case
+                for part in path:
+                    if isinstance(value, dict):
+                        value = value.get(part)
+                    else:
+                        value = None
+                if not ok(value):
+                    return f"{name} case {key!r} has a bad {'.'.join(path)!r}"
+    return None
 
 
 def load_baseline(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """Read a committed payload; ``ValueError`` if its shape is wrong."""
+    data = json.loads(Path(path).read_text())
+    problem = _baseline_problem(data)
+    if problem:
+        raise ValueError(f"{path}: {problem}")
+    return data

@@ -6,8 +6,9 @@ combined-port layout: egress cell ``p`` and ingress cell ``n_ports + p``
 share one residual vector, halving the bincounts, divisions, minima and
 clamps per waterfill iteration.  The unweighted waterfill iterates over
 those ``2 * n_ports`` cells, not over the flows: a CSR index built once
-per call hands each saturated cell its flows, and rates are written
-once at the end.  The weighted waterfill compresses frozen flows out of
+per call hands each saturated cell its flows' far cells, no per-flow
+liveness is kept, residuals are clamped once at the end and rates
+written once.  The weighted waterfill compresses frozen flows out of
 its working arrays.  Every transformation preserves the exact float
 semantics of the textbook split-residual formulation (see the function
 docstrings); the test suite keeps that formulation as an oracle
@@ -309,18 +310,19 @@ def _maxmin_cells(
 ) -> np.ndarray:
     """Unweighted waterfill that iterates over port cells, not flows.
 
-    ``port`` is ``[srcs..., dsts_off...]`` of the ``m`` filled flows, so
-    flow ``j`` owns endpoint slots ``j`` and ``m + j``.  Each iteration
-    does the oracle's per-cell float sequence on the ``2 * n_ports``
-    cells only -- ``share = res / cnt``, the minimum ``step``, ``res -=
-    step * cnt``, clamp, saturated cells -- because every cell still in
-    play holds an integer-valued count equal to a recount of its live
-    flows.  A CSR index built once (one ``argsort`` of ``port``) lists
-    each cell's endpoints with their far cell and their twin's CSR
-    position, so freezing a saturated cell subtracts its live flows from
-    their far cells (one bincount) and kills their twins.  A flow
-    freezes at the first iteration in which either endpoint saturates,
-    as in the oracle.  Memory is ``O(F + P)``.
+    ``port`` is ``[srcs..., dsts_off...]`` of the ``m`` filled flows.
+    Each iteration does the oracle's per-cell float sequence on the ``2
+    * n_ports`` cells only -- ``share = res / cnt``, the minimum
+    ``step``, ``res -= step * cnt``, saturated cells -- because every
+    cell still in play holds an integer count of its live flows.  A CSR
+    index (one ``argsort`` of ``port``) lists each cell's far cells, so
+    freezing a saturated cell subtracts one bincount of its slice.  No
+    liveness is tracked: a flow leaves a count only when its other end
+    saturates, once, so no count goes negative, and a count reached
+    through a flow frozen earlier is a saturated cell's, never read
+    again.  The oracle's clamp is a no-op on cells still in play (above
+    ``1e-9``), so one clamp at the end stands for it.  Memory is ``O(F
+    + P)``.
 
     Rates are written once at the end.  A flow frozen after ``k`` steps
     gets ``r + s1 + ... + sk`` left-associated, the oracle's
@@ -335,14 +337,9 @@ def _maxmin_cells(
     two_n = res.shape[0]
     size = np.bincount(port, minlength=two_n)
     bounds = [0, *np.cumsum(size).tolist()]
-    slot = np.argsort(port, kind="stable")
-    cell = port[slot]
-    far = np.concatenate((port[m:], port[:m]))[slot]
-    csr_of = np.empty(two_m, dtype=np.intp)
-    csr_of[slot] = np.arange(two_m)
-    twin = np.concatenate((csr_of[m:], csr_of[:m]))[slot]
-    live = np.ones(two_m)
-    sat_at = np.full(two_m, two_n + 1, dtype=np.intp)  # step count at freeze
+    far = np.concatenate((port[m:], port[:m]))
+    by_cell = far[np.argsort(port, kind="stable")]
+    sat_at = np.full(two_n, two_n + 1, dtype=np.intp)  # step count at freeze
     cnt = size.astype(float)
     # Idle and saturated cells sit at +inf: they never set the step or
     # saturate, and ``inf - step * cnt`` leaves them inert whatever
@@ -351,6 +348,9 @@ def _maxmin_cells(
     # warning) and so never changes again.
     work = np.where(size > 0, res, np.inf)
     share = np.empty(two_n)
+    drop = np.empty(two_n)
+    hit = np.empty(two_n, dtype=bool)
+    ones = np.ones(two_m)
     steps: list[float] = []
     with np.errstate(divide="ignore"):
         while True:
@@ -360,33 +360,31 @@ def _maxmin_cells(
                 break  # every flow frozen
             step = max(step, 0.0)
             steps.append(step)
-            work -= step * cnt
-            np.maximum(work, 0.0, out=work)
-            hit = work <= 1e-9
+            work -= np.multiply(cnt, step, out=drop)
+            np.less_equal(work, 1e-9, out=hit)
             sat = hit.nonzero()[0]
-            # A saturated cell's residual is final: no live flow crosses
-            # it again.
+            # A saturated cell's residual is final (clamped at the end):
+            # no live flow crosses it again.
             if sat.size == 1:
                 c = sat.item()
                 res[c] = work[c]
                 work[c] = np.inf
-                pos = slice(bounds[c], bounds[c + 1])
+                sat_at[c] = len(steps)
+                gone = by_cell[bounds[c]:bounds[c + 1]]
             elif sat.size:
                 res[sat] = work[sat]
                 work[sat] = np.inf
-                pos = hit[cell].nonzero()[0]
+                sat_at[sat] = len(steps)
+                gone = far[hit[port]]
             else:
                 break
-            sat_at[pos] = len(steps)
-            cnt -= np.bincount(far[pos], weights=live[pos], minlength=two_n)
-            live[twin[pos]] = 0.0
+            cnt -= np.bincount(gone, weights=ones[:gone.size], minlength=two_n)
     if steps:
-        # The oracle clamps idle cells too; every other cell not yet
-        # written holds its final residual in ``work``.
-        np.maximum(res, 0.0, out=res, where=size == 0)
+        # Cells still in play hold their final residual in ``work``; the
+        # oracle clamps idle and saturated cells too.
         np.copyto(res, work, where=work < np.inf)
-    by_slot = sat_at[csr_of]
-    frozen_after = np.minimum(by_slot[:m], by_slot[m:])
+        np.maximum(res, 0.0, out=res)
+    frozen_after = np.minimum(sat_at[port[:m]], sat_at[port[m:]])
     np.minimum(frozen_after, len(steps), out=frozen_after)
     if zero_rates:
         levels = [0.0]

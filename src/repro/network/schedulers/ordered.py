@@ -70,11 +70,21 @@ class OrderedCoflowScheduler(CoflowScheduler):
         res = np.concatenate(
             (ctx.fabric.egress_rates, ctx.fabric.ingress_rates)
         )
+        # MADD gives nothing to a coflow that touches a saturated cell;
+        # every active flow carries load, so that is MADD's own blocked
+        # test, and a blocked MADD changes neither ``rates`` nor ``res``.
+        # The mask only moves when a MADD serves its coflow.
+        sat = res <= 1e-9
         for cid in order:
+            idx = ctx.flows_of(cid)
+            if np.count_nonzero(sat[ctx.srcs[idx]]) or np.count_nonzero(
+                sat[dsts_off[idx]]
+            ):
+                continue
             madd_rates_fast(
-                ctx.srcs, dsts_off, ctx.remaining, res,
-                ctx.flows_of(cid), rates,
+                ctx.srcs, dsts_off, ctx.remaining, res, idx, rates,
             )
+            np.less_equal(res, 1e-9, out=sat)
         if self.backfill:
             maxmin_fill_fast(ctx.srcs, dsts_off, res, rates=rates)
         return rates

@@ -2,10 +2,16 @@
 
 The gate compares per-case ``batch_events`` off/on speedups, not
 absolute epochs/sec, so a uniformly slower or faster machine must not
-trip it.
+trip it; trace replays it compares by epochs and fingerprint, never by
+wall time.
 """
 
-from repro.experiments.hotpath import check_regression
+from repro.experiments.hotpath import (
+    TraceSpec,
+    check_regression,
+    run_trace_case,
+    trace_cases,
+)
 
 
 def _case(speedup, eps=1000.0, bit_identical=True):
@@ -71,3 +77,78 @@ class TestCheckRegression:
         problems = check_regression(cur, {"cases": {"a": _case(2.0)}})
         assert len(problems) == 1
         assert "nothing was compared" in problems[0]
+
+
+_PLATFORM = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
+
+
+def _traced(fingerprint="f" * 64, n_epochs=590, platform=_PLATFORM):
+    return {
+        "platform": dict(platform),
+        "fleet": {"a": _case(2.0)},
+        "trace": {"t": {
+            "wall_s": 0.3, "n_epochs": n_epochs, "fingerprint": fingerprint,
+        }},
+    }
+
+
+class TestTraceCheck:
+    """Trace replays are compared bit for bit, on the same platform only."""
+
+    def test_identical_trace_passes_quietly(self):
+        said = []
+        assert check_regression(_traced(), _traced(), say=said.append) == []
+        assert said == []
+
+    def test_fingerprint_change_fails(self):
+        problems = check_regression(_traced("0" * 64), _traced())
+        assert len(problems) == 1
+        assert problems[0].startswith("t: fingerprint 000")
+
+    def test_epoch_count_change_fails(self):
+        problems = check_regression(_traced(n_epochs=591), _traced())
+        assert problems == ["t: n_epochs 591 != baseline 590"]
+
+    def test_wall_time_is_not_compared(self):
+        cur = _traced()
+        cur["trace"]["t"]["wall_s"] = 30.0
+        assert check_regression(cur, _traced()) == []
+
+    def test_other_platform_is_not_compared(self):
+        said = []
+        other = dict(_PLATFORM, numpy="1.26.4")
+        problems = check_regression(
+            _traced("0" * 64), _traced(platform=other), say=said.append
+        )
+        assert problems == []
+        assert len(said) == 1 and said[0].startswith("trace: not compared")
+
+    def test_baseline_without_trace_is_not_compared(self):
+        said = []
+        base = _traced()
+        del base["trace"]
+        assert check_regression(_traced(), base, say=said.append) == []
+        assert said == ["trace: not compared (the baseline has no trace "
+                        "section)"]
+
+    def test_no_shared_trace_key_fails(self):
+        base = _traced()
+        base["trace"] = {"other": base["trace"]["t"]}
+        problems = check_regression(_traced(), base)
+        assert len(problems) == 1
+        assert "nothing was compared" in problems[0]
+
+
+def test_quick_cases_are_in_the_full_set():
+    full = {s.key for s in trace_cases()}
+    assert {s.key for s in trace_cases(quick=True)} <= full
+    assert {s.scheduler for s in trace_cases() if s.n_coflows == 200} == {
+        "sebf", "wcct5"}
+
+
+def test_trace_case_is_deterministic():
+    spec = TraceSpec("wcct5", n_coflows=6)
+    first, second = run_trace_case(spec), run_trace_case(spec)
+    assert first["n_epochs"] == second["n_epochs"] > 0
+    assert first["fingerprint"] == second["fingerprint"]
+    assert len(first["fingerprint"]) == 64

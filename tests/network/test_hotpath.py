@@ -11,7 +11,9 @@ Covers the epoch-loop defects fixed alongside the hot-path rewrite:
   finishes instantly on admission (CCT exactly 0), like ``width == 0``;
 
 plus exact-equality checks of the combined-port / scalar scheduler
-kernels against the split-residual oracles in ``tests/oracles.py``.
+kernels against the split-residual oracles in ``tests/oracles.py``, and
+of the ordered disciplines' blocked-coflow skip against the oracle
+allocation.
 """
 
 import tracemalloc
@@ -22,12 +24,14 @@ import pytest
 from repro.core.noise import NoisyEstimates
 from repro.network import CoflowSimulator, Fabric
 from repro.network.dynamics import FabricDynamics, RateEvent
+from repro.network.events import CoflowProgress, SchedulingContext
 from repro.network.flow import Coflow, Flow
-from repro.network.schedulers import make_scheduler
+from repro.network.schedulers import make_scheduler, ordered
 from repro.network.schedulers.base import madd_rates_fast, maxmin_fill_fast
 from tests.oracles import (
     assert_fill_matches_reference,
     madd_rates_reference,
+    reference_allocate,
 )
 
 
@@ -266,3 +270,164 @@ class TestKernelEquivalence:
         res = np.concatenate((res_out.copy(), res_in.copy()))
         madd_rates_fast(srcs, dsts + 5, remaining, res, subset, np.zeros(20))
         assert (res[:5] == ro).all() and (res[5:] == ri).all()
+
+
+def _fill_case(flows, res_out, res_in, rates):
+    """``(srcs, dsts, res_out, res_in, rates)`` from ``(src, dst)`` pairs."""
+    srcs, dsts = (np.array(side) for side in zip(*flows))
+    return (srcs, dsts, np.array(res_out, dtype=float),
+            np.array(res_in, dtype=float), np.array(rates, dtype=float))
+
+
+#: Backfills (non-zero starting rates, so the port-cell kernel runs)
+#: built to reach each freeze corner of the liveness-free waterfill.
+#: Flow 4 -> 4 saturates last in each, so the loop runs on past the
+#: corner.
+FILL_CORNERS = {
+    # Step 1 saturates out0, in1, out2 and in3 together, and each of
+    # flows 0 -> 1 and 2 -> 3 has both endpoints among them.
+    "several-cells-one-step": _fill_case(
+        [(0, 1), (2, 3), (4, 4)],
+        [1.0, 9.0, 1.0, 9.0, 5.0], [9.0, 1.0, 9.0, 1.0, 7.0],
+        [0.25, 0.5, 0.125],
+    ),
+    # out0 alone saturates at step 1 through one flow whose far end,
+    # in1, saturates at the same step: both ends of one flow.
+    "both-ends-one-step": _fill_case(
+        [(0, 1), (2, 3), (2, 3), (4, 4)],
+        [1.0, 9.0, 8.0, 9.0, 5.0], [9.0, 1.0, 9.0, 9.0, 7.0],
+        [0.0, 0.5, 0.5, 0.125],
+    ),
+    # Seven flows share out0: 0.9 - (0.9 / 7) * 7 is -1.1e-16, which
+    # the oracle clamps to +0.0.
+    "negative-before-clamp": _fill_case(
+        [(0, 1)] * 4 + [(0, 2)] * 3 + [(4, 4)],
+        [0.9, 9.0, 9.0, 9.0, 5.0], [9.0, 9.0, 9.0, 9.0, 7.0],
+        [0.5] * 8,
+    ),
+    # A residual already below zero (and a -0.0) on entry: step 0,
+    # saturated at once, clamped to +0.0.
+    "negative-on-entry": _fill_case(
+        [(0, 1), (2, 3), (4, 4)],
+        [-0.5, 9.0, -0.0, 9.0, 5.0], [9.0, 9.0, 9.0, 9.0, 7.0],
+        [0.25, 0.5, 0.125],
+    ),
+    # in1's flows leave through out0 (step 1) and out2 (step 2): in1 is
+    # emptied with residual left over and must stay inert after.
+    "emptied-through-far-ends": _fill_case(
+        [(0, 1), (2, 1), (4, 4)],
+        [1.0, 9.0, 2.0, 9.0, 5.0], [9.0, 10.0, 9.0, 9.0, 7.0],
+        [0.25, 0.5, 0.125],
+    ),
+}
+
+
+class TestCellFillCorners:
+    """The port-cell waterfill keeps no per-flow liveness and clamps
+    only at the end; each corner that argument rests on, bit for bit
+    against the oracle, as an all-flows fill and as a subset fill."""
+
+    @pytest.mark.parametrize("name", sorted(FILL_CORNERS))
+    def test_all_flows(self, name):
+        srcs, dsts, res_out, res_in, rates = FILL_CORNERS[name]
+        assert_fill_matches_reference(
+            srcs, dsts, res_out, res_in, rates=rates
+        )
+
+    @pytest.mark.parametrize("name", sorted(FILL_CORNERS))
+    def test_subset(self, name):
+        srcs, dsts, res_out, res_in, rates = FILL_CORNERS[name]
+        subset = np.arange(1, srcs.size)  # leave flow 0 out
+        assert_fill_matches_reference(
+            srcs, dsts, res_out, res_in, rates=rates, subset=subset
+        )
+
+    def test_several_cells_one_step_values(self):
+        srcs, dsts, res_out, res_in, rates = FILL_CORNERS[
+            "several-cells-one-step"]
+        res = np.concatenate((res_out, res_in))
+        rates = maxmin_fill_fast(srcs, dsts + 5, res, rates=rates.copy())
+        assert rates.tolist() == [1.25, 1.5, 5.125]
+        assert res.tolist() == [0.0, 9.0, 0.0, 9.0, 0.0,
+                                9.0, 0.0, 9.0, 0.0, 2.0]
+
+    def test_clamped_residuals_are_positive_zero(self):
+        for name in ("negative-before-clamp", "negative-on-entry"):
+            srcs, dsts, res_out, res_in, rates = FILL_CORNERS[name]
+            res = np.concatenate((res_out, res_in))
+            maxmin_fill_fast(srcs, dsts + 5, res, rates=rates.copy())
+            assert not np.signbit(res).any(), name
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tied_residuals(self, seed):
+        """Residuals drawn from a few dyadic values tie often, so many
+        steps saturate several cells and both ends of flows at once."""
+        rng = np.random.default_rng(500 + seed)
+        n_ports, n_flows = 6, 48
+        srcs = rng.integers(0, n_ports, size=n_flows)
+        dsts = rng.integers(0, n_ports, size=n_flows)
+        res_out = rng.choice([0.0, 1.0, 2.0, 4.0], size=n_ports)
+        res_in = rng.choice([0.0, 1.0, 2.0, 4.0], size=n_ports)
+        rates = rng.choice([0.0, 0.5], size=n_flows)
+        subset = None if seed % 2 else np.sort(
+            rng.choice(n_flows, size=40, replace=False))
+        assert_fill_matches_reference(
+            srcs, dsts, res_out, res_in, rates=rates, subset=subset
+        )
+
+
+def _contended_context(seed, n_ports=5, n_coflows=24):
+    """Many coflows on few ports, one port at exactly the ``1e-9``
+    saturation threshold: most coflows find a saturated cell."""
+    rng = np.random.default_rng(seed)
+    cids, srcs, dsts = [], [], []
+    for cid in range(n_coflows):
+        width = int(rng.integers(1, 7))
+        cids += [cid] * width
+        srcs += rng.integers(0, n_ports, size=width).tolist()
+        dsts += rng.integers(0, n_ports, size=width).tolist()
+    remaining = rng.uniform(0.05, 5.0, size=len(cids))
+    fabric = Fabric(n_ports=n_ports, rate=1.0)
+    fabric.egress_rates[:] = rng.uniform(0.5, 2.0, size=n_ports)
+    fabric.ingress_rates[:] = rng.uniform(0.5, 2.0, size=n_ports)
+    fabric.ingress_rates[seed % n_ports] = 1e-9
+    progress = {}
+    for cid in range(n_coflows):
+        idx = [i for i, c in enumerate(cids) if c == cid]
+        progress[cid] = CoflowProgress(
+            cid, float(rng.uniform(0.0, 1.0)),
+            float(remaining[idx].sum()), len(idx),
+            weight=float(rng.choice([0.5, 1.0, 2.0])),
+        )
+    return SchedulingContext(
+        time=1.0, fabric=fabric, srcs=np.array(srcs), dsts=np.array(dsts),
+        remaining=remaining, coflow_ids=np.array(cids), progress=progress,
+    )
+
+
+class TestOrderedBlockedSkip:
+    """``OrderedCoflowScheduler.allocate`` skips a coflow that touches a
+    saturated cell instead of running MADD on it.  The allocation must
+    equal the oracle's, and every MADD it still runs must serve its
+    coflow: the skip catches every blocked coflow, with the mask
+    refreshed after each served one."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", ["sebf", "wcct5", "fifo"])
+    def test_matches_oracle_and_skips_every_blocked(
+        self, name, seed, monkeypatch
+    ):
+        ctx = _contended_context(seed)
+        served = []
+
+        def madd(*args):
+            served.append(madd_rates_fast(*args))
+            return served[-1]
+
+        monkeypatch.setattr(ordered, "madd_rates_fast", madd)
+        rates = make_scheduler(name).allocate(ctx)
+        expected = reference_allocate(make_scheduler(name), ctx)
+        assert rates.tobytes() == expected.tobytes()
+        assert all(served)
+        # Contended: MADD serves some coflows and most are skipped.
+        assert 0 < len(served) < len(ctx.active_coflow_ids()) / 2

@@ -299,6 +299,70 @@ class TestBenchCheck:
         ) == 2
         assert "cannot read --check baseline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("baseline", [
+        [1, 2],
+        {"fleet": [1]},
+        {"fleet": {"fleet/fair/facebook/p32u40a260l1.8w30q256s11": {
+            "speedup": "x", "on": {"epochs_per_sec": 1.0}}}},
+        {"fleet": {"case": {"speedup": 2.0}}},
+        {"fleet": {"case": {"speedup": True, "on": {"epochs_per_sec": 1}}}},
+        {"fleet": {}, "trace": {"case": {"n_epochs": 1.5,
+                                          "fingerprint": "ab"}}},
+        {"fleet": {}, "trace": {"case": {"n_epochs": 3,
+                                          "fingerprint": None}}},
+        {"fleet": {}, "trace": ["case"]},
+    ], ids=["list", "fleet-list", "speedup-str", "no-epochs-per-sec",
+            "speedup-bool", "epochs-float", "fingerprint-null",
+            "trace-list"])
+    def test_malformed_baseline_is_a_usage_error(
+        self, monkeypatch, tmp_path, capsys, baseline
+    ):
+        import json
+
+        from repro.experiments import hotpath
+
+        monkeypatch.setattr(
+            hotpath, "run_bench",
+            lambda **kw: pytest.fail("benchmarked without a baseline"),
+        )
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps(baseline))
+        assert main(
+            ["bench", "--quick", "--out", str(tmp_path / "b.json"),
+             "--check", str(path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read --check baseline")
+        assert err.count("\n") == 1
+
+    def test_trace_fingerprint_change_is_a_regression(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import json
+
+        from repro.experiments import hotpath
+
+        def payload(fingerprint):
+            out = self._payload(2.0)
+            out["platform"] = {"python": "3", "numpy": "2", "machine": "m"}
+            out["trace"] = {"trace/case": {
+                "wall_s": 1.0, "n_epochs": 7, "fingerprint": fingerprint,
+            }}
+            return out
+
+        baseline = tmp_path / "BENCH.json"
+        baseline.write_text(json.dumps(payload("a" * 64)))
+        monkeypatch.setattr(
+            hotpath, "run_bench", lambda **kw: payload("b" * 64)
+        )
+        assert main(
+            ["bench", "--quick", "--out", str(tmp_path / "b.json"),
+             "--check", str(baseline)]
+        ) == 1
+        assert "REGRESSION: trace/case: fingerprint" in (
+            capsys.readouterr().err
+        )
+
 
 class TestSimulateStagePolicy:
     @pytest.fixture()
