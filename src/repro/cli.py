@@ -1285,8 +1285,8 @@ def _bench_options(p) -> None:
     )
     p.add_argument(
         "--tolerance", type=float, default=0.3,
-        help="allowed fractional speedup drop vs the baseline "
-        "(default 0.3)",
+        help="allowed fractional speedup drop vs the baseline, in "
+        "[0, 1) (default 0.3)",
     )
 
 
@@ -1300,6 +1300,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
     )
 
+    # ``nan`` or a value >= 1 would pass every speedup, a negative one
+    # fail every correct run.
+    if not 0.0 <= args.tolerance < 1.0:
+        raise _UsageError(
+            f"--tolerance must be in [0, 1), got {args.tolerance:g}"
+        )
     if args.out != "-":
         _check_writable(args.out)
     # Read the baseline first: ``--out`` may name the same file.

@@ -80,7 +80,7 @@ class CoflowScheduler(ABC):
         :meth:`allocate` would return a bit-identical array.
         :meth:`next_event_hint` still runs every epoch with up-to-date
         ``progress``, so it must not depend on ``allocate`` side effects.
-        The simulator credits ``sent_bytes`` lazily, but flushes the
+        The simulator credits ``sent_bytes`` lazily, but settles the
         credit before any scheduler method runs, so whenever one of
         them reads ``ctx.progress[cid].sent_bytes`` it is current up to
         ``ctx.time``.
@@ -100,10 +100,13 @@ class CoflowScheduler(ABC):
 
 
 #: Fill size (a subset, or every flow) up to which zero-start waterfills
-#: drop to plain-Python scalar arithmetic: for a handful of flows the
-#: cost of a numpy call (~1-2us each) dwarfs the arithmetic, and scalar
-#: IEEE doubles follow the exact same operation sequence, so results
-#: stay bit-identical.
+#: drop to plain-Python scalar arithmetic; scalar IEEE doubles follow the
+#: exact same operation sequence, so results stay bit-identical.  On
+#: random fills (50 ports) the cell kernel is the faster one from about
+#: 12 flows (104 vs 82 us at 16 flows, 277 vs 120 us at 32), but on
+#: ``serve-overload``, the only perfbench workload that reaches this
+#: path, a threshold of 8 or 12 moved nothing beyond noise, while
+#: deleting the scalar twin cost 3-5 %; so it stays, at 32.
 _SCALAR_MAX = 32
 #: MADD is a single pass (no iteration), so numpy amortizes better; the
 #: scalar version only wins for very narrow coflows.

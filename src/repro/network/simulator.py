@@ -77,15 +77,15 @@ _VOLUME_EPS = 1e-6
 #: scheduler/dynamics interaction that will never terminate.
 DEFAULT_STALL_EPOCHS = 10_000
 
-#: Most epochs whose attained-service credit, or whose lazy drain, waits
-#: for one flush.  Each flush builds a (queued epochs x flows) array, so
-#: the cap bounds its memory on long reuse streaks (a steady fleet under
-#: deferral polls); it also bounds the rounding a lazy streak piles up.
+#: Most epochs the journal holds before :meth:`_EpochLoop.settle` runs.
+#: A settle builds a (journalled epochs x flows) array for the credit and
+#: one for the lazy drains, so the cap bounds their memory on long reuse
+#: streaks (a steady fleet under deferral polls).
 _MAX_QUEUED_CREDITS = 64
 
 #: Relative safety margin of the lazy-drain floor (see
-#: :meth:`_EpochLoop.advance`): about eight orders of magnitude above the
-#: rounding of ``_MAX_QUEUED_CREDITS`` queued subtractions.
+#: :meth:`_EpochLoop.advance`): each lazy subtraction rounds by about
+#: 1e-16 of the volume, so the margin covers millions of them.
 _DRAIN_MARGIN = 1e-6
 
 #: Floor on the scheduler-reported remaining volume under estimate noise:
@@ -505,9 +505,10 @@ class _EpochLoop:
     :meth:`apply_fabric`, then either :meth:`idle` fast-forwards an empty
     fabric to :meth:`next_wake`, or the epoch takes its rates from
     :meth:`reuse` or :meth:`allocate` and :meth:`advance` drains to the
-    next completion or event (or, lazily, queues the drain for
-    :meth:`flush_drain`).  Every coflow enters through :meth:`intake`
-    and every abort goes through :meth:`abort`.
+    next completion or event.  Each epoch's ``dt`` goes into one journal
+    that :meth:`settle` applies before anything reads the volumes or the
+    attained service.  Every coflow enters through :meth:`intake` and
+    every abort goes through :meth:`abort`.
     ``SchedulingContext`` is looked up in the module globals on every
     epoch, where tracers may wrap it.
     """
@@ -520,9 +521,9 @@ class _EpochLoop:
         "fabric", "dynamics", "recovery", "fl", "noise", "noise_factors",
         "progress", "pending", "total_bytes", "completion",
         "groups_cache", "groups_version", "cached", "cache_version",
-        "cache_valid_until", "cache_dirty", "credit_rates",
-        "credit_groups", "credit_dts", "drain_dts", "drain_floor",
-        "lazy_ok", "t", "n_epochs", "stalled", "last_clock", "wall_start",
+        "cache_valid_until", "cache_dirty", "journal", "journal_key",
+        "drained", "drain_floor", "lazy_ok", "t", "n_epochs", "stalled",
+        "last_clock", "wall_start",
     )
 
     def __init__(
@@ -607,26 +608,21 @@ class _EpochLoop:
         self.cache_valid_until = -np.inf
         self.cache_dirty = True
 
-        # Deferred attained-service credit.  Only ``allocate``, an
-        # overridden ``next_event_hint`` and the recovery layer read
-        # ``sent_bytes``, so each epoch queues its ``dt`` against the
-        # (rates, groups) pair it drained with, and one flush credits the
-        # queue before any of them runs -- once per allocation instead of
-        # once per epoch, bit-identical to crediting every epoch (see
-        # :meth:`FlowGroups.scaled_value_sums`).
-        self.credit_rates = self.credit_groups = None
-        self.credit_dts: list[float] = []
+        # The epoch journal (see :meth:`settle`): the ``dt`` of every
+        # epoch since the last settle, all drained at the (rates, groups)
+        # that :meth:`allocate` last set.  The first ``drained`` entries
+        # are already applied to ``fl.remaining``; the rest are lazy
+        # epochs (see :meth:`advance`).  No entry is credited to
+        # ``sent_bytes`` yet.  Lazy epochs are off when a hint or an epoch
+        # sample reads the volumes every epoch.
+        self.journal: list[float] = []
+        self.journal_key: "tuple[np.ndarray, FlowGroups] | None" = None
+        self.drained = 0
+        self.drain_floor = -np.inf
         self.hint_reads_progress = (
             type(self.scheduler).next_event_hint
             is not CoflowScheduler.next_event_hint
         )
-
-        # Lazy drain (see :meth:`advance`): a reuse epoch that ends on a
-        # wake before ``drain_floor`` only queues its ``dt``; whatever
-        # reads ``fl.remaining`` first replays the queue (:meth:`flush_drain`).
-        # Off when a hint or an epoch sample reads the volumes every epoch.
-        self.drain_dts: list[float] = []
-        self.drain_floor = -np.inf
         self.lazy_ok = not (
             self.hint_reads_progress
             or self.wants_flow_events
@@ -772,13 +768,35 @@ class _EpochLoop:
             self.groups_version = self.fl.version
         return self.groups_cache
 
-    def flush_credit(self) -> None:
-        """Credit the queued epochs' bytes to ``sent_bytes``."""
-        credit_dts = self.credit_dts
-        if not credit_dts:
+    def drain(self) -> None:
+        """Drain ``fl.remaining`` by the journal's lazy tail, in order.
+
+        Every entry drained at the journal's rates, so row ``k`` of the
+        stacked table is ``tail[k] * rates``; subtracting the rows one
+        after another is each lazy epoch's ``remaining - rates * dt``,
+        bit for bit.
+        """
+        journal, fl = self.journal, self.fl
+        if self.drained == len(journal):
             return
-        g = self.credit_groups
-        sums = g.scaled_value_sums(credit_dts, self.credit_rates)
+        tail = journal[self.drained:]
+        table = np.empty((len(tail) + 1, fl.size))
+        table[0] = fl.remaining
+        np.multiply.outer(tail, self.journal_key[0], out=table[1:])
+        fl.remaining = np.subtract.reduce(table)
+        self.drained = len(journal)
+
+    def settle(self) -> None:
+        """Apply the journal and empty it: :meth:`drain` its lazy tail,
+        then credit every entry's bytes to ``sent_bytes``, adding each
+        epoch's per-coflow sums left to right as a per-epoch credit
+        would (see :meth:`FlowGroups.scaled_value_sums`)."""
+        journal = self.journal
+        if not journal:
+            return
+        self.drain()
+        rates, g = self.journal_key
+        sums = g.scaled_value_sums(journal, rates)
         progress = self.progress
         for cid, per_epoch in zip(g.unique_cids.tolist(), sums):
             p = progress[cid]
@@ -786,25 +804,8 @@ class _EpochLoop:
             for v in per_epoch:
                 sent += v
             p.sent_bytes = sent
-        credit_dts.clear()
-
-    def flush_drain(self) -> None:
-        """Drain ``fl.remaining`` by the queued lazy epochs, in order.
-
-        Every lazy epoch reused the cached rates, so row ``k`` of the
-        stacked table is ``dts[k] * rates``; subtracting the rows one
-        after another is each epoch's ``remaining - rates * dt``, bit
-        for bit.
-        """
-        dts = self.drain_dts
-        if not dts:
-            return
-        fl = self.fl
-        table = np.empty((len(dts) + 1, fl.size))
-        table[0] = fl.remaining
-        np.multiply.outer(dts, self.cached[0], out=table[1:])
-        fl.remaining = np.subtract.reduce(table)
-        dts.clear()
+        journal.clear()
+        self.drained = 0
 
     def next_wake(self, t: float) -> float | None:
         """Earliest pending arrival, source release, fabric event or
@@ -831,7 +832,7 @@ class _EpochLoop:
         if cached is None:
             # ``allocate`` reads the volumes; a reuse epoch's context keeps
             # them as of the last drain and reaches no scheduler method.
-            self.flush_drain()
+            self.settle()
         ctx = SchedulingContext(
             time=t,
             fabric=self.fabric,
@@ -895,7 +896,7 @@ class _EpochLoop:
         from repro.core import resilience
 
         error = getattr(resilience, error_type)(message)
-        self.flush_drain()
+        self.settle()
         fl = self.fl
         masks = [(cid, fl.cids == cid) for cid in np.unique(fl.cids)[:20]]
         active = [
@@ -970,7 +971,7 @@ class _EpochLoop:
                 )
             # ``ActiveFlows.append`` concatenates (always copies), so
             # handing it the coflow's cached arrays is aliasing-safe.
-            self.flush_drain()
+            self.settle()
             fl.append(
                 srcs=srcs,
                 dsts=dsts,
@@ -995,8 +996,7 @@ class _EpochLoop:
         # The recovery step may strand/resume flows or replan placements;
         # conservatively invalidate the rate cache whenever it runs at all.
         self.cache_dirty = True
-        self.flush_credit()
-        self.flush_drain()
+        self.settle()
         aborted, local = recovery.step(fabric, t, self.fl, self.progress)
         self.abort(aborted, t)
         for cid in local:
@@ -1019,7 +1019,8 @@ class _EpochLoop:
             return True
         recovery = self.recovery
         if recovery is not None and recovery.has_suspended:
-            self.flush_credit()
+            # No settle: this abort reads neither the volumes nor
+            # ``sent_bytes``, and the next reader settles first.
             self.abort(recovery.abort_unrecoverable(t), t)
             return bool(self.pending)
         return False
@@ -1037,8 +1038,8 @@ class _EpochLoop:
         return None
 
     def allocate(self, ctx: SchedulingContext) -> "tuple[np.ndarray, ...]":
-        """Ask the discipline for rates, validate them and cache them."""
-        self.flush_credit()
+        """Ask the discipline for rates, validate them, cache them and key
+        the (settled) journal to them."""
         fl = self.fl
         rates = np.asarray(self.scheduler.allocate(ctx), dtype=float)
         if rates.shape != fl.srcs.shape:
@@ -1048,6 +1049,7 @@ class _EpochLoop:
         self.fabric.validate_rates(fl.srcs, fl.dsts, rates)
         moving = (rates > 0).nonzero()[0]
         alloc = (rates, moving, rates[moving])
+        self.journal_key = rates, self.groups()
         if self.batch:
             self.cached = alloc
             self.cache_version = fl.version
@@ -1061,35 +1063,30 @@ class _EpochLoop:
         self, ctx: SchedulingContext, rates: np.ndarray, moving: np.ndarray,
         moving_rates: np.ndarray, reused: bool,
     ) -> None:
-        """Drain the flows to the next completion or event, queue the
-        attained-service credit and complete the finished coflows.
+        """Drain the flows to the next completion or event, journal the
+        epoch and complete the finished coflows.
 
         A reuse epoch whose next wake comes before ``drain_floor`` is
         *lazy*: no flow can reach ``_VOLUME_EPS`` by then, so its length
-        is the wake's and it only queues ``dt`` for :meth:`flush_drain`
-        instead of draining and checking every flow.  The floor is set
-        by an eager epoch whose rates the next epoch may reuse: the
-        earliest time a moving flow could drain to ``_VOLUME_EPS``, less
-        a relative ``_DRAIN_MARGIN`` that covers the rounding of the
-        queued subtractions.
+        is the wake's and it only journals ``dt``, undrained, instead of
+        draining and checking every flow.  The floor is set by an eager
+        epoch whose rates the next epoch may reuse: the earliest time a
+        moving flow could drain to ``_VOLUME_EPS``, less a relative
+        ``_DRAIN_MARGIN`` that covers the rounding of the lazy
+        subtractions.
         """
-        t, fl = ctx.time, self.fl
+        t, fl, journal = ctx.time, self.fl, self.journal
         hint = None
         if self.hint_reads_progress:
-            self.flush_credit()
+            self.settle()
             hint = self.scheduler.next_event_hint(ctx, rates)
         wake = self.next_wake(t)
-        drain_dts = self.drain_dts
-        lazy = (
-            reused
-            and wake is not None
-            and t <= wake < self.drain_floor
-            and len(drain_dts) < _MAX_QUEUED_CREDITS
-        )
+        lazy = reused and wake is not None and t <= wake < self.drain_floor
         if lazy:
             dt = wake - t
         else:
-            self.flush_drain()
+            # Only the volumes are read here: the credit stays journalled.
+            self.drain()
             if moving.size:
                 dt = float((fl.remaining[moving] / moving_rates).min())
             else:
@@ -1107,22 +1104,17 @@ class _EpochLoop:
         if self.track:
             self.emit_epoch(t, dt, rates, moving, reused)
 
-        if lazy:
-            drain_dts.append(dt)
-        else:
+        journal.append(dt)
+        if not lazy:
             fl.remaining = fl.remaining - rates * dt
-        g = self.groups()
-        credit_dts = self.credit_dts
-        if rates is not self.credit_rates or g is not self.credit_groups:
-            self.flush_credit()
-            self.credit_rates, self.credit_groups = rates, g
-        credit_dts.append(dt)
-        if len(credit_dts) == _MAX_QUEUED_CREDITS:
-            self.flush_credit()
+            self.drained = len(journal)
+        if len(journal) == _MAX_QUEUED_CREDITS:
+            self.settle()
         self.t = t = t + dt
         if lazy:
             return
 
+        g = self.groups()
         done = fl.remaining <= _VOLUME_EPS
         floor = -np.inf
         if done.any():
@@ -1189,8 +1181,8 @@ class _EpochLoop:
         )
 
     def result(self) -> SimulationResult:
-        """Credit the last queued epochs and build the run's result."""
-        self.flush_credit()
+        """Settle the last journalled epochs and build the run's result."""
+        self.settle()
         completion, recovery = self.completion, self.recovery
         ccts = {
             cid: completion[cid] - self.progress[cid].arrival_time

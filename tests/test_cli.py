@@ -335,6 +335,40 @@ class TestBenchCheck:
         assert err.startswith("cannot read --check baseline")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("tolerance", ["nan", "1", "1.5", "-0.1", "inf"])
+    def test_tolerance_outside_the_unit_interval_is_a_usage_error(
+        self, monkeypatch, tmp_path, capsys, tolerance
+    ):
+        from repro.experiments import hotpath
+
+        monkeypatch.setattr(
+            hotpath, "run_bench",
+            lambda **kw: pytest.fail("benchmarked with a bad tolerance"),
+        )
+        assert main(
+            ["bench", "--quick", "--out", str(tmp_path / "b.json"),
+             "--tolerance", tolerance]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("--tolerance must be in [0, 1)")
+        assert err.count("\n") == 1
+
+    def test_zero_tolerance_is_accepted(self, monkeypatch, tmp_path, capsys):
+        import json
+
+        from repro.experiments import hotpath
+
+        baseline = tmp_path / "BENCH.json"
+        baseline.write_text(json.dumps(self._payload(2.0)))
+        monkeypatch.setattr(
+            hotpath, "run_bench", lambda **kw: self._payload(2.0)
+        )
+        assert main(
+            ["bench", "--quick", "--out", str(tmp_path / "b.json"),
+             "--check", str(baseline), "--tolerance", "0"]
+        ) == 0
+        assert "no regression" in capsys.readouterr().out
+
     def test_trace_fingerprint_change_is_a_regression(
         self, monkeypatch, tmp_path, capsys
     ):

@@ -10,10 +10,12 @@ per-flow factor loop, and the kernels must return the oracle floats for
 any input shape (full set and subsets above and below the scalar
 threshold, weighted fills, blocked MADD ports).  The grouping the
 simulator derives after completions must equal a rebuild.  Event-horizon
-batching (``batch_events``), deferred credit and lazy drains must leave
-every result bit-identical.
+batching (``batch_events``) and the epoch journal (deferred credit and
+lazy drains) must leave every result bit-identical, and the journal must
+conserve every coflow's bytes.
 """
 
+import collections
 import contextlib
 import dataclasses
 import math
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.noise import NoisyEstimates
 from repro.core.resilience import BudgetExceeded
-from repro.network import CoflowSimulator, Fabric, simulator
+from repro.network import CoflowSimulator, Fabric, recovery, simulator
 from repro.network.dynamics import FabricDynamics, RateEvent
 from repro.network.events import CoflowProgress, FlowGroups, SchedulingContext
 from repro.network.flow import Coflow, Flow
@@ -779,20 +781,20 @@ REUSING = {
 
 @contextlib.contextmanager
 def _lazy_drains():
-    """Record the queue length at every ``flush_drain`` in the block: the
-    sum is the number of lazy epochs, the maximum the longest queue."""
+    """Record the lazy tail's length at every ``drain`` in the block: the
+    sum is the number of lazy epochs, the maximum the longest tail."""
     flushes = []
-    flush = simulator._EpochLoop.flush_drain
+    drain = simulator._EpochLoop.drain
 
     def recording(self):
-        flushes.append(len(self.drain_dts))
-        flush(self)
+        flushes.append(len(self.journal) - self.drained)
+        drain(self)
 
-    simulator._EpochLoop.flush_drain = recording
+    simulator._EpochLoop.drain = recording
     try:
         yield flushes
     finally:
-        simulator._EpochLoop.flush_drain = flush
+        simulator._EpochLoop.drain = drain
 
 
 @st.composite
@@ -986,6 +988,120 @@ class TestLazyDrain:
             queued_at_trip.append(flushes[-1])
             assert reports[0] == reports[1]
         assert any(queued_at_trip)
+
+
+@contextlib.contextmanager
+def _dropped_bytes():
+    """Record, per coflow, the bytes left in the flows the loop drops
+    from the fabric (a completed flow stops below ``_VOLUME_EPS``)."""
+    dropped = collections.Counter()
+    keep = recovery.ActiveFlows.keep
+
+    def recording(self, mask):
+        for cid, left in zip(self.cids[~mask], self.remaining[~mask]):
+            dropped[int(cid)] += float(left)
+        keep(self, mask)
+
+    recovery.ActiveFlows.keep = recording
+    try:
+        yield dropped
+    finally:
+        recovery.ActiveFlows.keep = keep
+
+
+def _conserving(cls, dropped):
+    """``cls`` asserting, at every ``allocate``, that each admitted
+    coflow's ``sent_bytes`` plus the remaining bytes of its flows (active
+    ones from the context, dropped ones from ``dropped``) is its volume."""
+
+    class Conserving(cls):
+        def reset(self):
+            super().reset()
+            self.checked = 0
+
+        def allocate(self, ctx):
+            left = collections.Counter(dropped)
+            for cid, r in zip(ctx.coflow_ids.tolist(), ctx.remaining):
+                left[cid] += float(r)
+            for cid in left:
+                _assert_conserved(ctx.progress[cid], left[cid])
+                self.checked += 1
+            self.progress = ctx.progress
+            return super().allocate(ctx)
+
+    return Conserving
+
+
+def _assert_conserved(progress, left):
+    volume = progress.total_volume
+    assert progress.sent_bytes + left == pytest.approx(volume, rel=1e-9)
+
+
+class TestEpochJournal:
+    """The journal's two halves stay paired: whenever a scheduler reads
+    the state, and at the end of the run, every coflow's ``sent_bytes``
+    plus its flows' remaining bytes is its volume -- through reuse
+    streaks past the journal's cap and admissions mid-streak.  Eager
+    reuse epochs share one settle too."""
+
+    def _run(self, n_ports, coflows, scheduler, times):
+        with _dropped_bytes() as dropped:
+            cls = type(REUSING[scheduler]())
+            sched = _conserving(cls, dropped)()
+            with _lazy_drains() as tails:
+                result = _run(
+                    n_ports, coflows, sched, source=_WakeSource(times)
+                )
+        assert sched.checked > 0
+        assert len(result.completion_times) == len(coflows)
+        for c in coflows:
+            _assert_conserved(sched.progress[c.coflow_id],
+                              dropped[c.coflow_id])
+        return tails
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        workloads(),
+        st.sampled_from(sorted(REUSING)),
+        st.floats(0.005, 0.05),
+    )
+    def test_polling_streaks(self, wl, scheduler, period):
+        n_ports, coflows = wl
+        self._run(
+            n_ports, coflows, scheduler,
+            [k * period for k in range(1, int(30 / period))],
+        )
+
+    @pytest.mark.parametrize("scheduler", ["fair", "sequential"])
+    def test_streaks_past_the_cap_with_admissions(self, scheduler):
+        coflows = [
+            Coflow([Flow(0, 1, 5.0), Flow(2, 3, 9.0)], 0.0, coflow_id=0),
+            Coflow([Flow(1, 2, 4.0)], 1.234, coflow_id=1),
+            Coflow([Flow(3, 0, 2.0), Flow(1, 0, 1.5)], 3.21, coflow_id=2),
+        ]
+        tails = self._run(
+            4, coflows, scheduler, [k * 0.01 for k in range(1, 3000)]
+        )
+        assert max(tails) == _MAX_QUEUED_CREDITS
+
+    def test_eager_reuse_epochs_settle_together(self, monkeypatch):
+        # A Tracer's residual samples make every epoch eager; fair's
+        # reuse epochs still journal their credit up to the cap.
+        lengths = []
+        settle = simulator._EpochLoop.settle
+
+        def recording(loop):
+            lengths.append(len(loop.journal))
+            settle(loop)
+
+        monkeypatch.setattr(simulator._EpochLoop, "settle", recording)
+        coflows = [
+            Coflow([Flow(0, 1, 5.0), Flow(2, 1, 3.0)], 0.0, coflow_id=0),
+            Coflow([Flow(1, 2, 4.0)], 0.5, coflow_id=1),
+        ]
+        _run(3, coflows, "fair", source=_PollingSource(0.01, 20.0),
+             instrumentation=Tracer())
+        assert max(lengths) == _MAX_QUEUED_CREDITS
 
 
 class TestBatchEventsBitIdentity:
