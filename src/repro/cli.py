@@ -1270,8 +1270,8 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
 def _bench_options(p) -> None:
     p.add_argument(
         "--quick", action="store_true",
-        help="one small fleet case and one small trace replay (CI "
-        "smoke); their keys are in the full run",
+        help="one small fleet case, one small trace replay and the "
+        "n=250 plan (CI smoke); their keys are in the full run",
     )
     p.add_argument(
         "--out", default="BENCH_simulator.json",
@@ -1280,7 +1280,7 @@ def _bench_options(p) -> None:
     p.add_argument(
         "--check", metavar="BASELINE",
         help="compare per-case speedups (and, on the same platform, "
-        "trace fingerprints) against a committed "
+        "trace and plan fingerprints) against a committed "
         "BENCH_simulator.json and exit non-zero on regression",
     )
     p.add_argument(
@@ -1340,6 +1340,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for key, case in payload.get("trace", {}).items():
         print(
             f"{key}: {case['wall_s']:.2f} s, {case['n_epochs']} epochs, "
+            f"fingerprint {case['fingerprint'][:12]}",
+            file=chat,
+        )
+    for key, case in payload.get("plan", {}).items():
+        print(
+            f"{key}: {case['wall_s']:.2f} s, peak {case['peak_mb']:.1f} MB, "
             f"fingerprint {case['fingerprint'][:12]}",
             file=chat,
         )
@@ -1757,7 +1763,8 @@ COMMANDS: dict[str, Command] = {
     ),
     "bench": Command(
         "benchmark event-horizon batching (batch_events off vs on) "
-        "on large service-mode fleets and time 200-coflow trace replays",
+        "on large service-mode fleets, time 200-coflow trace replays "
+        "and paper-scale plans",
         _bench_options, _cmd_bench,
     ),
     "gantt": Command(

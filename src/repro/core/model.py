@@ -124,7 +124,9 @@ class ShuffleModel:
         self.h = np.asarray(self.h, dtype=float)
         if self.h.ndim != 2:
             raise ValueError(f"h must be 2-D (n, p), got shape {self.h.shape}")
-        if (self.h < 0).any():
+        # ``not >= 0`` also catches NaN; inf shows in its column's sum,
+        # so neither check adds a pass over the (n, p) matrix.
+        if not (self.h >= 0).all():
             raise ValueError("chunk sizes must be non-negative")
         n = self.h.shape[0]
         if self.v0 is None:
@@ -133,11 +135,11 @@ class ShuffleModel:
             self.v0 = np.asarray(self.v0, dtype=float)
             if self.v0.shape != (n, n):
                 raise ValueError(f"v0 must have shape ({n}, {n})")
-            if (self.v0 < 0).any():
-                raise ValueError("initial flow volumes must be non-negative")
+            if not (self.v0 >= 0).all() or not np.isfinite(self.v0).all():
+                raise ValueError("initial flow volumes must be finite and non-negative")
             if np.diagonal(self.v0).any():
                 raise ValueError("v0 diagonal (local flows) must be zero")
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError("rate must be positive")
         for attr in ("extra_send", "extra_recv"):
             val = getattr(self, attr)
@@ -147,10 +149,12 @@ class ShuffleModel:
                 val = np.asarray(val, dtype=float)
                 if val.shape != (n,):
                     raise ValueError(f"{attr} must have shape ({n},)")
-                if (val < 0).any():
-                    raise ValueError(f"{attr} must be non-negative")
+                if not (val >= 0).all() or not np.isfinite(val).all():
+                    raise ValueError(f"{attr} must be finite and non-negative")
                 setattr(self, attr, val)
         self._partition_sizes = self.h.sum(axis=0)
+        if not np.isfinite(self._partition_sizes).all():
+            raise ValueError("chunk sizes must be finite")
 
     @property
     def n(self) -> int:

@@ -19,6 +19,7 @@ as the initial status of each flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -87,66 +88,95 @@ class SkewHandlingResult:
 class PartialDuplication:
     """Pre-processing pass turning a skewed shuffle into a residual one.
 
-    Use :meth:`apply` with explicit byte matrices, e.g. produced by a
-    workload generator or measured from real relations.
+    Use :meth:`apply` with the skewed partitions' byte columns, e.g.
+    produced by a workload generator or measured from real relations.
     """
 
     def apply(
         self,
         h_full: np.ndarray,
+        columns: Sequence[int] | np.ndarray = (),
         *,
-        h_skew_local: np.ndarray | None = None,
-        h_broadcast: np.ndarray | None = None,
+        local: np.ndarray | None = None,
+        broadcast: np.ndarray | None = None,
         rate: float | None = None,
         name: str = "",
     ) -> SkewHandlingResult:
-        """Build the residual model.
+        """Build the residual model from the skewed partitions' columns.
+
+        Partial duplication touches only the partitions holding skewed
+        keys, so its inputs are column-sparse: ``s`` partition indices
+        and an ``(n, s)`` byte block per part.  Every other column
+        removes nothing, so the residual is one copy of ``h_full`` with
+        only those ``s`` columns rewritten, and every check runs on the
+        ``s`` columns alone.
 
         Parameters
         ----------
         h_full:
             Chunk matrix ``(n, p)`` of the complete shuffle (both
             relations, including skewed tuples).
-        h_skew_local:
-            Bytes (same shape) of large-relation skewed tuples to keep
-            local.  Must be element-wise ``<= h_full``.
-        h_broadcast:
-            Bytes (same shape) of small-relation tuples matching the
-            skewed keys; they leave the assignment problem and are instead
+        columns:
+            Distinct partition indices in ``[0, p)`` that hold skewed
+            keys (default: none, which leaves ``h_full`` as it is).
+        local:
+            ``(n, s)`` bytes of large-relation skewed tuples to keep
+            local, column ``c`` for partition ``columns[c]``.
+        broadcast:
+            ``(n, s)`` bytes of small-relation tuples matching the skewed
+            keys; they leave the assignment problem and are instead
             broadcast from their resident node to all others.
+            ``local + broadcast`` must not exceed ``h_full[:, columns]``;
+            either part defaults to zeros.
         rate:
             Port rate for the residual model (default: model default).
         """
         h_full = np.asarray(h_full, dtype=float)
-        n, _ = h_full.shape
-        if h_skew_local is None or h_broadcast is None:
-            zeros = np.zeros_like(h_full)
-        h_skew_local = zeros if h_skew_local is None else np.asarray(h_skew_local, float)
-        h_broadcast = zeros if h_broadcast is None else np.asarray(h_broadcast, float)
-        for nm, m in (("h_skew_local", h_skew_local), ("h_broadcast", h_broadcast)):
-            if m.shape != h_full.shape:
-                raise ValueError(f"{nm} must have shape {h_full.shape}")
-            if (m < 0).any():
+        if h_full.ndim != 2:
+            raise ValueError(f"h_full must be 2-D (n, p), got shape {h_full.shape}")
+        n, p = h_full.shape
+        cols = np.asarray(columns)
+        if cols.size == 0:
+            cols = np.empty(0, dtype=np.int64)
+        if cols.ndim != 1 or not np.issubdtype(cols.dtype, np.integer):
+            raise ValueError("columns must be a 1-D array of partition indices")
+        if ((cols < 0) | (cols >= p)).any():
+            raise ValueError(f"column indices must be in [0, {p})")
+        ordered = np.sort(cols)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("column indices must not repeat")
+        shape = (n, cols.size)
+        parts = []
+        for nm, m in (("local", local), ("broadcast", broadcast)):
+            m = np.zeros(shape) if m is None else np.asarray(m, dtype=float)
+            if m.shape != shape:
+                raise ValueError(f"{nm} must have shape {shape}")
+            if not (m >= 0).all():
                 raise ValueError(f"{nm} must be non-negative")
-        removed = h_skew_local + h_broadcast
-        if (removed > h_full * (1 + 1e-9) + 1e-6).any():
+            parts.append(m)
+        local, broadcast = parts
+        hot = h_full[:, cols]
+        removed = local + broadcast
+        if (removed > hot * (1 + 1e-9) + 1e-6).any():
             raise ValueError("skewed + broadcast bytes exceed the chunk matrix")
 
-        residual = np.maximum(h_full - removed, 0.0)
-        b = h_broadcast.sum(axis=1)
+        residual = h_full.copy()
+        residual[:, cols] = np.maximum(hot - removed, 0.0)
+        b = broadcast.sum(axis=1)
         v0 = np.tile(b[:, None], (1, n))
         np.fill_diagonal(v0, 0.0)
 
         kwargs = {} if rate is None else {"rate": rate}
+        local_bytes = float(local.sum())
         model = ShuffleModel(
             h=residual,
             v0=v0,
-            local_bytes_pre=float(h_skew_local.sum()),
+            local_bytes_pre=local_bytes,
             name=name,
             **kwargs,
         )
         return SkewHandlingResult(
             model=model,
-            local_bytes=float(h_skew_local.sum()),
+            local_bytes=local_bytes,
             broadcast_traffic=float(v0.sum()),
         )

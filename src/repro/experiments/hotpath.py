@@ -1,4 +1,4 @@
-"""Simulator benchmark harness (``ccf bench``): fleets and trace replays.
+"""Benchmark harness (``ccf bench``): fleets, trace replays and plans.
 
 Runs large-fleet service-mode cases (10^4+ offered flows through
 ``run_service`` under overload with a bounded-queue admission policy)
@@ -9,9 +9,10 @@ that the two sides produce **bit-identical** ``SimulationResult``s --
 same CCT floats, same epoch counts, same failure logs -- so the speedup
 is a pure performance win.  It also replays the paper-scale Facebook
 coflow mix under the clairvoyant disciplines, where every epoch
-allocates afresh.
+allocates afresh.  Last, it plans the paper's Fig. 5 workload at full
+scale, where the skew model build and Algorithm 1 do all the work.
 
-The emitted ``BENCH_simulator.json`` has three sections:
+The emitted ``BENCH_simulator.json`` has four sections:
 
 ``fleet``
     Per case: wall time and epochs/sec with batching ``off`` and
@@ -20,6 +21,10 @@ The emitted ``BENCH_simulator.json`` has three sections:
     Per replay (200 coflows over 50 ports under sebf and wcct5): the
     absolute ``wall_s``, ``n_epochs`` and a sha256 ``fingerprint`` of
     the CCTs and completion times.
+``plan``
+    Per ``CCF().plan`` case (n = 250 and 1000 at SF 600): the absolute
+    ``wall_s``, the tracemalloc ``peak_mb`` and a sha256
+    ``fingerprint`` of T and the assignment.
 ``summary``
     Aggregates of the fleet cases used by the CI regression gate.
 
@@ -28,9 +33,9 @@ so two runs on the same machine differ only by timer noise;
 ``check_regression`` compares each fleet case's off/on speedup against
 a committed baseline with a configurable tolerance (the ratio cancels
 machine-speed drift that absolute epochs/sec cannot), and each trace
-replay's epochs and fingerprint bit for bit when the baseline was made
-on the same platform.  Absolute per-layer timings of the whole pipeline
-live in ``perfbench/``.
+replay's epochs and fingerprint, and each plan's fingerprint, bit for
+bit when the baseline was made on the same platform.  Absolute
+per-layer timings of the whole pipeline live in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -39,17 +44,20 @@ import hashlib
 import json
 import platform
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.framework import CCF
 from repro.core.resilience import Backoff
 from repro.network import CoflowSimulator, Fabric
 from repro.network.schedulers import make_scheduler
 from repro.service.arrivals import ArrivalConfig, ArrivalStream
 from repro.service.loop import ServiceConfig, run_service
+from repro.workloads.analytic import AnalyticJoinWorkload
 from repro.workloads.coflowmix import CoflowMixConfig, generate_coflow_mix
 
 __all__ = [
@@ -59,6 +67,9 @@ __all__ = [
     "TraceSpec",
     "trace_cases",
     "run_trace_case",
+    "PlanSpec",
+    "plan_cases",
+    "run_plan_case",
     "run_bench",
     "check_regression",
     "load_baseline",
@@ -291,6 +302,57 @@ def run_trace_case(spec: TraceSpec) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class PlanSpec:
+    """One ``CCF().plan(w, "ccf")`` of the Fig. 5 workload at ``n_nodes``.
+
+    The workload keeps the paper's defaults: SF 600, zipf 0.8, 20 %
+    skew and ``p = 15 n`` partitions; the plan uses the skew-handled
+    model.
+    """
+
+    n_nodes: int
+
+    @property
+    def key(self) -> str:
+        return f"plan/ccf/n{self.n_nodes}sf600"
+
+
+def plan_cases(*, quick: bool = False) -> list[PlanSpec]:
+    """The paper-scale plan; the quick n = 250 case is also in the full set."""
+    quick_cases = [PlanSpec(250)]
+    return quick_cases if quick else quick_cases + [PlanSpec(1000)]
+
+
+def run_plan_case(spec: PlanSpec) -> dict:
+    """Time one plan, then trace its allocations in a second run.
+
+    tracemalloc slows every allocation, so the wall time comes from an
+    untraced run and the peak from a traced one; both plan the same
+    workload, and the fingerprint covers T and ``dest`` of the first.
+    """
+    workload = AnalyticJoinWorkload(n_nodes=spec.n_nodes)
+    t0 = time.perf_counter()
+    plan = CCF().plan(workload, "ccf")
+    wall = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        CCF().plan(workload, "ccf")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    digest = hashlib.sha256(repr(plan.bottleneck_bytes).encode())
+    digest.update(plan.dest.astype(np.int64).tobytes())
+    return {
+        "n_nodes": spec.n_nodes,
+        "partitions": int(workload.partitions),
+        "scale_factor": workload.scale_factor,
+        "wall_s": round(wall, 4),
+        "peak_mb": round(peak / 1e6, 1),
+        "fingerprint": digest.hexdigest(),
+    }
+
+
 def _geomean(values: Sequence[float]) -> float:
     return float(np.exp(np.mean(np.log(values)))) if values else 0.0
 
@@ -310,11 +372,15 @@ def run_bench(
     for spec in trace_cases(quick=quick):
         say(f"case {spec.key} ...")
         trace[spec.key] = run_trace_case(spec)
+    plan: dict[str, dict] = {}
+    for spec in plan_cases(quick=quick):
+        say(f"case {spec.key} ...")
+        plan[spec.key] = run_plan_case(spec)
     from repro.obs.header import repro_header
 
     speedups = [c["speedup"] for c in fleet.values()]
     return {
-        "schema": 3,
+        "schema": 4,
         "generated_by": "ccf bench" + (" --quick" if quick else ""),
         "repro": repro_header(),
         "platform": {
@@ -325,6 +391,7 @@ def run_bench(
         "config": {"quick": quick},
         "fleet": fleet,
         "trace": trace,
+        "plan": plan,
         "summary": {
             "n_cases": len(fleet),
             "all_bit_identical": all(
@@ -344,7 +411,7 @@ def check_regression(
     tolerance: float = 0.3,
     say: Callable[[str], None] | None = None,
 ) -> list[str]:
-    """Compare a payload against a baseline: fleet speedups, trace prints.
+    """Compare a payload against a baseline: fleet speedups, fingerprints.
 
     Returns a list of human-readable problems (empty = gate passes).
     Absolute epochs/sec tracks the machine's clock as much as the code
@@ -359,11 +426,12 @@ def check_regression(
     otherwise pass having compared nothing).
 
     Trace replays sharing a key must match the baseline's ``n_epochs``
-    and ``fingerprint`` exactly -- but only when the baseline's
-    ``platform`` (python, numpy, machine) is the current one, since
-    another numpy may round differently.  Otherwise, or when the
-    baseline predates the trace section, ``say`` (default ``print``)
-    gets one line saying the trace was not compared.
+    and ``fingerprint`` exactly, and plans sharing a key its
+    ``fingerprint`` -- but only when the baseline's ``platform``
+    (python, numpy, machine) is the current one, since another numpy may
+    round differently.  Otherwise, or when the baseline predates the
+    section, ``say`` (default ``print``) gets one line saying that
+    section was not compared.
     """
     problems: list[str] = []
     base_cases = baseline.get("fleet", {})
@@ -391,35 +459,45 @@ def check_regression(
             f"none of the {len(current_cases)} current case(s) has a key "
             f"in the baseline's {len(base_cases)}: nothing was compared"
         )
-    return problems + _trace_problems(current, baseline, say or print)
+    say = say or print
+    return (
+        problems
+        + _exact_problems("trace", ("n_epochs", "fingerprint"),
+                          current, baseline, say)
+        + _exact_problems("plan", ("fingerprint",), current, baseline, say)
+    )
 
 
-def _trace_problems(
-    current: dict, baseline: dict, say: Callable[[str], None]
+def _exact_problems(
+    section: str,
+    fields: tuple[str, ...],
+    current: dict,
+    baseline: dict,
+    say: Callable[[str], None],
 ) -> list[str]:
-    """The trace half of :func:`check_regression`."""
-    cur, base = current.get("trace", {}), baseline.get("trace")
+    """The bit-for-bit half of :func:`check_regression` for one section."""
+    cur, base = current.get(section, {}), baseline.get(section)
     if not cur:
         return []
     if base is None:
-        say("trace: not compared (the baseline has no trace section)")
+        say(f"{section}: not compared (the baseline has no {section} section)")
         return []
     if baseline.get("platform") != current.get("platform"):
         say(
-            f"trace: not compared (baseline platform "
+            f"{section}: not compared (baseline platform "
             f"{baseline.get('platform')} is not {current.get('platform')})"
         )
         return []
     shared = [key for key in cur if key in base]
     if not shared:
         return [
-            f"none of the {len(cur)} current trace replay(s) has a key "
+            f"none of the {len(cur)} current {section} case(s) has a key "
             f"in the baseline's {len(base)}: nothing was compared"
         ]
     return [
         f"{key}: {field} {cur[key][field]} != baseline {base[key][field]}"
         for key in shared
-        for field in ("n_epochs", "fingerprint")
+        for field in fields
         if cur[key][field] != base[key][field]
     ]
 
@@ -438,16 +516,19 @@ _BASELINE_FIELDS: dict[str, dict[tuple[str, ...], Callable]] = {
         ("n_epochs",): lambda x: isinstance(x, int) and _is_number(x),
         ("fingerprint",): lambda x: isinstance(x, str),
     },
+    "plan": {
+        ("fingerprint",): lambda x: isinstance(x, str),
+    },
 }
 
 
 def _baseline_problem(data) -> str | None:
     """What keeps ``data`` from being a baseline ``check_regression``
-    can read (``trace`` is optional), or ``None``."""
+    can read (``trace`` and ``plan`` are optional), or ``None``."""
     if not isinstance(data, dict):
         return f"expected a JSON object, got {type(data).__name__}"
     for name, fields in _BASELINE_FIELDS.items():
-        if name == "trace" and name not in data:
+        if name != "fleet" and name not in data:
             continue
         cases = data.get(name)
         if not isinstance(cases, dict):

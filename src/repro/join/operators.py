@@ -140,14 +140,16 @@ class DistributedJoin:
         skewed = self.skewed_keys() if skew_handling else np.empty(0, np.int64)
         if skewed.size == 0:
             return ShuffleModel(h=full, rate=self.rate, name=self.name)
+        cols = np.unique(self.partitioner.partition_of(skewed))
         h_local = self.partitioner.chunk_matrix(self.right.only_keys(skewed))
         h_bcast = self.partitioner.chunk_matrix(self.left.only_keys(skewed))
         return (
             PartialDuplication()
             .apply(
                 full,
-                h_skew_local=h_local,
-                h_broadcast=h_bcast,
+                cols,
+                local=h_local[:, cols],
+                broadcast=h_bcast[:, cols],
                 rate=self.rate,
                 name=self.name,
             )

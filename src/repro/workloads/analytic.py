@@ -84,8 +84,10 @@ class AnalyticJoinWorkload:
             raise ValueError("partitions must be positive")
         if not 0 <= self.skew < 1:
             raise ValueError("skew must be in [0, 1)")
-        if self.scale_factor <= 0 or self.payload_bytes <= 0:
-            raise ValueError("scale_factor and payload_bytes must be positive")
+        if not (0 < self.scale_factor < np.inf and 0 < self.payload_bytes < np.inf):
+            raise ValueError(
+                "scale_factor and payload_bytes must be positive and finite"
+            )
         self._w = zipf_weights(self.n_nodes, self.zipf_s)
 
     # -- derived sizes -------------------------------------------------
@@ -129,31 +131,20 @@ class AnalyticJoinWorkload:
         h[:, self.skewed_partition] += self._w * (self.skew * self.order_bytes)
         return h
 
-    def skew_local_matrix(self) -> np.ndarray:
-        """Bytes partial duplication keeps local (skewed ORDERS tuples)."""
-        h = np.zeros((self.n_nodes, int(self.partitions)))
-        if self.skew > 0:
-            h[:, self.skewed_partition] = self._w * (self.skew * self.order_bytes)
-        return h
-
-    def broadcast_matrix(self) -> np.ndarray:
-        """Bytes partial duplication broadcasts (CUSTOMER rows of the hot key)."""
-        h = np.zeros((self.n_nodes, int(self.partitions)))
-        if self.skew > 0:
-            hot_customer_bytes = self.customer_bytes / self.n_customer_tuples
-            h[:, self.skewed_partition] = self._w * hot_customer_bytes
-        return h
-
     # -- ShuffleWorkload protocol ---------------------------------------
     def shuffle_model(self, *, skew_handling: bool) -> ShuffleModel:
         """The co-optimization input, with or without partial duplication."""
         full = self.chunk_matrix()
         if not skew_handling or self.skew == 0:
             return ShuffleModel(h=full, rate=self.rate, name=self.name)
+        # Partial duplication touches only the hot key's partition: its
+        # skewed ORDERS bytes stay local, its CUSTOMER rows are broadcast.
+        hot_customer_bytes = self.customer_bytes / self.n_customer_tuples
         result = PartialDuplication().apply(
             full,
-            h_skew_local=self.skew_local_matrix(),
-            h_broadcast=self.broadcast_matrix(),
+            [self.skewed_partition],
+            local=(self._w * (self.skew * self.order_bytes))[:, None],
+            broadcast=(self._w * hot_customer_bytes)[:, None],
             rate=self.rate,
             name=self.name,
         )

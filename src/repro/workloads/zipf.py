@@ -27,7 +27,7 @@ def zipf_weights(n: int, s: float) -> np.ndarray:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if s < 0:
+    if not s >= 0:  # also rejects NaN
         raise ValueError("zipf exponent must be >= 0")
     ranks = np.arange(1, n + 1, dtype=float)
     w = ranks ** (-s)

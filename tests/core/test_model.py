@@ -29,6 +29,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match="diagonal"):
             ShuffleModel(h=np.ones((2, 2)), v0=v0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_chunks(self, bad):
+        with pytest.raises(ValueError, match="chunk sizes"):
+            ShuffleModel(h=np.array([[1.0, bad], [2.0, 3.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_flows(self, bad):
+        v0 = np.array([[0.0, bad], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="initial flow volumes"):
+            ShuffleModel(h=np.ones((2, 2)), v0=v0)
+
+    @pytest.mark.parametrize("attr", ["extra_send", "extra_recv"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_extra_loads(self, attr, bad):
+        with pytest.raises(ValueError, match=attr):
+            ShuffleModel(h=np.ones((2, 2)), **{attr: np.array([0.0, bad])})
+
+    def test_rejects_nan_rate(self):
+        with pytest.raises(ValueError, match="rate"):
+            ShuffleModel(h=np.ones((2, 2)), rate=np.nan)
+
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError, match="rate"):
             ShuffleModel(h=np.ones((2, 2)), rate=-1.0)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.skew import PartialDuplication, detect_skewed_keys
+from tests.oracles import partial_duplication_reference
 
 
 class TestDetection:
@@ -47,9 +50,8 @@ class TestPartialDuplication:
         )
 
     def test_residual_matrix(self):
-        h_skew = np.zeros_like(self.h_full)
-        h_skew[:, 1] = [90.0, 45.0, 0.0]
-        res = PartialDuplication().apply(self.h_full, h_skew_local=h_skew)
+        local = np.array([[90.0], [45.0], [0.0]])
+        res = PartialDuplication().apply(self.h_full, [1], local=local)
         np.testing.assert_allclose(
             res.model.h, [[10.0, 10.0], [10.0, 5.0], [10.0, 0.0]]
         )
@@ -58,9 +60,9 @@ class TestPartialDuplication:
         assert res.broadcast_traffic == 0.0
 
     def test_broadcast_initial_flows(self):
-        h_bcast = np.zeros_like(self.h_full)
-        h_bcast[0, 0] = 6.0  # node 0 holds 6 bytes of the hot small side
-        res = PartialDuplication().apply(self.h_full, h_broadcast=h_bcast)
+        # Node 0 holds 6 bytes of the hot small side, in partition 0.
+        bcast = np.array([[6.0], [0.0], [0.0]])
+        res = PartialDuplication().apply(self.h_full, [0], broadcast=bcast)
         v0 = res.model.v0
         # Node 0 broadcasts 6 bytes to nodes 1 and 2, nothing else.
         np.testing.assert_allclose(v0[0], [0.0, 6.0, 6.0])
@@ -69,24 +71,48 @@ class TestPartialDuplication:
         assert res.model.h[0, 0] == 4.0
 
     def test_rejects_oversubtraction(self):
-        h_skew = self.h_full + 1.0
         with pytest.raises(ValueError, match="exceed"):
-            PartialDuplication().apply(self.h_full, h_skew_local=h_skew)
+            PartialDuplication().apply(
+                self.h_full, [0, 1], local=self.h_full + 1.0
+            )
 
     def test_rejects_negative_matrices(self):
-        bad = np.zeros_like(self.h_full)
-        bad[0, 0] = -1.0
+        bad = np.array([[-1.0], [0.0], [0.0]])
         with pytest.raises(ValueError, match="non-negative"):
-            PartialDuplication().apply(self.h_full, h_broadcast=bad)
+            PartialDuplication().apply(self.h_full, [0], broadcast=bad)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            PartialDuplication().apply(self.h_full, h_skew_local=np.zeros((2, 2)))
+            PartialDuplication().apply(
+                self.h_full, [0, 1], local=np.zeros((2, 2))
+            )
+
+    @pytest.mark.parametrize("columns", [[2], [-1], [0, 5]])
+    def test_rejects_out_of_range_columns(self, columns):
+        with pytest.raises(ValueError, match=r"in \[0, 2\)"):
+            PartialDuplication().apply(self.h_full, columns)
+
+    def test_rejects_repeated_columns(self):
+        local = np.array([[5.0, 5.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="repeat"):
+            PartialDuplication().apply(self.h_full, [1, 1], local=local)
+
+    @pytest.mark.parametrize("columns", [[0.0], [[0], [1]], [True]])
+    def test_rejects_columns_that_are_not_indices(self, columns):
+        with pytest.raises(ValueError, match="partition indices"):
+            PartialDuplication().apply(self.h_full, columns)
 
     def test_noop_without_skew(self):
         res = PartialDuplication().apply(self.h_full)
         np.testing.assert_allclose(res.model.h, self.h_full)
         assert res.local_bytes == 0.0
+
+    def test_residual_is_a_copy(self):
+        before = self.h_full.copy()
+        local = np.array([[90.0], [45.0], [0.0]])
+        res = PartialDuplication().apply(self.h_full, [1], local=local)
+        np.testing.assert_array_equal(self.h_full, before)
+        assert not np.shares_memory(res.model.h, self.h_full)
 
     def test_rate_passthrough(self):
         res = PartialDuplication().apply(self.h_full, rate=1.0)
@@ -99,11 +125,91 @@ class TestPartialDuplication:
 
         h = np.array([[5.0, 500.0], [5.0, 400.0], [5.0, 100.0]])
         raw = PartialDuplication().apply(h)
-        skew = np.zeros_like(h)
-        skew[:, 1] = [500.0, 400.0, 100.0]
-        handled = PartialDuplication().apply(h, h_skew_local=skew)
+        skew = np.array([[500.0], [400.0], [100.0]])
+        handled = PartialDuplication().apply(h, [1], local=skew)
         t_raw = raw.model.evaluate(ccf_heuristic(raw.model)).bottleneck_bytes
         t_handled = handled.model.evaluate(
             ccf_heuristic(handled.model)
         ).bottleneck_bytes
         assert t_handled < t_raw
+
+
+def _dense(columns, block, p):
+    """The ``(n, p)`` matrix holding ``block``'s columns at ``columns``."""
+    out = np.zeros((block.shape[0], p))
+    out[:, columns] = block
+    return out
+
+
+@st.composite
+def _skewed_shuffles(draw):
+    """A chunk matrix, distinct hot columns and a split of their bytes.
+
+    Byte counts are whole numbers, as real chunk sizes are, so every sum
+    below is exact whatever its order: the dense row sum over ``p``
+    columns and the sparse one over ``s`` then agree bit for bit.
+    """
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 10))
+    h = np.array(
+        draw(st.lists(st.integers(0, 10**12), min_size=n * p, max_size=n * p)),
+        dtype=float,
+    ).reshape(n, p)
+    columns = draw(st.lists(st.integers(0, p - 1), unique=True, max_size=p))
+    s = len(columns)
+    fracs = st.lists(st.floats(0.0, 1.0), min_size=n * s, max_size=n * s)
+    hot = h[:, columns]
+    local = np.floor(hot * np.array(draw(fracs)).reshape(n, s))
+    bcast = np.floor((hot - local) * np.array(draw(fracs)).reshape(n, s))
+    return h, columns, local, bcast
+
+
+class TestSparseMatchesDenseReference:
+    """``apply`` on columns equals the dense-matrix oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_skewed_shuffles())
+    def test_same_model(self, case):
+        h, columns, local, bcast = case
+        p = h.shape[1]
+        got = PartialDuplication().apply(
+            h, columns, local=local, broadcast=bcast, rate=3.0, name="x"
+        )
+        ref = partial_duplication_reference(
+            h,
+            h_skew_local=_dense(columns, local, p),
+            h_broadcast=_dense(columns, bcast, p),
+            rate=3.0,
+            name="x",
+        )
+        assert got.model.h.tobytes() == ref.model.h.tobytes()
+        assert got.model.v0.tobytes() == ref.model.v0.tobytes()
+        assert got.broadcast_traffic == ref.broadcast_traffic
+        assert got.local_bytes == pytest.approx(ref.local_bytes, rel=1e-12)
+        assert got.model.local_bytes_pre == pytest.approx(
+            ref.model.local_bytes_pre, rel=1e-12
+        )
+        assert (got.model.rate, got.model.name) == (3.0, "x")
+
+    @pytest.mark.parametrize("local, bcast, match", [
+        ([[-1.0], [0.0]], None, "non-negative"),
+        (None, [[0.0], [-2.0]], "non-negative"),
+        ([[8.0], [0.0]], [[8.0], [0.0]], "exceed"),
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], None, "shape"),
+    ], ids=["negative-local", "negative-broadcast", "oversubtracted",
+            "mis-shaped"])
+    def test_same_errors(self, local, bcast, match):
+        # Column 1 is hot; a mis-shaped block stays mis-shaped when dense.
+        h = np.array([[3.0, 10.0], [4.0, 5.0]])
+        local = None if local is None else np.array(local)
+        bcast = None if bcast is None else np.array(bcast)
+
+        def dense(m):
+            return m if m is None or m.shape != (2, 1) else _dense([1], m, 2)
+
+        with pytest.raises(ValueError, match=match):
+            PartialDuplication().apply(h, [1], local=local, broadcast=bcast)
+        with pytest.raises(ValueError, match=match):
+            partial_duplication_reference(
+                h, h_skew_local=dense(local), h_broadcast=dense(bcast)
+            )

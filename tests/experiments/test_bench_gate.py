@@ -2,13 +2,16 @@
 
 The gate compares per-case ``batch_events`` off/on speedups, not
 absolute epochs/sec, so a uniformly slower or faster machine must not
-trip it; trace replays it compares by epochs and fingerprint, never by
-wall time.
+trip it; trace replays it compares by epochs and fingerprint and plans
+by fingerprint, never by wall time or memory.
 """
 
 from repro.experiments.hotpath import (
+    PlanSpec,
     TraceSpec,
     check_regression,
+    plan_cases,
+    run_plan_case,
     run_trace_case,
     trace_cases,
 )
@@ -137,6 +140,73 @@ class TestTraceCheck:
         problems = check_regression(_traced(), base)
         assert len(problems) == 1
         assert "nothing was compared" in problems[0]
+
+
+def _planned(fingerprint="e" * 64, platform=_PLATFORM):
+    return {
+        "platform": dict(platform),
+        "fleet": {"a": _case(2.0)},
+        "plan": {"p": {
+            "wall_s": 0.2, "peak_mb": 263.0, "fingerprint": fingerprint,
+        }},
+    }
+
+
+class TestPlanCheck:
+    """Plans are compared by fingerprint, on the same platform only."""
+
+    def test_identical_plan_passes_quietly(self):
+        said = []
+        assert check_regression(_planned(), _planned(), say=said.append) == []
+        assert said == []
+
+    def test_fingerprint_change_fails(self):
+        problems = check_regression(_planned("0" * 64), _planned())
+        assert len(problems) == 1
+        assert problems[0].startswith("p: fingerprint 000")
+
+    def test_wall_time_and_peak_are_not_compared(self):
+        cur = _planned()
+        cur["plan"]["p"].update(wall_s=9.0, peak_mb=9000.0)
+        assert check_regression(cur, _planned()) == []
+
+    def test_other_platform_is_not_compared(self):
+        said = []
+        other = dict(_PLATFORM, python="3.12.1")
+        problems = check_regression(
+            _planned("0" * 64), _planned(platform=other), say=said.append
+        )
+        assert problems == []
+        assert len(said) == 1 and said[0].startswith("plan: not compared")
+
+    def test_baseline_without_plan_is_not_compared(self):
+        said = []
+        base = _planned()
+        del base["plan"]
+        assert check_regression(_planned(), base, say=said.append) == []
+        assert said == ["plan: not compared (the baseline has no plan "
+                        "section)"]
+
+    def test_no_shared_plan_key_fails(self):
+        base = _planned()
+        base["plan"] = {"other": base["plan"]["p"]}
+        problems = check_regression(_planned(), base)
+        assert len(problems) == 1
+        assert "nothing was compared" in problems[0]
+
+
+def test_quick_plan_case_is_in_the_full_set():
+    full = {s.key for s in plan_cases()}
+    assert {s.key for s in plan_cases(quick=True)} <= full
+    assert {s.n_nodes for s in plan_cases()} == {250, 1000}
+
+
+def test_plan_case_is_deterministic():
+    spec = PlanSpec(8)
+    first, second = run_plan_case(spec), run_plan_case(spec)
+    assert first["fingerprint"] == second["fingerprint"]
+    assert len(first["fingerprint"]) == 64
+    assert first["partitions"] == 120
 
 
 def test_quick_cases_are_in_the_full_set():

@@ -12,6 +12,7 @@ from repro.join.operators import (
 from repro.join.partitioner import HashPartitioner
 from repro.join.relation import DistributedRelation
 from repro.workloads.tpch import TPCHConfig, generate_tpch_relations
+from tests.oracles import partial_duplication_reference
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,41 @@ class TestDistributedJoin:
         cmp = CCF().compare(tpch_join)
         assert cmp.cct("ccf") <= cmp.cct("hash") + 1e-9
         assert cmp.cct("ccf") <= cmp.cct("mini") + 1e-9
+
+    def test_skew_model_equals_the_dense_reference(self):
+        # Hot keys 1, 2 and 1 + p: two of them share partition 1, so the
+        # sparse pass sees columns [1, 2] and its local/broadcast blocks
+        # sum both keys in column 0.
+        rng = np.random.default_rng(4)
+        n, part = 4, HashPartitioner(p=20)
+        cold = rng.integers(3, 400, 800)
+        hot = np.repeat([1, 2, 21], [300, 200, 250])
+        orders_keys = np.concatenate([cold, hot])
+        orders = DistributedRelation.from_placement(
+            orders_keys, rng.integers(0, n, orders_keys.size), n,
+            payload_bytes=100.0)
+        cust_keys = np.arange(0, 400)
+        customer = DistributedRelation.from_placement(
+            cust_keys, rng.integers(0, n, cust_keys.size), n,
+            payload_bytes=60.0)
+        join = DistributedJoin(customer, orders, partitioner=part,
+                               skew_factor=20.0)
+        skewed = join.skewed_keys()
+        assert skewed.tolist() == [1, 2, 21]
+        got = join.shuffle_model(skew_handling=True)
+        ref = partial_duplication_reference(
+            join.chunk_matrix(),
+            h_skew_local=part.chunk_matrix(orders.only_keys(skewed)),
+            h_broadcast=part.chunk_matrix(customer.only_keys(skewed)),
+            rate=join.rate,
+            name=join.name,
+        ).model
+        assert got.h.tobytes() == ref.h.tobytes()
+        assert got.v0.tobytes() == ref.v0.tobytes()
+        pinned = np.isin(orders_keys, skewed).sum() * 100.0
+        assert got.local_bytes_pre == ref.local_bytes_pre == pinned
+        plan = CCF().plan(join, "ccf")
+        assert join.execute(plan).cardinality == join.expected_cardinality()
 
     def test_node_count_mismatch_rejected(self):
         a = DistributedRelation(shards=[np.array([1])])

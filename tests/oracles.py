@@ -1,14 +1,16 @@
-"""Test oracles: Algorithm 1's pseudocode and the split-residual and
-mask-based allocation formulations.
+"""Test oracles: Algorithm 1's pseudocode, dense partial duplication and
+the split-residual and mask-based allocation formulations.
 
 Production code has one implementation of each kernel: the vectorized
-Algorithm 1 step of :mod:`repro.core.heuristic`, the combined-port
+Algorithm 1 step of :mod:`repro.core.heuristic`, the column-sparse
+partial duplication of :mod:`repro.core.skew`, the combined-port
 kernels of :mod:`repro.network.schedulers.base`, the
 :class:`~repro.network.events.FlowGroups`-backed helpers of
 :class:`~repro.network.events.SchedulingContext`, and the schedulers built
 on both.  This module keeps the textbook formulations they were derived
 from -- a loop-per-candidate transcription of the paper's pseudocode,
-separate egress/ingress residuals, one boolean mask scan per coflow, one
+partial duplication on dense ``(n, p)`` skew matrices, separate
+egress/ingress residuals, one boolean mask scan per coflow, one
 noise-factor lookup per flow -- so the property suites can pin the
 production results against them bit for bit.  Nothing under ``src/``
 imports it.
@@ -21,6 +23,7 @@ import dataclasses
 import numpy as np
 
 from repro.core.model import ShuffleModel
+from repro.core.skew import SkewHandlingResult
 from repro.network.events import SchedulingContext
 from repro.network.schedulers.base import maxmin_fill_fast
 from repro.network.schedulers.dclas import DCLASScheduler
@@ -90,6 +93,61 @@ def ccf_heuristic_reference(
         dest[k] = best_d
 
     return dest
+
+
+# ---------------------------------------------------------------------------
+# Partial duplication on dense skew matrices
+# ---------------------------------------------------------------------------
+
+
+def partial_duplication_reference(
+    h_full: np.ndarray,
+    *,
+    h_skew_local: np.ndarray | None = None,
+    h_broadcast: np.ndarray | None = None,
+    rate: float | None = None,
+    name: str = "",
+) -> SkewHandlingResult:
+    """Partial duplication with its inputs as dense ``(n, p)`` matrices.
+
+    Oracle for :meth:`repro.core.skew.PartialDuplication.apply`, which
+    takes only the skewed partitions' columns: here ``h_skew_local`` and
+    ``h_broadcast`` have the shape of ``h_full`` (zeros by default), the
+    residual is ``max(h_full - removed, 0)`` over every column and the
+    broadcast per node sums a whole row.
+    """
+    h_full = np.asarray(h_full, dtype=float)
+    n, _ = h_full.shape
+    zeros = np.zeros_like(h_full)
+    h_skew_local = zeros if h_skew_local is None else np.asarray(h_skew_local, float)
+    h_broadcast = zeros if h_broadcast is None else np.asarray(h_broadcast, float)
+    for nm, m in (("h_skew_local", h_skew_local), ("h_broadcast", h_broadcast)):
+        if m.shape != h_full.shape:
+            raise ValueError(f"{nm} must have shape {h_full.shape}")
+        if (m < 0).any():
+            raise ValueError(f"{nm} must be non-negative")
+    removed = h_skew_local + h_broadcast
+    if (removed > h_full * (1 + 1e-9) + 1e-6).any():
+        raise ValueError("skewed + broadcast bytes exceed the chunk matrix")
+
+    residual = np.maximum(h_full - removed, 0.0)
+    b = h_broadcast.sum(axis=1)
+    v0 = np.tile(b[:, None], (1, n))
+    np.fill_diagonal(v0, 0.0)
+
+    kwargs = {} if rate is None else {"rate": rate}
+    model = ShuffleModel(
+        h=residual,
+        v0=v0,
+        local_bytes_pre=float(h_skew_local.sum()),
+        name=name,
+        **kwargs,
+    )
+    return SkewHandlingResult(
+        model=model,
+        local_bytes=float(h_skew_local.sum()),
+        broadcast_traffic=float(v0.sum()),
+    )
 
 
 # ---------------------------------------------------------------------------

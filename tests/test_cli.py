@@ -311,9 +311,13 @@ class TestBenchCheck:
         {"fleet": {}, "trace": {"case": {"n_epochs": 3,
                                           "fingerprint": None}}},
         {"fleet": {}, "trace": ["case"]},
+        {"fleet": {}, "plan": {"case": {"fingerprint": 7}}},
+        {"fleet": {}, "plan": {"case": {"wall_s": 0.2}}},
+        {"fleet": {}, "plan": ["case"]},
     ], ids=["list", "fleet-list", "speedup-str", "no-epochs-per-sec",
             "speedup-bool", "epochs-float", "fingerprint-null",
-            "trace-list"])
+            "trace-list", "plan-fingerprint-int", "plan-no-fingerprint",
+            "plan-list"])
     def test_malformed_baseline_is_a_usage_error(
         self, monkeypatch, tmp_path, capsys, baseline
     ):
@@ -680,8 +684,12 @@ class TestInputErrorsExitUsage:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--nodes", "0"], ["--skew", "2"], ["--zipf", "-1"]],
-        ids=["nodes", "skew", "zipf"],
+        [["--nodes", "0"], ["--skew", "2"], ["--zipf", "-1"],
+         ["--nodes", "10", "--zipf", "nan"],
+         ["--nodes", "10", "--scale-factor", "nan"],
+         ["--nodes", "10", "--scale-factor", "inf"]],
+        ids=["nodes", "skew", "zipf", "zipf-nan", "scale-factor-nan",
+             "scale-factor-inf"],
     )
     def test_plan_rejects_bad_workload(self, flags, capsys):
         self.assert_usage_error(["plan", *flags], capsys, "invalid workload")

@@ -32,6 +32,10 @@ class TestZipfWeights:
         with pytest.raises(ValueError):
             zipf_weights(5, -0.1)
 
+    def test_nan_exponent_is_rejected(self):
+        with pytest.raises(ValueError, match="zipf exponent"):
+            zipf_weights(5, float("nan"))
+
 
 class TestPlaceTuples:
     def test_counts_converge_to_weights(self):
