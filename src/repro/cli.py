@@ -320,8 +320,6 @@ def _load_coflow_file(args: argparse.Namespace):
     from repro.network.fabric import Fabric
     from repro.network.io import load_coflows
 
-    if args.rate <= 0:
-        raise _UsageError(f"--rate must be positive, got {args.rate:g}")
     try:
         coflows = load_coflows(args.coflow_file)
     except (OSError, ValueError) as exc:
@@ -423,36 +421,6 @@ def _report_interrupt(exc: KeyboardInterrupt, cache_dir) -> int:
     return EXIT_INTERRUPTED
 
 
-def _experiment_table(
-    name: str,
-    quick: bool = False,
-    scale_factor: float | None = None,
-    n_nodes: int | None = None,
-):
-    """Run one registered experiment.
-
-    A sweep-capable experiment runs its engine grid with the overrides
-    (``build_sweep`` refuses the ones it cannot take); any other takes
-    none and runs at its defaults.
-    """
-    if name not in SWEEPS:
-        if quick or scale_factor is not None or n_nodes is not None:
-            raise _UsageError(
-                f"--quick/--scale-factor/--nodes only apply to sweep "
-                f"experiments ({', '.join(sorted(SWEEPS))}), not {name!r}"
-            )
-        return run_experiment(name)
-    from repro.experiments.engine import run_sweep
-
-    try:
-        spec = build_sweep(
-            name, quick=quick, scale_factor=scale_factor, n_nodes=n_nodes
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    return run_sweep(spec).table
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     print("\n".join(sorted(EXPERIMENTS)))
     return EXIT_OK
@@ -465,9 +433,16 @@ def _run_options(p) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _print_tables(args, _experiment_table(
-        args.experiment, args.quick, args.scale_factor, args.nodes
-    ))
+    try:
+        table = run_experiment(
+            args.experiment,
+            quick=args.quick,
+            scale_factor=args.scale_factor,
+            n_nodes=args.nodes,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    _print_tables(args, table)
     return EXIT_OK
 
 
@@ -753,7 +728,8 @@ def _simulate_options(p) -> None:
     p.add_argument("coflow_file")
     _add_scheduler(p)
     p.add_argument(
-        "--rate", type=float, default=128e6, help="port rate in bytes/s"
+        "--rate", type=_positive_float, default=128e6,
+        help="port rate in bytes/s",
     )
     _add_chaos(p, mttr=2.0, recovery=None)
     p.add_argument(
@@ -1154,7 +1130,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     ]
     for name in names:
         print(f"running {name} ...", flush=True)
-        table = _experiment_table(
+        table = run_experiment(
             name, quick=args.quick and name in FIGURE_SWEEPS
         )
         sections += [f"## {name}", "", table.to_markdown(), ""]
@@ -1375,7 +1351,7 @@ def _gantt_options(p) -> None:
         "instead of re-running the simulation",
     )
     _add_scheduler(p)
-    p.add_argument("--rate", type=float, default=128e6)
+    p.add_argument("--rate", type=_positive_float, default=128e6)
     p.add_argument("--width", type=int, default=60)
 
 
@@ -1461,7 +1437,7 @@ def _serve_options(p) -> None:
         "default 0.7)",
     )
     p.add_argument(
-        "--rate", type=float,
+        "--rate", type=_positive_float,
         help="explicit per-port rate in bytes/s (overrides --load)",
     )
     _add_scheduler(p)
@@ -1626,7 +1602,7 @@ def _capacity_options(p) -> None:
     )
     _add_arrival_args(p)
     p.add_argument(
-        "--rate", type=float,
+        "--rate", type=_positive_float,
         help="fixed per-port rate in bytes/s (required for the nodes "
         "axis; forbidden for the load axis)",
     )

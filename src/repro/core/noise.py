@@ -57,7 +57,7 @@ class NoisyEstimates:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # also refuses NaN
             raise ValueError("estimate-noise sigma must be >= 0")
         if not 0.0 <= self.censor_fraction <= 1.0:
             raise ValueError("censor fraction must be in [0, 1]")

@@ -13,11 +13,12 @@ Each experiment mirrors one artifact of the paper (§IV):
 ===================  =================================================
 
 Run them via :func:`repro.experiments.registry.run_experiment` or the
-``ccf`` CLI.  The grid-shaped experiments are also sweep-capable:
-``ccf sweep <name>`` (or :func:`repro.experiments.engine.run_sweep` on
-the spec from :func:`repro.experiments.registry.build_sweep`) runs their
-cells in parallel with on-disk memoization, bit-identically to the
-serial path.
+``ccf`` CLI.  A grid-shaped experiment is defined only by its
+:class:`~repro.experiments.engine.SweepSpec` factory:
+``ccf run <name>`` is :func:`repro.experiments.engine.run_sweep` on the
+spec from :func:`repro.experiments.registry.build_sweep` at ``jobs=1``
+with no cache, and ``ccf sweep <name>`` runs the same cells in parallel
+with on-disk memoization, bit-identically.
 """
 
 from repro import _lazy_exports

@@ -18,16 +18,13 @@ from typing import Sequence
 
 from repro.core.framework import CCF
 from repro.core.heuristic import ccf_heuristic
-from repro.experiments.engine import Cell, SweepSpec, rows_to_table, run_sweep
-from repro.experiments.tables import ResultTable
+from repro.experiments.engine import Cell, SweepSpec, rows_to_table
 from repro.network.fabric import Fabric
 from repro.network.schedulers import make_scheduler
 from repro.network.simulator import CoflowSimulator
 from repro.workloads.analytic import AnalyticJoinWorkload
 
 __all__ = [
-    "run_scheduler_ablation",
-    "run_heuristic_ablation",
     "scheduler_ablation_sweep",
     "heuristic_ablation_sweep",
 ]
@@ -87,12 +84,23 @@ def scheduler_ablation_sweep(
     strategies: Sequence[str] = ("hash", "mini", "ccf"),
     quick: bool = False,
 ) -> SweepSpec:
-    """The scheduler ablation as an engine cell grid (one cell per strategy).
+    """Average CCT of a stream of join coflows under each discipline.
+
+    ``n_jobs`` identical joins (one per strategy row) arrive
+    ``inter_arrival`` seconds apart, contending for the fabric -- the
+    online scenario Varys/Aalo target.  The ``sequential`` column shows
+    the uncoordinated worst case.
 
     Parameters
     ----------
-    n_nodes, scale_factor, n_jobs, inter_arrival, schedulers, strategies:
-        As :func:`run_scheduler_ablation`.
+    n_nodes, scale_factor:
+        Workload size knobs.
+    n_jobs, inter_arrival:
+        Stream shape: job count and arrival spacing in seconds.
+    schedulers:
+        Disciplines forming the columns.
+    strategies:
+        Assignment strategies forming the rows.
     quick:
         Shrink the workload (10 nodes, SF 0.2) and drop to four
         disciplines for smoke runs.
@@ -100,7 +108,8 @@ def scheduler_ablation_sweep(
     Returns
     -------
     SweepSpec
-        One cell per strategy row.
+        One cell per strategy row; the table is the strategy x scheduler
+        matrix of average CCTs.
     """
     if quick:
         n_nodes, scale_factor = 10, 0.2
@@ -131,50 +140,6 @@ def scheduler_ablation_sweep(
             ),
         ),
     )
-
-
-def run_scheduler_ablation(
-    *,
-    n_nodes: int = 20,
-    scale_factor: float = 0.5,
-    n_jobs: int = 4,
-    inter_arrival: float = 2.0,
-    schedulers: Sequence[str] = ALL_SCHEDULERS,
-    strategies: Sequence[str] = ("hash", "mini", "ccf"),
-) -> ResultTable:
-    """Average CCT of a stream of join coflows under each discipline.
-
-    ``n_jobs`` identical joins (one per strategy column) arrive
-    ``inter_arrival`` seconds apart, contending for the fabric -- the
-    online scenario Varys/Aalo target.  The ``sequential`` column shows
-    the uncoordinated worst case.
-
-    Parameters
-    ----------
-    n_nodes, scale_factor:
-        Workload size knobs.
-    n_jobs, inter_arrival:
-        Stream shape: job count and arrival spacing in seconds.
-    schedulers:
-        Disciplines forming the columns.
-    strategies:
-        Assignment strategies forming the rows.
-
-    Returns
-    -------
-    ResultTable
-        Strategy x scheduler matrix of average CCTs.
-    """
-    return run_sweep(
-        scheduler_ablation_sweep(
-            n_nodes=n_nodes,
-            scale_factor=scale_factor,
-            n_jobs=n_jobs,
-            inter_arrival=inter_arrival,
-            schedulers=schedulers,
-            strategies=strategies,
-        )
-    ).table
 
 
 def _heuristic_cell(
@@ -226,12 +191,18 @@ def heuristic_ablation_sweep(
     seed: int = 7,
     quick: bool = False,
 ) -> SweepSpec:
-    """The Algorithm 1 ablation as an engine cell grid (one cell per toggle pair).
+    """Algorithm 1 with sorting / locality tie-break toggled.
+
+    Uses a heterogeneous workload (log-normal chunk sizes with many empty
+    chunks) -- on the paper's statistically uniform workload every
+    partition looks alike and the toggles cannot bind.
 
     Parameters
     ----------
-    n_nodes, partitions, seed:
-        As :func:`run_heuristic_ablation`.
+    n_nodes, partitions:
+        Workload shape.
+    seed:
+        Log-normal workload seed.
     quick:
         Shrink to 20 nodes / 100 partitions.
 
@@ -265,32 +236,3 @@ def heuristic_ablation_sweep(
             ["sort_partitions", "locality_tiebreak", "T_gb", "cct_s", "traffic_gb"],
         ),
     )
-
-
-def run_heuristic_ablation(
-    *,
-    n_nodes: int = 60,
-    partitions: int = 900,
-    seed: int = 7,
-) -> ResultTable:
-    """Algorithm 1 with sorting / locality tie-break toggled.
-
-    Uses a heterogeneous workload (log-normal chunk sizes with many empty
-    chunks) -- on the paper's statistically uniform workload every
-    partition looks alike and the toggles cannot bind.
-
-    Parameters
-    ----------
-    n_nodes, partitions:
-        Workload shape.
-    seed:
-        Log-normal workload seed.
-
-    Returns
-    -------
-    ResultTable
-        One row per (sort, locality) combination.
-    """
-    return run_sweep(
-        heuristic_ablation_sweep(n_nodes=n_nodes, partitions=partitions, seed=seed)
-    ).table

@@ -54,7 +54,6 @@ __all__ = [
     "CampaignOutcome",
     "campaign_sweep",
     "run_campaign",
-    "run_chaos",
 ]
 
 #: Environment variable holding the marker directory for platform faults.
@@ -280,6 +279,12 @@ def campaign_sweep(
     quick: bool = False,
 ) -> SweepSpec:
     """The chaos campaign as an engine grid (one cell per scenario).
+
+    ``ccf run chaos`` runs this grid in-process with no cache, so
+    platform faults stay dormant (nothing to kill, corrupt or time out);
+    the fabric-chaos and noisy-estimates scenarios still bite.  Use
+    ``ccf chaos`` (:func:`run_campaign`) for the full supervised
+    campaign.
 
     Parameters
     ----------
@@ -510,19 +515,3 @@ def run_campaign(
         resilience=_score(outcome.table, outcome),
         outcome=outcome,
     )
-
-
-def run_chaos() -> ResultTable:
-    """The campaign at registry defaults: simulated faults only, serial.
-
-    ``ccf run`` executes experiments in-process with no cache, so
-    platform faults stay dormant (nothing to kill, corrupt or time out);
-    the fabric-chaos and noisy-estimates scenarios still bite.  Use
-    ``ccf chaos`` for the full supervised campaign.
-
-    Returns
-    -------
-    ResultTable
-        One row per scenario.
-    """
-    return run_campaign(jobs=1).table

@@ -12,14 +12,13 @@ both plans' bandwidth-optimal CCTs plus the chooser's verdict.
 from __future__ import annotations
 
 from repro.core.framework import CCF
-from repro.experiments.engine import Cell, SweepSpec, rows_to_table, run_sweep
-from repro.experiments.tables import ResultTable
+from repro.experiments.engine import Cell, SweepSpec, rows_to_table
 from repro.join.broadcast import BroadcastJoin
 from repro.join.operators import DistributedJoin
 from repro.join.partitioner import HashPartitioner
 from repro.workloads.tpch import TPCHConfig, generate_tpch_relations
 
-__all__ = ["run_broadcast_crossover", "crossover_sweep"]
+__all__ = ["crossover_sweep"]
 
 #: Reduced grid behind ``ccf sweep crossover --quick``.
 QUICK_NODES = (2, 4, 8, 16)
@@ -67,19 +66,27 @@ def crossover_sweep(
     seed: int = 2,
     quick: bool = False,
 ) -> SweepSpec:
-    """The crossover sweep as an engine cell grid.
+    """Sweep node counts; compare broadcast and repartition CCTs.
+
+    CUSTOMER (the small side) is 10x smaller than ORDERS, putting the
+    theoretical crossover near n = 11.
 
     Parameters
     ----------
-    nodes, scale_factor, seed:
-        As :func:`run_broadcast_crossover`.
+    nodes:
+        Cluster sizes to sweep.
+    scale_factor:
+        TPC-H scale factor for the generated relations.
+    seed:
+        Relation-generator seed.
     quick:
         Shrink the node grid to ``QUICK_NODES``.
 
     Returns
     -------
     SweepSpec
-        One cell per node count.
+        One cell per node count; the table has one row per node count
+        with both plans' CCTs and the chooser's verdict.
     """
     if quick:
         nodes = QUICK_NODES
@@ -105,34 +112,3 @@ def crossover_sweep(
             ),
         ),
     )
-
-
-def run_broadcast_crossover(
-    *,
-    nodes: tuple[int, ...] = (2, 4, 8, 12, 16, 24, 32),
-    scale_factor: float = 0.002,
-    seed: int = 2,
-) -> ResultTable:
-    """Sweep node counts; compare broadcast and repartition CCTs.
-
-    CUSTOMER (the small side) is 10x smaller than ORDERS, putting the
-    theoretical crossover near n = 11.
-
-    Parameters
-    ----------
-    nodes:
-        Cluster sizes to sweep.
-    scale_factor:
-        TPC-H scale factor for the generated relations.
-    seed:
-        Relation-generator seed.
-
-    Returns
-    -------
-    ResultTable
-        One row per node count with both plans' CCTs and the chooser's
-        verdict.
-    """
-    return run_sweep(
-        crossover_sweep(nodes=nodes, scale_factor=scale_factor, seed=seed)
-    ).table

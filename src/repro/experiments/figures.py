@@ -6,11 +6,12 @@ each figure: (a) network traffic in GB and (b) network communication time
 in seconds.  Defaults reproduce the paper's exact sweep points; pass a
 smaller ``scale_factor`` or sweep list for quick runs.
 
-The grids are declared as cell lists for
-:mod:`repro.experiments.engine`: ``run_fig5_nodes`` & co are the serial
-fallback path, while ``ccf sweep fig5 --jobs N`` fans the same cells out
-over worker processes and memoizes each in the on-disk cell cache --
-both produce bit-identical tables.
+Each figure is one cell grid for :mod:`repro.experiments.engine`,
+declared by ``fig5_sweep`` & co and run by
+:func:`~repro.experiments.engine.run_sweep`: ``ccf run fig5`` runs it
+serially without a cache, ``ccf sweep fig5 --jobs N`` fans the same
+cells out over worker processes and memoizes each in the on-disk cell
+cache -- both produce bit-identical tables.
 """
 
 from __future__ import annotations
@@ -19,16 +20,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.framework import CCF, DEFAULT_STRATEGIES
-from repro.experiments.engine import Cell, SweepSpec, rows_to_table, run_sweep
+from repro.experiments.engine import Cell, SweepSpec, rows_to_table
 from repro.experiments.registry import QUICK_N_NODES, QUICK_SCALE_FACTOR
-from repro.experiments.tables import ResultTable
 from repro.workloads.analytic import AnalyticJoinWorkload
 
 __all__ = [
     "SweepConfig",
-    "run_fig5_nodes",
-    "run_fig6_zipf",
-    "run_fig7_skew",
     "fig5_sweep",
     "fig6_sweep",
     "fig7_sweep",
@@ -186,7 +183,7 @@ def fig5_sweep(
     scale_factor: float | None = None,
     n_nodes: int | None = None,
 ) -> SweepSpec:
-    """Figure 5's node sweep as an engine cell grid.
+    """Figure 5: vary the number of nodes (zipf = 0.8, skew = 20 %).
 
     Parameters
     ----------
@@ -203,8 +200,9 @@ def fig5_sweep(
     Returns
     -------
     SweepSpec
-        One cell per node count, consumed by
-        :func:`repro.experiments.engine.run_sweep`.
+        One cell per node count; its table (from
+        :func:`repro.experiments.engine.run_sweep`) has one row per node
+        count with traffic (GB) and CCT (s) per strategy.
 
     Raises
     ------
@@ -234,7 +232,12 @@ def fig6_sweep(
     scale_factor: float | None = None,
     n_nodes: int | None = None,
 ) -> SweepSpec:
-    """Figure 6's Zipf sweep as an engine cell grid (see :func:`fig5_sweep`)."""
+    """Figure 6: vary the Zipf factor (500 nodes, skew = 20 %).
+
+    One cell and table row per Zipf exponent in ``zipfs``; the other
+    parameters are as in :func:`fig5_sweep`, except that ``n_nodes``
+    overrides the node count.
+    """
     config = _resolve_config(config, quick, scale_factor, n_nodes)
     return _figure_spec(
         config,
@@ -254,7 +257,12 @@ def fig7_sweep(
     scale_factor: float | None = None,
     n_nodes: int | None = None,
 ) -> SweepSpec:
-    """Figure 7's skew sweep as an engine cell grid (see :func:`fig5_sweep`)."""
+    """Figure 7: vary the skewness (500 nodes, zipf = 0.8).
+
+    One cell and table row per skew fraction in ``skews``; the other
+    parameters are as in :func:`fig5_sweep`, except that ``n_nodes``
+    overrides the node count.
+    """
     config = _resolve_config(config, quick, scale_factor, n_nodes)
     return _figure_spec(
         config,
@@ -264,68 +272,3 @@ def fig7_sweep(
         "skew",
         "Figure 7: traffic (GB) and communication time (s) vs skewness",
     )
-
-
-def run_fig5_nodes(
-    config: SweepConfig | None = None,
-    nodes: Sequence[int] = FIG5_NODES,
-) -> ResultTable:
-    """Figure 5: vary the number of nodes (zipf = 0.8, skew = 20 %).
-
-    Parameters
-    ----------
-    config:
-        Sweep knobs (paper defaults when omitted).
-    nodes:
-        Node counts to sweep.
-
-    Returns
-    -------
-    ResultTable
-        One row per node count, traffic and CCT per strategy.  Serial
-        engine path; ``ccf sweep fig5 --jobs N`` runs the same grid in
-        parallel with caching, bit-identically.
-    """
-    return run_sweep(fig5_sweep(config, nodes)).table
-
-
-def run_fig6_zipf(
-    config: SweepConfig | None = None,
-    zipfs: Sequence[float] = FIG6_ZIPF,
-) -> ResultTable:
-    """Figure 6: vary the Zipf factor (500 nodes, skew = 20 %).
-
-    Parameters
-    ----------
-    config:
-        Sweep knobs (paper defaults when omitted).
-    zipfs:
-        Zipf exponents to sweep.
-
-    Returns
-    -------
-    ResultTable
-        One row per Zipf factor, traffic and CCT per strategy.
-    """
-    return run_sweep(fig6_sweep(config, zipfs)).table
-
-
-def run_fig7_skew(
-    config: SweepConfig | None = None,
-    skews: Sequence[float] = FIG7_SKEW,
-) -> ResultTable:
-    """Figure 7: vary the skewness (500 nodes, zipf = 0.8).
-
-    Parameters
-    ----------
-    config:
-        Sweep knobs (paper defaults when omitted).
-    skews:
-        Skew fractions to sweep.
-
-    Returns
-    -------
-    ResultTable
-        One row per skew point, traffic and CCT per strategy.
-    """
-    return run_sweep(fig7_sweep(config, skews)).table

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.experiments.engine import run_sweep
 from repro.experiments.figures import (
     SweepConfig,
-    run_fig5_nodes,
-    run_fig6_zipf,
-    run_fig7_skew,
+    fig5_sweep,
+    fig6_sweep,
+    fig7_sweep,
 )
 from repro.experiments.motivating import MotivatingExample
 from repro.experiments.tables import ResultTable
@@ -83,7 +84,7 @@ def run_paper_check(
 
     # ---- Figure 5: node sweep -----------------------------------------
     cfg = SweepConfig(scale_factor=scale_factor, n_nodes=n_nodes)
-    fig5 = run_fig5_nodes(cfg, nodes=(20, 40, 60, 80, 100))
+    fig5 = run_sweep(fig5_sweep(cfg, nodes=(20, 40, 60, 80, 100))).table
 
     def fig5_wins():
         ccf = fig5.column("ccf_cct_s")
@@ -122,7 +123,8 @@ def run_paper_check(
     check("Fig.5(a)", "Mini least traffic; CCF below Hash", fig5_traffic)
 
     # ---- Figure 6: zipf sweep ------------------------------------------
-    fig6 = run_fig6_zipf(cfg, zipfs=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+    zipfs = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    fig6 = run_sweep(fig6_sweep(cfg, zipfs=zipfs)).table
 
     def fig6_hash_flat():
         col = fig6.column("hash_cct_s")
@@ -149,7 +151,8 @@ def run_paper_check(
     check("Fig.6(a)", "network traffic decreases with zipf", fig6_traffic_falls)
 
     # ---- Figure 7: skew sweep ------------------------------------------
-    fig7 = run_fig7_skew(cfg, skews=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5))
+    skews = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+    fig7 = run_sweep(fig7_sweep(cfg, skews=skews)).table
 
     def fig7_hash_rises():
         col = fig7.column("hash_cct_s")

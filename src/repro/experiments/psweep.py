@@ -14,11 +14,10 @@ from typing import Sequence
 
 from repro.core.framework import CCF
 from repro.core.model import ShuffleModel
-from repro.experiments.engine import Cell, SweepSpec, rows_to_table, run_sweep
-from repro.experiments.tables import ResultTable
+from repro.experiments.engine import Cell, SweepSpec, rows_to_table
 from repro.workloads.synthetic import clustered_workload
 
-__all__ = ["run_partition_sweep", "psweep_sweep"]
+__all__ = ["psweep_sweep"]
 
 #: Reduced grid behind ``ccf sweep psweep --quick``.
 QUICK_N_NODES = 20
@@ -77,19 +76,33 @@ def psweep_sweep(
     seed: int = 1,
     quick: bool = False,
 ) -> SweepSpec:
-    """The granularity sweep as an engine cell grid.
+    """CCT of each strategy as p/n grows, total data held fixed.
+
+    Uses the clustered synthetic workload (each partition concentrated on
+    a few holders) -- on the paper's statistically uniform workload every
+    partition is identical and granularity cannot bind.
 
     Parameters
     ----------
-    n_nodes, total_gb, multipliers, holders_per_partition, seed:
-        As :func:`run_partition_sweep`.
+    n_nodes:
+        Cluster size.
+    total_gb:
+        Total byte mass, renormalised at every granularity.
+    multipliers:
+        Swept p/n multipliers.
+    holders_per_partition:
+        Holders per partition in the clustered workload.
+    seed:
+        Workload seed.
     quick:
         Shrink to ``QUICK_N_NODES`` / ``QUICK_MULTIPLIERS``.
 
     Returns
     -------
     SweepSpec
-        One cell per p/n multiplier.
+        One cell and table row per p/n multiplier.  The ``ccf_solve_ms``
+        column is measured wall-clock and therefore varies run-to-run;
+        all other columns are deterministic.
     """
     if quick:
         n_nodes = QUICK_N_NODES
@@ -120,48 +133,3 @@ def psweep_sweep(
             ),
         ),
     )
-
-
-def run_partition_sweep(
-    *,
-    n_nodes: int = 40,
-    total_gb: float = 20.0,
-    multipliers: Sequence[int] = (1, 2, 5, 15, 30),
-    holders_per_partition: int = 3,
-    seed: int = 1,
-) -> ResultTable:
-    """CCT of each strategy as p/n grows, total data held fixed.
-
-    Uses the clustered synthetic workload (each partition concentrated on
-    a few holders) -- on the paper's statistically uniform workload every
-    partition is identical and granularity cannot bind.
-
-    Parameters
-    ----------
-    n_nodes:
-        Cluster size.
-    total_gb:
-        Total byte mass, renormalised at every granularity.
-    multipliers:
-        Swept p/n multipliers.
-    holders_per_partition:
-        Holders per partition in the clustered workload.
-    seed:
-        Workload seed.
-
-    Returns
-    -------
-    ResultTable
-        One row per multiplier.  The ``ccf_solve_ms`` column is measured
-        wall-clock and therefore varies run-to-run; all other columns
-        are deterministic.
-    """
-    return run_sweep(
-        psweep_sweep(
-            n_nodes=n_nodes,
-            total_gb=total_gb,
-            multipliers=multipliers,
-            holders_per_partition=holders_per_partition,
-            seed=seed,
-        )
-    ).table

@@ -16,11 +16,10 @@ from repro.analytics.queries import (
     distinct_buyers,
     orders_per_customer,
 )
-from repro.experiments.engine import Cell, SweepSpec, rows_to_table, run_sweep
-from repro.experiments.tables import ResultTable
+from repro.experiments.engine import Cell, SweepSpec, rows_to_table
 from repro.workloads.tpch import TPCHConfig
 
-__all__ = ["run_query_suite", "queries_sweep"]
+__all__ = ["queries_sweep"]
 
 QUERIES = {
     "orders_per_customer": orders_per_customer,
@@ -98,19 +97,23 @@ def queries_sweep(
     strategies: tuple[str, ...] = ("hash", "mini", "ccf"),
     quick: bool = False,
 ) -> SweepSpec:
-    """The query benchmark as an engine cell grid (one cell per query).
+    """Execute every query template under every strategy.
 
     Parameters
     ----------
-    n_nodes, scale_factor, skew, seed, strategies:
-        As :func:`run_query_suite`.
+    n_nodes, scale_factor, skew, seed:
+        TPC-H catalog knobs.
+    strategies:
+        Strategies forming the per-query column pairs.
     quick:
         Drop the scale factor to ``QUICK_SCALE_FACTOR``.
 
     Returns
     -------
     SweepSpec
-        One cell per query template, in :data:`QUERIES` order.
+        One cell per query template, in :data:`QUERIES` order; the table
+        has one row per template with result rows and per-strategy
+        communication time / traffic.
     """
     if quick:
         scale_factor = QUICK_SCALE_FACTOR
@@ -145,37 +148,3 @@ def queries_sweep(
             ),
         ),
     )
-
-
-def run_query_suite(
-    *,
-    n_nodes: int = 8,
-    scale_factor: float = 0.02,
-    skew: float = 0.2,
-    seed: int = 1,
-    strategies: tuple[str, ...] = ("hash", "mini", "ccf"),
-) -> ResultTable:
-    """Execute every query template under every strategy.
-
-    Parameters
-    ----------
-    n_nodes, scale_factor, skew, seed:
-        TPC-H catalog knobs.
-    strategies:
-        Strategies forming the per-query column pairs.
-
-    Returns
-    -------
-    ResultTable
-        One row per query template with result rows and per-strategy
-        communication time / traffic.
-    """
-    return run_sweep(
-        queries_sweep(
-            n_nodes=n_nodes,
-            scale_factor=scale_factor,
-            skew=skew,
-            seed=seed,
-            strategies=strategies,
-        )
-    ).table

@@ -1,12 +1,17 @@
 """Experiment registry: one entry per paper artifact.
 
-Two registries live here:
+Each experiment is defined by one function: a grid-shaped experiment by
+its :class:`~repro.experiments.engine.SweepSpec` factory, any other by a
+zero-argument runner returning a :class:`ResultTable`.  Two registries
+are derived from that catalog:
 
 * :data:`EXPERIMENTS` -- name -> zero-argument runner returning a
-  :class:`ResultTable` (the ``ccf run`` surface; always serial).
-* :data:`SWEEPS` -- the subset whose grids are declared as engine cell
-  lists; :func:`build_sweep` turns a name plus CLI-style overrides into
-  a :class:`~repro.experiments.engine.SweepSpec` for ``ccf sweep``.
+  :class:`ResultTable` (the ``ccf run`` surface; always serial).  For a
+  grid experiment it is ``run_sweep(factory()).table``.
+* :data:`SWEEPS` -- name -> SweepSpec factory of the grid experiments;
+  :func:`build_sweep` turns a name plus CLI-style overrides into a spec
+  for ``ccf sweep``, and :func:`run_experiment` runs that spec serially
+  without a cache for ``ccf run``.
 
 Entries name their function by module, and the module is imported the
 first time the entry is called, so importing the registry (as the
@@ -15,6 +20,7 @@ first time the entry is called, so importing the registry (as the
 
 from __future__ import annotations
 
+from functools import partial
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable
 
@@ -53,79 +59,110 @@ def _lazy(module: str, name: str) -> Callable:
     return call
 
 
-#: Name -> (module, serial runner, engine sweep factory or None).
-_CATALOG: dict[str, tuple[str, str, str | None]] = {
-    "motivating": ("motivating", "run_motivating", None),
-    "fig5": ("figures", "run_fig5_nodes", "fig5_sweep"),
-    "fig6": ("figures", "run_fig6_zipf", "fig6_sweep"),
-    "fig7": ("figures", "run_fig7_skew", "fig7_sweep"),
-    "solver": ("solver", "run_solver_scaling", None),
-    "ablation-sched": (
-        "ablation", "run_scheduler_ablation", "scheduler_ablation_sweep"
-    ),
-    "ablation-heuristic": (
-        "ablation", "run_heuristic_ablation", "heuristic_ablation_sweep"
-    ),
-    "trace": ("extensions", "run_trace_schedulers", None),
-    "online": ("extensions", "run_online_vs_oblivious", None),
-    "topology": ("extensions", "run_topology_sweep", None),
-    "queries": ("querybench", "run_query_suite", "queries_sweep"),
-    "robustness": ("robustness", "run_robustness", "robustness_sweep"),
-    "recovery": ("robustness", "run_failure_recovery", "recovery_sweep"),
-    "dag-recovery": ("dagrecovery", "run_dag_recovery", None),
-    "validation": ("validation", "run_model_validation", None),
-    "crossover": ("crossover", "run_broadcast_crossover", "crossover_sweep"),
-    "psweep": ("psweep", "run_partition_sweep", "psweep_sweep"),
-    "chaos": ("chaoscampaign", "run_chaos", "campaign_sweep"),
-    "overload": ("service", "run_overload", "overload_sweep"),
-    "tournament": ("tournament", "run_tournament", "tournament_sweep"),
-    "summary": ("summary", "run_summary", None),
+#: Name -> (module, function).  A ``run_*`` function is a zero-argument
+#: runner returning a ResultTable; any other is a keyword-only SweepSpec
+#: factory accepting at least ``quick``.
+_CATALOG: dict[str, tuple[str, str]] = {
+    "motivating": ("motivating", "run_motivating"),
+    "fig5": ("figures", "fig5_sweep"),
+    "fig6": ("figures", "fig6_sweep"),
+    "fig7": ("figures", "fig7_sweep"),
+    "solver": ("solver", "run_solver_scaling"),
+    "ablation-sched": ("ablation", "scheduler_ablation_sweep"),
+    "ablation-heuristic": ("ablation", "heuristic_ablation_sweep"),
+    "trace": ("extensions", "run_trace_schedulers"),
+    "online": ("extensions", "run_online_vs_oblivious"),
+    "topology": ("extensions", "run_topology_sweep"),
+    "queries": ("querybench", "queries_sweep"),
+    "robustness": ("robustness", "robustness_sweep"),
+    "recovery": ("robustness", "recovery_sweep"),
+    "dag-recovery": ("dagrecovery", "run_dag_recovery"),
+    "validation": ("validation", "run_model_validation"),
+    "crossover": ("crossover", "crossover_sweep"),
+    "psweep": ("psweep", "psweep_sweep"),
+    "chaos": ("chaoscampaign", "campaign_sweep"),
+    "overload": ("service", "overload_sweep"),
+    "tournament": ("tournament", "tournament_sweep"),
+    "summary": ("summary", "run_summary"),
 }
 
-#: Name -> zero-argument runner returning a ResultTable.
-EXPERIMENTS: dict[str, Callable[[], ResultTable]] = {
-    name: _lazy(module, runner)
-    for name, (module, runner, _) in _CATALOG.items()
-}
-
-#: Name -> keyword-only SweepSpec factory accepting at least ``quick``.
-#: Keys are a subset of :data:`EXPERIMENTS`: the grid-shaped experiments
-#: whose cells are independent and engine-runnable.
+#: Name -> keyword-only SweepSpec factory accepting at least ``quick``:
+#: the grid-shaped experiments, whose cells are independent and
+#: engine-runnable.
 SWEEPS: dict[str, Callable[..., SweepSpec]] = {
-    name: _lazy(module, sweep)
-    for name, (module, _, sweep) in _CATALOG.items()
-    if sweep is not None
+    name: _lazy(module, function)
+    for name, (module, function) in _CATALOG.items()
+    if not function.startswith("run_")
 }
 
 #: Sweeps accepting the figure-style --scale-factor / --nodes overrides.
 FIGURE_SWEEPS = frozenset({"fig5", "fig6", "fig7"})
 
 
-def run_experiment(name: str) -> ResultTable:
-    """Run one registered experiment with paper defaults.
+def run_experiment(
+    name: str,
+    *,
+    quick: bool = False,
+    scale_factor: float | None = None,
+    n_nodes: int | None = None,
+) -> ResultTable:
+    """Run one registered experiment, serially and without a cache.
+
+    A grid experiment runs its :func:`build_sweep` spec with the
+    overrides through :func:`repro.experiments.engine.run_sweep` at
+    ``jobs=1`` (the ``ccf run`` path; ``ccf sweep`` adds workers and
+    the cell cache to the same grid, bit-identically).  Any other
+    experiment takes no override and runs at its defaults.
 
     Parameters
     ----------
     name:
         A key of :data:`EXPERIMENTS`.
+    quick:
+        Use a grid experiment's reduced smoke-test grid.
+    scale_factor, n_nodes:
+        Workload overrides; only the figure sweeps (fig5/fig6/fig7)
+        accept them.
 
     Returns
     -------
     ResultTable
-        The experiment's table at paper defaults.
+        The experiment's table.
 
     Raises
     ------
     ValueError
-        If ``name`` is not registered.
+        If ``name`` is not registered, or an override is passed to an
+        experiment that cannot take it.
     """
-    try:
-        runner = EXPERIMENTS[name]
-    except KeyError:
+    if name not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
-        ) from None
-    return runner()
+        )
+    if name not in SWEEPS:
+        if quick or scale_factor is not None or n_nodes is not None:
+            raise ValueError(
+                f"--quick/--scale-factor/--nodes only apply to sweep "
+                f"experiments ({', '.join(sorted(SWEEPS))}), not {name!r}"
+            )
+        return EXPERIMENTS[name]()
+    from repro.experiments.engine import run_sweep
+
+    spec = build_sweep(
+        name, quick=quick, scale_factor=scale_factor, n_nodes=n_nodes
+    )
+    return run_sweep(spec).table
+
+
+#: Name -> zero-argument runner returning a ResultTable; a grid
+#: experiment's is :func:`run_experiment` at its defaults, that is
+#: ``run_sweep(factory()).table``.  Keys are a superset of :data:`SWEEPS`.
+EXPERIMENTS: dict[str, Callable[[], ResultTable]] = {
+    name: partial(run_experiment, name)
+    if name in SWEEPS
+    else _lazy(module, function)
+    for name, (module, function) in _CATALOG.items()
+}
 
 
 def build_sweep(

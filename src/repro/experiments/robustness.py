@@ -4,11 +4,11 @@ The paper's long-term goal (§VI) is a system "always highly efficient and
 robust in the presence of different workloads and network configurations".
 These experiments quantify the network-configuration half:
 
-* :func:`run_robustness` -- the same CCF coflow stream executed on a
+* :func:`robustness_sweep` -- the same CCF coflow stream executed on a
   healthy fabric, on one where ports degrade mid-run, and under a seeded
   chaos schedule of full port failures (repaired after an MTTR), with the
   failure-log summary surfaced per discipline.
-* :func:`run_failure_recovery` -- schedulers x recovery policies under a
+* :func:`recovery_sweep` -- schedulers x recovery policies under a
   deterministic mid-run node loss: how much completion time, lost bytes
   and failed work each *recovery* strategy (abort / retry / replan)
   costs, per scheduling discipline.
@@ -17,8 +17,7 @@ These experiments quantify the network-configuration half:
 from __future__ import annotations
 
 from repro.core.framework import CCF
-from repro.experiments.engine import Cell, SweepSpec, rows_to_table, run_sweep
-from repro.experiments.tables import ResultTable
+from repro.experiments.engine import Cell, SweepSpec, rows_to_table
 from repro.network.chaos import ChaosConfig, chaos_schedule
 from repro.network.dynamics import FabricDynamics
 from repro.network.fabric import Fabric
@@ -26,8 +25,6 @@ from repro.network.schedulers import make_scheduler
 from repro.network.simulator import CoflowSimulator
 
 __all__ = [
-    "run_robustness",
-    "run_failure_recovery",
     "robustness_sweep",
     "recovery_sweep",
 ]
@@ -135,14 +132,29 @@ def robustness_sweep(
     chaos_horizon: float = 8.0,
     quick: bool = False,
 ) -> SweepSpec:
-    """The robustness study as an engine cell grid (one cell per discipline).
+    """CCT inflation per discipline under degradation and port failures.
+
+    The ``seed`` drives the chaos schedule, so equal seeds reproduce the
+    exact same fault sequence (and therefore the same table) run-to-run.
+    All chaos failures are repaired, and flows are recovered with the
+    ``replan`` policy; the failure-log summary columns report how much
+    recovery work that took.
 
     Parameters
     ----------
-    n_nodes, scale_factor, n_jobs, inter_arrival, degrade_ports,
-    degrade_factor, degrade_at, schedulers, seed, chaos_mtbf, chaos_mttr,
-    chaos_horizon:
-        As :func:`run_robustness`.
+    n_nodes, scale_factor:
+        Workload size knobs.
+    n_jobs, inter_arrival:
+        Stream shape: job count and arrival spacing in seconds.
+    degrade_ports, degrade_factor, degrade_at:
+        Which ports degrade, to what fraction of their rate, and when.
+    schedulers:
+        Disciplines forming the rows.
+    seed:
+        Chaos-schedule seed.
+    chaos_mtbf, chaos_mttr, chaos_horizon:
+        Chaos process: mean time between failures / to repair, and the
+        injection horizon, all in seconds.
     quick:
         Shrink the workload (8 nodes, SF 0.2, 2 jobs) and drop to two
         disciplines.
@@ -150,7 +162,9 @@ def robustness_sweep(
     Returns
     -------
     SweepSpec
-        One cell per scheduler.
+        One cell per scheduler; the table has one row per discipline
+        with healthy / degraded / chaotic CCTs and the chaotic run's
+        failure-log summary.
     """
     if quick:
         n_nodes, scale_factor, n_jobs = 8, 0.2, 2
@@ -200,69 +214,6 @@ def robustness_sweep(
             ),
         ),
     )
-
-
-def run_robustness(
-    *,
-    n_nodes: int = 16,
-    scale_factor: float = 0.4,
-    n_jobs: int = 4,
-    inter_arrival: float = 1.0,
-    degrade_ports: tuple[int, ...] = (0, 1),
-    degrade_factor: float = 0.25,
-    degrade_at: float = 1.0,
-    schedulers: tuple[str, ...] = ("fair", "wss", "sebf", "dclas"),
-    seed: int = 0,
-    chaos_mtbf: float = 2.0,
-    chaos_mttr: float = 2.0,
-    chaos_horizon: float = 8.0,
-) -> ResultTable:
-    """CCT inflation per discipline under degradation and port failures.
-
-    The ``seed`` drives the chaos schedule, so equal seeds reproduce the
-    exact same fault sequence (and therefore the same table) run-to-run.
-    All chaos failures are repaired, and flows are recovered with the
-    ``replan`` policy; the failure-log summary columns report how much
-    recovery work that took.
-
-    Parameters
-    ----------
-    n_nodes, scale_factor:
-        Workload size knobs.
-    n_jobs, inter_arrival:
-        Stream shape: job count and arrival spacing in seconds.
-    degrade_ports, degrade_factor, degrade_at:
-        Which ports degrade, to what fraction of their rate, and when.
-    schedulers:
-        Disciplines forming the rows.
-    seed:
-        Chaos-schedule seed.
-    chaos_mtbf, chaos_mttr, chaos_horizon:
-        Chaos process: mean time between failures / to repair, and the
-        injection horizon, all in seconds.
-
-    Returns
-    -------
-    ResultTable
-        One row per discipline with healthy / degraded / chaotic CCTs
-        and the chaotic run's failure-log summary.
-    """
-    return run_sweep(
-        robustness_sweep(
-            n_nodes=n_nodes,
-            scale_factor=scale_factor,
-            n_jobs=n_jobs,
-            inter_arrival=inter_arrival,
-            degrade_ports=degrade_ports,
-            degrade_factor=degrade_factor,
-            degrade_at=degrade_at,
-            schedulers=schedulers,
-            seed=seed,
-            chaos_mtbf=chaos_mtbf,
-            chaos_mttr=chaos_mttr,
-            chaos_horizon=chaos_horizon,
-        )
-    ).table
 
 
 def _recovery_cell(
@@ -333,13 +284,31 @@ def recovery_sweep(
     policies: tuple[str, ...] = ("abort", "retry", "replan"),
     quick: bool = False,
 ) -> SweepSpec:
-    """The recovery study as an engine grid (one cell per scheduler x policy).
+    """Schedulers x recovery policies under a deterministic node loss.
+
+    One node dies mid-run and comes back much later; each recovery policy
+    pays a different price: ``abort`` loses whole coflows, ``retry``
+    waits out the downtime and re-sends lost progress, ``replan``
+    reassigns the lost chunks to survivors immediately.
+
+    The default ``fail_direction="ingress"`` models a receiver-side loss
+    (reducer/storage dies, map outputs stay readable) -- the case where
+    replanning chunk placement can actually route around the hole.  With
+    ``"both"`` (full node loss) the dead node's *source* data is gone
+    too, so every policy must wait for the repair and replan's edge
+    shrinks to its rerouted receive side.
 
     Parameters
     ----------
-    n_nodes, scale_factor, n_jobs, inter_arrival, fail_ports, fail_at,
-    recover_at, fail_direction, schedulers, policies:
-        As :func:`run_failure_recovery`.
+    n_nodes, scale_factor:
+        Workload size knobs.
+    n_jobs, inter_arrival:
+        Stream shape: job count and arrival spacing in seconds.
+    fail_ports, fail_at, recover_at, fail_direction:
+        The failure scenario: which ports die, when, when they repair,
+        and which side ("ingress"/"egress"/"both") is lost.
+    schedulers, policies:
+        Disciplines and recovery policies forming the row grid.
     quick:
         Shrink the workload (8 nodes, SF 0.2, 2 jobs) and drop to one
         discipline.
@@ -347,7 +316,8 @@ def recovery_sweep(
     Returns
     -------
     SweepSpec
-        One cell per (scheduler, policy) pair, scheduler-major order.
+        One cell and table row per (scheduler, policy) pair, in
+        scheduler-major order.
     """
     if quick:
         n_nodes, scale_factor, n_jobs = 8, 0.2, 2
@@ -394,63 +364,3 @@ def recovery_sweep(
             ),
         ),
     )
-
-
-def run_failure_recovery(
-    *,
-    n_nodes: int = 16,
-    scale_factor: float = 0.4,
-    n_jobs: int = 4,
-    inter_arrival: float = 1.0,
-    fail_ports: tuple[int, ...] = (0,),
-    fail_at: float = 0.1,
-    recover_at: float = 12.0,
-    fail_direction: str = "ingress",
-    schedulers: tuple[str, ...] = ("fair", "sebf", "dclas"),
-    policies: tuple[str, ...] = ("abort", "retry", "replan"),
-) -> ResultTable:
-    """Schedulers x recovery policies under a deterministic node loss.
-
-    One node dies mid-run and comes back much later; each recovery policy
-    pays a different price: ``abort`` loses whole coflows, ``retry``
-    waits out the downtime and re-sends lost progress, ``replan``
-    reassigns the lost chunks to survivors immediately.
-
-    The default ``fail_direction="ingress"`` models a receiver-side loss
-    (reducer/storage dies, map outputs stay readable) -- the case where
-    replanning chunk placement can actually route around the hole.  With
-    ``"both"`` (full node loss) the dead node's *source* data is gone
-    too, so every policy must wait for the repair and replan's edge
-    shrinks to its rerouted receive side.
-
-    Parameters
-    ----------
-    n_nodes, scale_factor:
-        Workload size knobs.
-    n_jobs, inter_arrival:
-        Stream shape: job count and arrival spacing in seconds.
-    fail_ports, fail_at, recover_at, fail_direction:
-        The failure scenario: which ports die, when, when they repair,
-        and which side ("ingress"/"egress"/"both") is lost.
-    schedulers, policies:
-        Disciplines and recovery policies forming the row grid.
-
-    Returns
-    -------
-    ResultTable
-        One row per (scheduler, policy) pair.
-    """
-    return run_sweep(
-        recovery_sweep(
-            n_nodes=n_nodes,
-            scale_factor=scale_factor,
-            n_jobs=n_jobs,
-            inter_arrival=inter_arrival,
-            fail_ports=fail_ports,
-            fail_at=fail_at,
-            recover_at=recover_at,
-            fail_direction=fail_direction,
-            schedulers=schedulers,
-            policies=policies,
-        )
-    ).table

@@ -20,11 +20,10 @@ blows the 60 s budget several times over while ``load-shedding`` and
 
 from __future__ import annotations
 
-from repro.experiments.engine import Cell, SweepSpec, rows_to_table, run_sweep
-from repro.experiments.tables import ResultTable
+from repro.experiments.engine import Cell, SweepSpec, rows_to_table
 from repro.service import ArrivalConfig, ServiceConfig, run_service
 
-__all__ = ["overload_sweep", "run_overload"]
+__all__ = ["overload_sweep"]
 
 #: The demo's common SLO budget (seconds).  60 s is robust across seeds
 #: at the default stream scale: the overloaded accept-all lands at
@@ -172,8 +171,3 @@ def overload_sweep(
             ),
         ),
     )
-
-
-def run_overload() -> ResultTable:
-    """The overload grid at registry defaults, serial (``ccf run``)."""
-    return run_sweep(overload_sweep()).table

@@ -27,7 +27,6 @@ from repro.experiments.engine import (
     SweepSpec,
     derive_seed,
     rows_to_table,
-    run_sweep,
 )
 from repro.experiments.tables import ResultTable
 from repro.network.bounds import weighted_cct_lower_bound
@@ -38,7 +37,6 @@ from repro.network.simulator import CoflowSimulator
 from repro.workloads.coflowmix import CoflowMixConfig, generate_coflow_mix
 
 __all__ = [
-    "run_tournament",
     "tournament_sweep",
     "scorecard",
     "WORKLOAD_FAMILIES",
@@ -189,6 +187,10 @@ def tournament_sweep(
 ) -> SweepSpec:
     """The tournament grid as an engine sweep.
 
+    Its table is the raw (unranked) grid that ``ccf run tournament``
+    prints; ``ccf tournament`` runs the same sweep and additionally
+    folds it into :func:`scorecard`.
+
     Parameters
     ----------
     n_ports, n_coflows, seed:
@@ -292,22 +294,3 @@ def scorecard(grid: ResultTable) -> ResultTable:
         "gap = sum(w*C) / LP lower bound; 1.0 means provably optimal"
     )
     return table
-
-
-def run_tournament(
-    *,
-    n_ports: int = 24,
-    n_coflows: int = 40,
-    seed: int = 0,
-    quick: bool = False,
-) -> ResultTable:
-    """Run the tournament grid and return the raw (unranked) table.
-
-    ``ccf run tournament`` prints this grid; ``ccf tournament`` runs the
-    same sweep and additionally folds it into :func:`scorecard`.
-    """
-    return run_sweep(
-        tournament_sweep(
-            n_ports=n_ports, n_coflows=n_coflows, seed=seed, quick=quick
-        )
-    ).table

@@ -11,6 +11,7 @@ seeded, so the same configuration always yields the same schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,12 @@ class ChaosConfig:
     min_alive: int = 1
 
     def __post_init__(self) -> None:
-        if self.mtbf <= 0 or self.mttr <= 0:
+        # ``not x > 0`` also refuses NaN, on which chaos_schedule's
+        # ``t >= horizon`` exit never fires (nor on an infinite horizon).
+        if not self.mtbf > 0 or not self.mttr > 0:
             raise ValueError("mtbf and mttr must be strictly positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be strictly positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be strictly positive and finite")
         if self.min_alive < 1:
             raise ValueError("min_alive must be >= 1")
 

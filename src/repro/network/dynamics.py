@@ -46,12 +46,12 @@ class RateEvent:
     ingress: float | None = None
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:  # also refuses NaN
             raise ValueError("event time must be >= 0")
         if self.port < 0:
             raise ValueError("port must be non-negative")
         for v, nm in ((self.egress, "egress"), (self.ingress, "ingress")):
-            if v is not None and v < 0:
+            if v is not None and not v >= 0:
                 raise ValueError(f"{nm} rate must be non-negative")
         if self.egress is None and self.ingress is None:
             raise ValueError("event must change at least one direction")
@@ -71,7 +71,7 @@ class RateEvent:
         cls, time: float, port: int, *, egress: float, ingress: float
     ) -> "RateEvent":
         """A repair event restoring both directions of ``port``."""
-        if egress <= 0 or ingress <= 0:
+        if not egress > 0 or not ingress > 0:
             raise ValueError("recovery must restore strictly positive rates")
         return cls(time=time, port=port, egress=egress, ingress=ingress)
 

@@ -25,8 +25,6 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.core.seeds import derive_seed
 from repro.network.chaos import ChaosConfig, chaos_schedule
 from repro.network.fabric import Fabric
@@ -34,7 +32,7 @@ from repro.network.schedulers import make_scheduler
 from repro.network.simulator import CoflowSimulator, SimulationResult
 from repro.obs.instrument import Instrumentation
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.stats import steady_state_stats
+from repro.obs.stats import _percentiles, steady_state_stats
 from repro.service.admission import (
     AdmissionController,
     make_admission_policy,
@@ -109,15 +107,16 @@ class ServiceConfig:
     window: int = 256
 
     def __post_init__(self) -> None:
-        if self.load <= 0:
+        # ``not x > 0`` also refuses NaN.
+        if not self.load > 0:
             raise ValueError("load must be positive")
-        if self.rate is not None and self.rate <= 0:
+        if self.rate is not None and not self.rate > 0:
             raise ValueError("rate must be positive")
-        if self.slo_p95 is not None and self.slo_p95 <= 0:
+        if self.slo_p95 is not None and not self.slo_p95 > 0:
             raise ValueError("slo_p95 must be positive or None")
-        if self.chaos_mtbf is not None and self.chaos_mtbf <= 0:
+        if self.chaos_mtbf is not None and not self.chaos_mtbf > 0:
             raise ValueError("chaos_mtbf must be positive or None")
-        if self.chaos_mttr <= 0:
+        if not self.chaos_mttr > 0:
             raise ValueError("chaos_mttr must be positive")
 
     @property
@@ -309,16 +308,3 @@ def run_service(
         wall_s=wall,
     )
     return report, result, controller
-
-
-def _percentiles(values: list[float]) -> dict[str, float]:
-    if not values:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
-    arr = np.asarray(values, dtype=float)
-    return {
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "p99": float(np.percentile(arr, 99)),
-        "mean": float(arr.mean()),
-        "max": float(arr.max()),
-    }

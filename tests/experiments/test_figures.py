@@ -10,11 +10,12 @@ with SF, so shapes are invariant).
 import numpy as np
 import pytest
 
+from repro.experiments.engine import run_sweep
 from repro.experiments.figures import (
     SweepConfig,
-    run_fig5_nodes,
-    run_fig6_zipf,
-    run_fig7_skew,
+    fig5_sweep,
+    fig6_sweep,
+    fig7_sweep,
 )
 
 CFG = SweepConfig(scale_factor=30.0, n_nodes=60)
@@ -22,17 +23,17 @@ CFG = SweepConfig(scale_factor=30.0, n_nodes=60)
 
 @pytest.fixture(scope="module")
 def fig5():
-    return run_fig5_nodes(CFG, nodes=(20, 40, 80))
+    return run_sweep(fig5_sweep(CFG, nodes=(20, 40, 80))).table
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return run_fig6_zipf(CFG, zipfs=(0.0, 0.4, 0.8))
+    return run_sweep(fig6_sweep(CFG, zipfs=(0.0, 0.4, 0.8))).table
 
 
 @pytest.fixture(scope="module")
 def fig7():
-    return run_fig7_skew(CFG, skews=(0.0, 0.2, 0.4))
+    return run_sweep(fig7_sweep(CFG, skews=(0.0, 0.2, 0.4))).table
 
 
 class TestFig5Shapes:

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.experiments.psweep import run_partition_sweep
+from repro.experiments.engine import run_sweep
+from repro.experiments.psweep import psweep_sweep
 
 
 @pytest.fixture(scope="module")
 def table():
-    return run_partition_sweep(
+    return run_sweep(psweep_sweep(
         n_nodes=16, total_gb=4.0, multipliers=(1, 5, 15)
-    )
+    )).table
 
 
 class TestPartitionSweep:

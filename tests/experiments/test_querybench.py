@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.experiments.querybench import QUERIES, run_query_suite
+from repro.experiments.engine import run_sweep
+from repro.experiments.querybench import QUERIES, queries_sweep
 
 
 @pytest.fixture(scope="module")
 def table():
-    return run_query_suite(n_nodes=5, scale_factor=0.005)
+    return run_sweep(queries_sweep(n_nodes=5, scale_factor=0.005)).table
 
 
 class TestQuerySuite:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.framework import CCF
-from repro.experiments.robustness import run_failure_recovery, run_robustness
+from repro.experiments.engine import run_sweep
+from repro.experiments.robustness import recovery_sweep, robustness_sweep
 from repro.join.multikey import KeyedGroupBy
 from repro.workloads.tpch import TPCHConfig, generate_tpch_keyed
 
@@ -12,9 +13,9 @@ from repro.workloads.tpch import TPCHConfig, generate_tpch_keyed
 class TestRobustness:
     @pytest.fixture(scope="class")
     def table(self):
-        return run_robustness(
+        return run_sweep(robustness_sweep(
             n_nodes=8, scale_factor=0.1, n_jobs=3, schedulers=("fair", "sebf")
-        )
+        )).table
 
     def test_degradation_inflates_cct(self, table):
         for healthy, degraded in zip(
@@ -44,17 +45,17 @@ class TestRobustness:
 
     def test_seed_reproduces_chaos_column(self):
         kw = dict(n_nodes=8, scale_factor=0.1, n_jobs=2, schedulers=("sebf",))
-        a = run_robustness(seed=3, **kw)
-        b = run_robustness(seed=3, **kw)
+        a = run_sweep(robustness_sweep(seed=3, **kw)).table
+        b = run_sweep(robustness_sweep(seed=3, **kw)).table
         assert a.rows == b.rows
 
 
 class TestFailureRecovery:
     @pytest.fixture(scope="class")
     def table(self):
-        return run_failure_recovery(
+        return run_sweep(recovery_sweep(
             n_nodes=8, scale_factor=0.1, n_jobs=2, schedulers=("sebf",)
-        )
+        )).table
 
     def named(self, table):
         return {
@@ -88,14 +89,14 @@ class TestFailureRecovery:
         assert rows[("sebf", "abort")]["bytes_lost"] > 0
 
     def test_full_node_loss_direction(self):
-        table = run_failure_recovery(
+        table = run_sweep(recovery_sweep(
             n_nodes=8,
             scale_factor=0.1,
             n_jobs=2,
             schedulers=("sebf",),
             policies=("retry", "replan"),
             fail_direction="both",
-        )
+        )).table
         rows = {
             (r[0], r[1]): dict(zip(table.columns, r)) for r in table.rows
         }

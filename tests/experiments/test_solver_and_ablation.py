@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.experiments.ablation import run_heuristic_ablation, run_scheduler_ablation
+from repro.experiments.ablation import (
+    heuristic_ablation_sweep,
+    scheduler_ablation_sweep,
+)
+from repro.experiments.engine import run_sweep
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.solver import run_solver_scaling
 
@@ -30,9 +34,9 @@ class TestSolverScaling:
 class TestSchedulerAblation:
     @pytest.fixture(scope="class")
     def table(self):
-        return run_scheduler_ablation(
+        return run_sweep(scheduler_ablation_sweep(
             n_nodes=8, scale_factor=0.05, n_jobs=3, inter_arrival=1.0
-        )
+        )).table
 
     def test_all_strategies_present(self, table):
         assert table.column("strategy") == ["hash", "mini", "ccf"]
@@ -51,7 +55,9 @@ class TestSchedulerAblation:
 class TestHeuristicAblation:
     @pytest.fixture(scope="class")
     def table(self):
-        return run_heuristic_ablation(n_nodes=20, partitions=200, seed=3)
+        return run_sweep(
+            heuristic_ablation_sweep(n_nodes=20, partitions=200, seed=3)
+        ).table
 
     def test_four_configurations(self, table):
         assert len(table.rows) == 4

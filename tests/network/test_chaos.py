@@ -25,6 +25,22 @@ class TestChaosConfig:
         with pytest.raises(ValueError):
             ChaosConfig(mtbf=1.0, mttr=1.0, horizon=10.0, min_alive=0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(mtbf=float("nan")),
+            dict(mttr=float("nan")),
+            dict(horizon=float("nan")),
+            dict(horizon=float("inf")),
+        ],
+        ids=["mtbf-nan", "mttr-nan", "horizon-nan", "horizon-inf"],
+    )
+    def test_rejects_values_the_schedule_loop_never_exits_on(self, kw):
+        # chaos_schedule stops at ``t >= horizon``, which a NaN time or
+        # horizon (or an infinite horizon) never satisfies.
+        with pytest.raises(ValueError, match="strictly positive"):
+            ChaosConfig(**{**dict(mtbf=1.0, mttr=1.0, horizon=10.0), **kw})
+
     def test_port_subset_validated(self):
         cfg = ChaosConfig(mtbf=1.0, mttr=1.0, horizon=5.0, ports=(9,))
         with pytest.raises(ValueError, match="out of range"):

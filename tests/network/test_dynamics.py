@@ -21,6 +21,23 @@ class TestRateEvent:
         with pytest.raises(ValueError):
             RateEvent(time=0, port=0)  # no direction changed
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(time=float("nan"), egress=1.0),
+            dict(time=0.0, egress=float("nan")),
+            dict(time=0.0, ingress=float("nan")),
+        ],
+        ids=["time", "egress", "ingress"],
+    )
+    def test_rejects_nan(self, kw):
+        with pytest.raises(ValueError, match="must be non-negative|>= 0"):
+            RateEvent(port=0, **kw)
+
+    def test_recovery_rejects_nan_rates(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            RateEvent.recovery(1.0, 0, egress=float("nan"), ingress=1.0)
+
     def test_zero_rate_is_a_failure_event(self):
         e = RateEvent(time=0, port=0, egress=0.0)
         assert e.is_failure

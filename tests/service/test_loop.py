@@ -33,6 +33,14 @@ class TestServiceConfig:
         with pytest.raises(ValueError):
             small_config(chaos_mttr=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["load", "rate", "slo_p95", "chaos_mtbf", "chaos_mttr"]
+    )
+    def test_rejects_nan(self, field):
+        # A NaN chaos_mtbf once reached chaos_schedule's unending loop.
+        with pytest.raises(ValueError, match="must be positive"):
+            small_config(**{field: float("nan")})
+
     def test_port_rate_from_load(self):
         cfg = small_config(load=0.5)
         assert cfg.port_rate == pytest.approx(

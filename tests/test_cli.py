@@ -737,15 +737,12 @@ class TestInputErrorsExitUsage:
               "{missing}/c.jsonl"], "cannot write"),
             (["chaos", "--quick", "--no-cache", "--report",
               "{missing}/c.md"], "cannot write"),
-            (["simulate", "{coflows}", "--rate", "0"], "--rate must be"),
-            (["simulate", "{coflows}", "--rate", "-1"], "--rate must be"),
             (["gantt", "{coflows}", "--width", "0"], "--width must be"),
         ],
         ids=[
             "trace-gen-out", "trace-gen-ports", "report-out",
             "simulate-trace", "serve-trace", "bench-out", "chaos-trace",
-            "chaos-report",
-            "simulate-rate-0", "simulate-rate-neg", "gantt-width",
+            "chaos-report", "gantt-width",
         ],
     )
     def test_bad_output_path_or_value(self, argv, needle, tmp_path, capsys):
@@ -760,6 +757,31 @@ class TestInputErrorsExitUsage:
             [arg.format(**fill) for arg in argv], capsys, needle
         )
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--chaos-mtbf", "nan"], "invalid chaos configuration"),
+            (["--chaos-mtbf", "1", "--chaos-horizon", "nan"],
+             "invalid chaos configuration"),
+            (["--chaos-mtbf", "1", "--chaos-horizon", "inf"],
+             "invalid chaos configuration"),
+            (["--fail-port", "1", "--fail-at", "nan"],
+             "invalid failure schedule"),
+            (["--estimate-noise", "nan"], "invalid estimate noise"),
+        ],
+        ids=["chaos-mtbf", "chaos-horizon-nan", "chaos-horizon-inf",
+             "fail-at", "estimate-noise"],
+    )
+    def test_nonfinite_fault_flag(self, flags, needle, tmp_path, capsys):
+        # Refused by the config constructors; a NaN chaos MTBF or horizon
+        # once sent chaos_schedule into a loop that never ended.
+        coflows = tmp_path / "coflows.json"
+        save_coflows([Coflow([Flow(0, 1, 4.0), Flow(1, 2, 4.0)])], coflows)
+        self.assert_usage_error(
+            ["simulate", str(coflows), "--recovery", "retry", *flags],
+            capsys, needle,
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -778,6 +800,34 @@ class TestInputErrorsExitUsage:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "must be positive" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "c.json", "--rate", "0"],
+            ["simulate", "c.json", "--rate", "-1"],
+            ["simulate", "c.json", "--rate", "nan"],
+            ["simulate", "c.json", "--rate", "inf"],
+            ["gantt", "c.json", "--rate", "nan"],
+            ["gantt", "c.json", "--rate", "inf"],
+            ["serve", "--arrivals", "5", "--rate", "nan"],
+            ["serve", "--arrivals", "5", "--rate", "inf"],
+            ["capacity", "--budget", "60", "--rate", "nan"],
+        ],
+        ids=[
+            "simulate-rate-0", "simulate-rate-neg", "simulate-rate-nan",
+            "simulate-rate-inf", "gantt-rate-nan", "gantt-rate-inf",
+            "serve-rate-nan", "serve-rate-inf", "capacity-rate-nan",
+        ],
+    )
+    def test_nonpositive_rate(self, argv, capsys):
+        # Rejected while parsing, before the coflow file is read.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--rate: must be positive" in err
         assert "Traceback" not in err
 
 

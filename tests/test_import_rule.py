@@ -263,7 +263,7 @@ def test_unreached_modules_are_listed():
 
     files = _module_files()
     roots = ["repro.cli"] + [
-        f"repro.experiments.{module}" for module, _, _ in _CATALOG.values()
+        f"repro.experiments.{module}" for module, _ in _CATALOG.values()
     ]
     unreached = set(files) - _static_reach(roots, files)
     assert unreached == _library_only_modules()

@@ -6,7 +6,8 @@ import pytest
 from repro.core.heuristic import ccf_heuristic
 from repro.core.localsearch import refine_assignment
 from repro.core.strategies import hash_assignment, mini_assignment
-from repro.experiments.crossover import run_broadcast_crossover
+from repro.experiments.crossover import crossover_sweep
+from repro.experiments.engine import run_sweep
 from repro.workloads.synthetic import (
     adversarial_greedy_instance,
     bimodal_workload,
@@ -69,7 +70,7 @@ class TestGenerators:
 class TestCrossoverExperiment:
     @pytest.fixture(scope="class")
     def table(self):
-        return run_broadcast_crossover(nodes=(2, 4, 16, 24))
+        return run_sweep(crossover_sweep(nodes=(2, 4, 16, 24))).table
 
     def test_broadcast_wins_small_clusters(self, table):
         verdicts = dict(zip(table.column("nodes"), table.column("chooser")))
