@@ -90,21 +90,23 @@ EXIT_CODES: dict[int, str] = {
 }
 
 
-def _positive(kind: type) -> Callable[[str], float]:
-    """An argparse type admitting only finite ``kind`` values above 0."""
+def _above(kind: type, low: float, what: str, name: str) -> Callable[[str], float]:
+    """An argparse type admitting only finite ``kind`` values above ``low``."""
 
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
-    parse.__name__ = f"positive_{kind.__name__}"
+    parse.__name__ = name
     return parse
 
 
-_positive_float = _positive(float)
-_positive_int = _positive(int)
+_positive_float = _above(float, 0, "positive", "positive_float")
+_positive_int = _above(int, 0, "positive", "positive_int")
+#: Tail indices and exponents whose mean must be finite.
+_above_one_float = _above(float, 1, "finite and > 1", "above_one_float")
 
 
 def _add_formats(p, *formats: str, what: str = "the table") -> None:
@@ -235,7 +237,7 @@ def _add_arrival_args(p) -> None:
         help="concurrently active users (default 20)",
     )
     p.add_argument(
-        "--qps", type=float, default=0.1,
+        "--qps", type=_positive_float, default=0.1,
         help="queries (coflows) per user per second (default 0.1); the "
         "aggregate arrival rate is users * qps",
     )
@@ -244,7 +246,7 @@ def _add_arrival_args(p) -> None:
         help="inter-arrival law (pareto = heavy-tailed bursts)",
     )
     p.add_argument(
-        "--pareto-alpha", type=float, default=1.5,
+        "--pareto-alpha", type=_above_one_float, default=1.5,
         help="tail index of pareto gaps (> 1; smaller = burstier)",
     )
     p.add_argument(
@@ -252,11 +254,11 @@ def _add_arrival_args(p) -> None:
         help="coflow size distribution (default facebook four-bin mix)",
     )
     p.add_argument(
-        "--zipf-a", type=float, default=2.0,
+        "--zipf-a", type=_above_one_float, default=2.0,
         help="zipf exponent for --size-mix zipf",
     )
     p.add_argument(
-        "--size-scale", type=float, default=0.002,
+        "--size-scale", type=_positive_float, default=0.002,
         help="multiplier on every flow volume (default 0.002 scales the "
         "raw mix down to interactive CCTs)",
     )
@@ -1321,7 +1323,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     for key, case in payload.get("plan", {}).items():
         print(
-            f"{key}: {case['wall_s']:.2f} s, peak {case['peak_mb']:.1f} MB, "
+            f"{key}: {case['wall_s']:.2f} s + eval {case['eval_s']:.3f} s, "
+            f"peak {case['peak_mb']:.1f} MB, "
             f"fingerprint {case['fingerprint'][:12]}",
             file=chat,
         )
@@ -1431,7 +1434,7 @@ def _add_policy(p) -> None:
 def _serve_options(p) -> None:
     _add_arrival_args(p)
     p.add_argument(
-        "--load", type=float, default=0.7,
+        "--load", type=_positive_float, default=0.7,
         help="offered utilization target; the port rate is derived so the "
         "stream offers this fraction of fabric capacity (> 1 = overload; "
         "default 0.7)",

@@ -14,13 +14,17 @@ at n=500, p=7500.  Algorithm 1 instead:
 A naive transcription costs O(p * n^2) with Python-level loops.  The
 vectorized implementation below maintains incremental ``send``/``recv``
 load vectors and scores all ``n`` candidate destinations of a partition
-at once: a top-2 of ``send + h[:, k]`` (which then becomes the next
-``send``), the largest ``recv`` load kept up to date as a scalar
-(``recv`` only grows), one ``np.maximum`` against a scalar plus one
-scalar fix-up, and one ``where``/``argmax`` for the tie-break -- about
-ten numpy calls per partition, O(n*p) in all (12-18 us per partition
-at n=250, and 0.27 s at the paper's largest point, n=1000, p=15000, on a
-shared 2-vCPU Xeon VM).
+at once: the maximum ``m1`` of ``send + h[:, k]`` (which then becomes
+the next ``send``), the largest ``recv`` load ``r1`` kept up to date as
+a scalar (``recv`` only grows), one ``np.maximum`` against a scalar, and
+one ``where``/``argmax`` for the tie-break.  The runner-up of
+``send + h[:, k]`` is searched for only when it can lower the score of
+the argmax, i.e. when ``r1 < m1`` and the argmax's grown recv load is
+below ``m1`` too (under a tenth of the steps on the Fig. 5 workload).
+That is about ten numpy calls per partition in one fused step, O(n*p) in
+all: about 9 us per partition at n=250 and 0.2 s (13 us per partition)
+at the paper's largest point, n=1000, p=15000, on a shared 2-vCPU Xeon
+VM.
 :class:`~repro.core.incremental.IncrementalPlanner` runs the same step.
 A direct, loop-based transcription of the paper's pseudocode lives in the
 test suite's oracles (``tests/oracles.py``) and pins this implementation
@@ -42,33 +46,41 @@ from repro.core.model import ShuffleModel
 __all__ = ["ccf_heuristic"]
 
 
+def _runner_up(values: np.ndarray, a1: int, m1: float) -> float:
+    """The largest entry of ``values`` but its maximum ``m1`` at ``a1``.
+
+    ``-inf`` for a single entry.  ``values`` is left as it was.
+    """
+    # Mask out the argmax to find the runner-up.
+    values[a1] = -np.inf
+    m2 = values.item(values.argmax())
+    values[a1] = m1
+    return m2
+
+
 def _top2(values: np.ndarray) -> tuple[float, int, float]:
     """Return (max, argmax, second max) of a 1-D array."""
     # ``values[argmax]`` is the same float as ``max()`` at a fraction of
     # the call overhead on the short load vectors of Algorithm 1.
     a1 = int(values.argmax())
-    m1 = float(values[a1])
+    m1 = values.item(a1)
     if values.shape[0] == 1:
         return m1, a1, -np.inf
-    # Mask out the argmax to find the runner-up.
-    values[a1] = -np.inf
-    m2 = float(values[values.argmax()])
-    values[a1] = m1
-    return m1, a1, m2
+    return m1, a1, _runner_up(values, a1, m1)
 
 
 class _Loads:
     """Algorithm 1's incremental state: port loads and the largest recv load.
 
-    :meth:`scores` prices every destination of one partition in about ten
-    numpy calls; :meth:`commit` then assigns it.  With per-port rates
-    (``inv_out``/``inv_in`` are reciprocal rates) the scores are seconds
-    instead of bytes.  ``send`` and ``recv`` are owned (updated in place
-    or swapped with a scratch buffer).
+    :meth:`step` prices every destination of one partition in about ten
+    numpy calls, picks one and (by default) assigns the partition to it.
+    With per-port rates (``inv_out``/``inv_in`` are reciprocal rates) the
+    scores are seconds instead of bytes.  ``send`` and ``recv`` are owned
+    (updated in place or swapped with a scratch buffer).
     """
 
     __slots__ = ("send", "recv", "inv_out", "inv_in", "recv_max",
-                 "_base", "_scaled", "_t", "_others")
+                 "_base", "_scaled", "t", "_others")
 
     def __init__(
         self,
@@ -81,15 +93,22 @@ class _Loads:
         self.inv_out, self.inv_in = inv_out, inv_in
         self._base = np.empty_like(send)
         self._scaled = None if inv_out is None else np.empty_like(send)
-        self._t = np.empty_like(recv)
+        self.t = np.empty_like(recv)
         self._others = np.full_like(recv, -1.0)
-        # ``recv`` only grows, so its maximum is kept up to date in
-        # :meth:`commit` instead of being searched for per partition.
+        # ``recv`` only grows, so its maximum is kept up to date by
+        # :meth:`step` instead of being searched for per partition.
         scaled = recv if inv_in is None else recv * inv_in
         self.recv_max = float(scaled.max())
 
-    def scores(self, col: np.ndarray, s_k: float) -> np.ndarray:
-        """``T_d`` for every destination ``d`` of a partition (a scratch array).
+    def step(
+        self,
+        col: np.ndarray,
+        s_k: float,
+        locality_tiebreak: bool,
+        allowed: np.ndarray | None = None,
+        commit: bool = True,
+    ) -> int:
+        """Score, pick and (if ``commit``) assign one partition; returns ``d``.
 
         Sending to ``d`` makes the send loads ``send + col`` except entry
         ``d``, which stays ``send[d]``, and raises only ``recv[d]``, by
@@ -101,47 +120,60 @@ class _Loads:
         ``recv[d] + s_k - col[d]`` is at least as large.  ``max`` never
         rounds, so the scores are the same floats as a per-destination
         evaluation.
+
+        ``m2`` and ``send[a1]`` are at most ``m1``, so the runner-up can
+        only lower ``a1``'s score below ``max(m1, r1)`` when ``r1 < m1``
+        and ``a1``'s grown recv load is below ``m1`` too; otherwise the
+        ``np.maximum`` already gives ``a1`` its exact score and the
+        second ``argmax`` is skipped.
+
+        Destinations outside ``allowed`` score ``inf``: never the
+        minimum, never tied.  Among the minima the largest local chunk
+        wins: ``col >= 0``, so the ``where`` ranks every tied node above
+        the ``-1`` of the others, and ``argmax`` returns the lowest-index
+        largest one.  The scores stay in :attr:`t` until the next step.
         """
-        send, inv_out = self.send, self.inv_out
+        send, recv, r1 = self.send, self.recv, self.recv_max
+        inv_out, inv_in = self.inv_out, self.inv_in
         base = np.add(send, col, out=self._base)
-        if inv_out is None:
-            m1, a1, m2 = _top2(base)
-            kept = send[a1]
+        top = base
+        if inv_out is not None:
+            top = np.multiply(base, inv_out, out=self._scaled)
+        a1 = int(top.argmax())
+        m1 = top.item(a1)
+        t = np.subtract(s_k, col, out=self.t)
+        np.add(recv, t, out=t)
+        if inv_in is not None:
+            np.multiply(t, inv_in, out=t)
+        recv_a = t.item(a1)
+        if r1 < m1 and recv_a < m1:
+            kept = send.item(a1)
+            if inv_out is not None:
+                kept = kept * inv_out.item(a1)
+            np.maximum(t, m1, out=t)
+            t[a1] = max(_runner_up(top, a1, m1), kept, r1, recv_a)
         else:
-            m1, a1, m2 = _top2(np.multiply(base, inv_out, out=self._scaled))
-            kept = send[a1] * inv_out[a1]
-        t = np.subtract(s_k, col, out=self._t)
-        np.add(self.recv, t, out=t)
-        if self.inv_in is not None:
-            np.multiply(t, self.inv_in, out=t)
-        recv_a = t[a1]
-        np.maximum(t, max(m1, self.recv_max), out=t)
-        t[a1] = max(m2, kept, self.recv_max, recv_a)
-        return t
-
-    def pick(self, t: np.ndarray, col: np.ndarray, locality_tiebreak: bool) -> int:
-        """The destination minimizing ``t``; ties go to the largest local chunk.
-
-        ``col >= 0``, so the ``where`` ranks every tied node above the
-        ``-1`` of the others, and ``argmax`` returns the lowest-index
-        largest one.
-        """
+            np.maximum(t, max(m1, r1), out=t)
+        scored = t
+        if allowed is not None:
+            scored = np.where(allowed, t, np.inf)
         if locality_tiebreak:
-            thr = t[t.argmin()] * (1 + 1e-12) + 1e-9
-            return int(np.where(t <= thr, col, self._others).argmax())
-        return int(t.argmin())
-
-    def commit(self, d: int, col: np.ndarray, s_k: float) -> None:
-        """Assign the partition last passed to :meth:`scores` to node ``d``."""
-        # ``scores`` left ``send + col`` in the scratch buffer: swap it in.
-        self.send, self._base = self._base, self.send
-        self.send[d] -= col[d]
-        v = self.recv[d] + (s_k - col[d])
-        self.recv[d] = v
-        if self.inv_in is not None:
-            v = v * self.inv_in[d]
-        if v > self.recv_max:
-            self.recv_max = v
+            thr = scored.item(scored.argmin()) * (1 + 1e-12) + 1e-9
+            d = int(np.where(scored <= thr, col, self._others).argmax())
+        else:
+            d = int(scored.argmin())
+        if commit:
+            # ``base`` is ``send + col``: swap it in.
+            self.send, self._base = base, send
+            c_d = col.item(d)
+            base[d] -= c_d
+            v = recv.item(d) + (s_k - c_d)
+            recv[d] = v
+            if inv_in is not None:
+                v = v * inv_in.item(d)
+            if v > r1:
+                self.recv_max = v
+        return d
 
 
 def ccf_heuristic(
@@ -208,11 +240,9 @@ def ccf_heuristic(
     else:
         order = np.arange(p)
 
+    step = loads.step
     for k, s_k in zip(order.tolist(), model.partition_sizes[order].tolist()):
-        col = h[:, k]
-        d = loads.pick(loads.scores(col, s_k), col, locality_tiebreak)
-        dest[k] = d
-        loads.commit(d, col, s_k)
+        dest[k] = step(h[:, k], s_k, locality_tiebreak)
 
     return dest
 

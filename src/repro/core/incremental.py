@@ -122,22 +122,23 @@ class IncrementalPlanner:
 
         Returns ``(destination, resulting_T)``.
         """
+        return self._step(chunk_bytes, commit=False)
+
+    def assign(self, chunk_bytes: np.ndarray) -> int:
+        """Route one partition and commit its loads; returns the node."""
+        d, _ = self._step(chunk_bytes, commit=True)
+        self._count += 1
+        return d
+
+    def _step(self, chunk_bytes: np.ndarray, *, commit: bool) -> tuple[int, float]:
+        """Check a chunk vector and run Algorithm 1's step on it."""
         col = np.asarray(chunk_bytes, dtype=float)
         if col.shape != (self.n,):
             raise ValueError(f"chunk vector must have shape ({self.n},)")
         if (col < 0).any():
             raise ValueError("chunk bytes must be non-negative")
-        # Disallowed nodes score ``inf``: never the minimum, never tied.
-        t = self._loads.scores(col, float(col.sum()))
-        scored = t if self._allowed.all() else np.where(self._allowed, t, np.inf)
-        d = self._loads.pick(scored, col, self.locality_tiebreak)
-        return d, float(t[d])
-
-    def assign(self, chunk_bytes: np.ndarray) -> int:
-        """Route one partition and commit its loads; returns the node."""
-        col = np.asarray(chunk_bytes, dtype=float)
-        d, _ = self.peek(col)
-        # ``peek`` just scored ``col``, as ``commit`` requires.
-        self._loads.commit(d, col, float(col.sum()))
-        self._count += 1
-        return d
+        loads = self._loads
+        allowed = None if self._allowed.all() else self._allowed
+        d = loads.step(col, float(col.sum()), self.locality_tiebreak,
+                       allowed, commit)
+        return d, float(loads.t[d])

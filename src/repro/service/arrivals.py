@@ -23,6 +23,7 @@ at most ``n * r`` bytes/s, so ``rho = lambda * E[bytes] / (n * r)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,25 +109,26 @@ class ArrivalConfig:
             raise ValueError("need at least two ports")
         if self.users < 1:
             raise ValueError("users must be >= 1")
-        if self.qps_per_user <= 0:
-            raise ValueError("qps_per_user must be positive")
+        # ``not low < x < inf`` also refuses NaN.
+        if not 0 < self.qps_per_user < math.inf:
+            raise ValueError("qps_per_user must be positive and finite")
         if self.process not in PROCESSES:
             raise ValueError(
                 f"unknown process {self.process!r}; pick from {PROCESSES}"
             )
-        if self.pareto_alpha <= 1.0:
-            raise ValueError("pareto_alpha must be > 1 (finite mean)")
+        if not 1.0 < self.pareto_alpha < math.inf:
+            raise ValueError("pareto_alpha must be finite and > 1 (finite mean)")
         if self.size_mix not in SIZE_MIXES:
             raise ValueError(
                 f"unknown size_mix {self.size_mix!r}; pick from {SIZE_MIXES}"
             )
-        if self.zipf_a <= 1.0:
-            raise ValueError("zipf_a must be > 1")
-        if self.size_scale <= 0:
-            raise ValueError("size_scale must be positive")
+        if not 1.0 < self.zipf_a < math.inf:
+            raise ValueError("zipf_a must be finite and > 1")
+        if not 0 < self.size_scale < math.inf:
+            raise ValueError("size_scale must be positive and finite")
         if self.max_arrivals < 0:
             raise ValueError("max_arrivals must be non-negative")
-        if self.horizon is not None and self.horizon <= 0:
+        if self.horizon is not None and not self.horizon > 0:
             raise ValueError("horizon must be positive or None")
 
     @property
@@ -178,8 +180,8 @@ def offered_load(config: ArrivalConfig, rate: float) -> float:
 
 def rate_for_load(config: ArrivalConfig, load: float) -> float:
     """Port rate at which the stream offers utilization ``load``."""
-    if load <= 0:
-        raise ValueError("load must be positive")
+    if not 0 < load < math.inf:
+        raise ValueError("load must be positive and finite")
     return (
         config.arrival_rate
         * expected_coflow_bytes(config)

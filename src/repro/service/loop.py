@@ -21,6 +21,7 @@ function of the config -- bit-reproducible given the seed.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any
@@ -107,9 +108,9 @@ class ServiceConfig:
     window: int = 256
 
     def __post_init__(self) -> None:
-        # ``not x > 0`` also refuses NaN.
-        if not self.load > 0:
-            raise ValueError("load must be positive")
+        # ``not 0 < x < inf`` also refuses NaN.
+        if not 0 < self.load < math.inf:
+            raise ValueError("load must be positive and finite")
         if self.rate is not None and not self.rate > 0:
             raise ValueError("rate must be positive")
         if self.slo_p95 is not None and not self.slo_p95 > 0:

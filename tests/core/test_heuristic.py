@@ -1,12 +1,15 @@
 """Unit tests for Algorithm 1 (vectorized and reference implementations)."""
 
 import itertools
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import heuristic
 from repro.core.heuristic import ccf_heuristic
 from repro.core.incremental import IncrementalPlanner
 from repro.core.model import ShuffleModel
@@ -144,6 +147,144 @@ class TestStepBitIdentity:
             streamed[k] = planner.assign(m.h[:, k])
         np.testing.assert_array_equal(
             streamed, ccf_heuristic(m, locality_tiebreak=loc))
+
+
+def runner_up_cases(model, dest, egress=None, ingress=None, *,
+                    sort_partitions=True):
+    """Replay ``dest`` and sort each step by what fixes the argmax's score.
+
+    With ``m1`` at ``a1`` the largest of ``send + col`` (scaled by
+    ``1/egress``), ``r1`` the largest recv load and ``recv_a`` the grown
+    recv load of ``a1`` (scaled by ``1/ingress``), a step needs the
+    runner-up only when ``r1 < m1`` and ``recv_a < m1``.  Counts the
+    steps that need it and those skipped, split by the bound that
+    settles ``a1``'s score (``r1`` or ``recv_a``) and by whether that
+    bound ties ``m1``.
+    """
+    h, n = model.h, model.n
+    inv_out = np.ones(n) if egress is None else 1.0 / egress
+    inv_in = np.ones(n) if ingress is None else 1.0 / ingress
+    send, recv = (x.copy() for x in model.initial_loads())
+    order = (np.argsort(-h.max(axis=0), kind="stable") if sort_partitions
+             else np.arange(model.p))
+    cases = Counter()
+    for k, s_k in zip(order, model.partition_sizes[order]):
+        col, d = h[:, k], dest[k]
+        top = (send + col) * inv_out
+        a1 = int(top.argmax())
+        m1, r1 = top[a1], (recv * inv_in).max()
+        recv_a = (recv[a1] + (s_k - col[a1])) * inv_in[a1]
+        if r1 >= m1:
+            cases["r1 == m1" if r1 == m1 else "r1 > m1"] += 1
+        elif recv_a >= m1:
+            cases["recv_a == m1" if recv_a == m1 else "recv_a > m1"] += 1
+        else:
+            cases["needed"] += 1
+        send += col
+        send[d] -= col[d]
+        recv[d] += s_k - col[d]
+    return cases
+
+
+def spy_runner_up():
+    return mock.patch.object(heuristic, "_runner_up",
+                             wraps=heuristic._runner_up)
+
+
+def brute_force_peek(send, recv, col, allowed, locality_tiebreak):
+    """``(d, T_d)`` from both load vectors rebuilt for every allowed ``d``."""
+    s_k = col.sum()
+    t = np.full(send.size, np.inf)
+    for d in np.flatnonzero(allowed):
+        s = send + col
+        s[d] = send[d]
+        r = recv.copy()
+        r[d] += s_k - col[d]
+        t[d] = max(s.max(), r.max())
+    if locality_tiebreak:
+        ties = [d for d in range(send.size)
+                if t[d] <= t.min() * (1 + 1e-12) + 1e-9]
+        d = max(ties, key=lambda j: (col[j], -j))
+    else:
+        d = int(t.argmin())
+    return d, t[d]
+
+
+class TestRunnerUpOnDemand:
+    """The step computes the send runner-up exactly when it can matter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_models(), st.booleans(), st.booleans())
+    def test_uniform_rates(self, m, sort_p, loc):
+        with spy_runner_up() as spy:
+            fast = ccf_heuristic(m, sort_partitions=sort_p,
+                                 locality_tiebreak=loc)
+        np.testing.assert_array_equal(fast, ccf_heuristic_reference(
+            m, sort_partitions=sort_p, locality_tiebreak=loc))
+        if m.n > 1:
+            cases = runner_up_cases(m, fast, sort_partitions=sort_p)
+            assert spy.call_count == cases["needed"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_models(), st.booleans(), st.booleans(), st.data())
+    def test_per_port_rates(self, m, sort_p, loc, data):
+        # Power-of-two rates keep the scaled loads exact, so ties survive.
+        rates = st.lists(st.sampled_from([1.0, 2.0, 4.0]),
+                         min_size=m.n, max_size=m.n)
+        egress = np.array(data.draw(rates))
+        ingress = np.array(data.draw(rates))
+        with spy_runner_up() as spy:
+            fast = ccf_heuristic(m, sort_partitions=sort_p,
+                                 locality_tiebreak=loc,
+                                 egress_rates=egress, ingress_rates=ingress)
+        np.testing.assert_array_equal(fast, brute_force_seconds(
+            m, egress, ingress, sort_partitions=sort_p,
+            locality_tiebreak=loc))
+        if m.n > 1:
+            cases = runner_up_cases(m, fast, egress, ingress,
+                                    sort_partitions=sort_p)
+            assert spy.call_count == cases["needed"]
+
+    @pytest.mark.parametrize("rated", [False, True])
+    def test_every_branch_is_taken(self, rated):
+        rng = np.random.default_rng(3)
+        totals = Counter()
+        for _ in range(40):
+            n, p = int(rng.integers(2, 6)), int(rng.integers(4, 12))
+            m = ShuffleModel(h=rng.integers(0, 4, (n, p)).astype(float),
+                             rate=1.0)
+            rates = (rng.choice([1.0, 2.0, 4.0], n),
+                     rng.choice([1.0, 2.0, 4.0], n)) if rated else (None, None)
+            with spy_runner_up() as spy:
+                dest = ccf_heuristic(m, egress_rates=rates[0],
+                                     ingress_rates=rates[1])
+            cases = runner_up_cases(m, dest, *rates)
+            assert spy.call_count == cases["needed"]
+            totals += cases
+        # The runner-up is needed, and each skip happens, ties included.
+        assert set(totals) == {"needed", "r1 > m1", "r1 == m1",
+                               "recv_a > m1", "recv_a == m1"}, totals
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_models(), st.booleans(), st.data())
+    def test_planner_peek(self, m, loc, data):
+        allowed = np.array(data.draw(st.lists(
+            st.booleans(), min_size=m.n, max_size=m.n)), dtype=bool)
+        allowed[data.draw(st.integers(0, m.n - 1))] = True
+        send0, recv0 = m.initial_loads()
+        for mask in (None, allowed):
+            planner = IncrementalPlanner(
+                m.n, initial_send=send0, initial_recv=recv0,
+                locality_tiebreak=loc, allowed=mask)
+            everywhere = np.ones(m.n, dtype=bool) if mask is None else mask
+            for k in range(m.p):
+                col = m.h[:, k]
+                send, recv = planner.loads()
+                want = brute_force_peek(send, recv, col, everywhere, loc)
+                d, t = planner.peek(col)
+                assert (d, t) == want
+                assert planner.peek(col) == want  # peek commits nothing
+                assert planner.assign(col) == d
 
 
 class TestQuality:

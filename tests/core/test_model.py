@@ -1,10 +1,16 @@
 """Unit tests for the ShuffleModel (paper model (1)->(3))."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core import model as model_mod
 from repro.core.model import PlanMetrics, ShuffleModel, group_by_destination
 from tests.conftest import brute_force_metrics, random_model
+from tests.oracles import group_by_destination_reference
 
 
 class TestConstruction:
@@ -98,6 +104,59 @@ class TestGroupByDestination:
         out = group_by_destination(h, np.array([1, 1, 1]))
         np.testing.assert_allclose(out[:, 1], h.sum(axis=1))
         assert out[:, 0].sum() == 0 and out[:, 2].sum() == 0
+
+
+@st.composite
+def grouped_chunks(draw):
+    """A chunk matrix, an assignment and a gather block height in rows.
+
+    Group lengths sit around numpy's pairwise-sum thresholds (8-wide
+    unrolled blocks, 128-element leaves), chunk values are not dyadic
+    (so a changed summation order shows in the bits), and the block
+    height often leaves a last block that is not full.  Column-major
+    chunk matrices are drawn too.
+    """
+    n = draw(st.integers(1, 7))
+    lengths = draw(st.lists(
+        st.sampled_from([1, 2, 7, 8, 9, 16, 128, 129, 200]),
+        min_size=0, max_size=min(n, 4)))
+    nodes = draw(st.permutations(range(n)))[: len(lengths)]
+    dest = np.repeat(np.array(nodes, dtype=np.int64), lengths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dest = rng.permutation(dest)
+    h = rng.lognormal(mean=10.0, sigma=4.0, size=(n, dest.size))
+    h[rng.random(h.shape) < 0.1] = 0.0
+    if draw(st.booleans()):
+        h = np.asfortranarray(h)
+    rows = draw(st.integers(1, n))
+    return h, dest, rows
+
+
+class TestGroupByDestinationBlocks:
+    """The row-blocked gather keeps the bits of one whole-matrix gather."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_chunks())
+    @example((np.zeros((3, 0)), np.zeros(0, dtype=np.int64), 2))
+    @example((np.arange(1.0, 10.0).reshape(1, 9) / 3,
+              np.zeros(9, dtype=np.int64), 1))
+    @example((np.arange(1.0, 21.0).reshape(5, 4) / 7,
+              np.array([3, 0, 0, 3]), 2))
+    @example((np.arange(1.0, 26.0).reshape(5, 5) / 7,
+              np.array([4, 2, 0, 1, 3]), 3))
+    def test_matches_whole_matrix_gather(self, case):
+        h, dest, rows = case
+        block = rows * h.itemsize * h.shape[1]
+        with mock.patch.object(model_mod, "_GATHER_BLOCK_BYTES", block):
+            got = group_by_destination(h, dest)
+        want = group_by_destination_reference(h, dest)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, p, blocks", [(25, 375, 1), (250, 3750, 15)])
+    def test_default_block_height(self, n, p, blocks):
+        rows = model_mod._GATHER_BLOCK_BYTES // (8 * p)
+        assert -(-n // rows) == blocks
 
 
 class TestEvaluate:

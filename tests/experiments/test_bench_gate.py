@@ -6,10 +6,15 @@ trip it; trace replays it compares by epochs and fingerprint and plans
 by fingerprint, never by wall time or memory.
 """
 
+import json
+
+import numpy as np
+
 from repro.experiments.hotpath import (
     PlanSpec,
     TraceSpec,
     check_regression,
+    load_baseline,
     plan_cases,
     run_plan_case,
     run_trace_case,
@@ -207,6 +212,31 @@ def test_plan_case_is_deterministic():
     assert first["fingerprint"] == second["fingerprint"]
     assert len(first["fingerprint"]) == 64
     assert first["partitions"] == 120
+    assert first["eval_s"] >= 0 and first["wall_s"] >= 0
+
+
+def test_plan_peak_covers_the_evaluation(monkeypatch):
+    # An evaluation that allocates far more than the tiny plan must
+    # show in the traced peak.
+    from repro.core.model import ShuffleModel
+
+    evaluate = ShuffleModel.evaluate
+
+    def hungry(self, dest):
+        ballast = np.ones(8_000_000)  # 64 MB
+        del ballast
+        return evaluate(self, dest)
+
+    monkeypatch.setattr(ShuffleModel, "evaluate", hungry)
+    assert run_plan_case(PlanSpec(8))["peak_mb"] >= 64
+
+
+def test_baseline_without_eval_s_loads(tmp_path):
+    base = _planned()
+    assert "eval_s" not in base["plan"]["p"]
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    assert load_baseline(path) == base
 
 
 def test_quick_cases_are_in_the_full_set():

@@ -1,19 +1,21 @@
-"""Test oracles: Algorithm 1's pseudocode, dense partial duplication and
-the split-residual and mask-based allocation formulations.
+"""Test oracles: Algorithm 1's pseudocode, the whole-matrix plan
+evaluation gather, dense partial duplication and the split-residual and
+mask-based allocation formulations.
 
 Production code has one implementation of each kernel: the vectorized
-Algorithm 1 step of :mod:`repro.core.heuristic`, the column-sparse
-partial duplication of :mod:`repro.core.skew`, the combined-port
+Algorithm 1 step of :mod:`repro.core.heuristic`, the row-blocked
+gather of :func:`repro.core.model.group_by_destination`, the
+column-sparse partial duplication of :mod:`repro.core.skew`, the combined-port
 kernels of :mod:`repro.network.schedulers.base`, the
 :class:`~repro.network.events.FlowGroups`-backed helpers of
 :class:`~repro.network.events.SchedulingContext`, and the schedulers built
 on both.  This module keeps the textbook formulations they were derived
 from -- a loop-per-candidate transcription of the paper's pseudocode,
-partial duplication on dense ``(n, p)`` skew matrices, separate
-egress/ingress residuals, one boolean mask scan per coflow, one
-noise-factor lookup per flow -- so the property suites can pin the
-production results against them bit for bit.  Nothing under ``src/``
-imports it.
+one gather of the whole chunk matrix, partial duplication on dense
+``(n, p)`` skew matrices, separate egress/ingress residuals, one
+boolean mask scan per coflow, one noise-factor lookup per flow -- so
+the property suites can pin the production results against them bit
+for bit.  Nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -93,6 +95,29 @@ def ccf_heuristic_reference(
         dest[k] = best_d
 
     return dest
+
+
+# ---------------------------------------------------------------------------
+# Plan evaluation: one whole-matrix gather
+# ---------------------------------------------------------------------------
+
+
+def group_by_destination_reference(h: np.ndarray, dest: np.ndarray) -> np.ndarray:
+    """``M[i, j] = sum_{k: dest[k]=j} h[i, k]`` from one ``(n, p)`` gather.
+
+    The formulation :func:`repro.core.model.group_by_destination` had
+    before it gathered a block of rows at a time: a stable sort of
+    ``dest``, the whole ``h[:, order]`` copy, then one ``reduceat``.
+    """
+    n, p = h.shape
+    out = np.zeros((n, n))
+    if p == 0:
+        return out
+    order = np.argsort(dest, kind="stable")
+    sorted_dest = dest[order]
+    starts = np.flatnonzero(np.r_[True, sorted_dest[1:] != sorted_dest[:-1]])
+    out[:, sorted_dest[starts]] = np.add.reduceat(h[:, order], starts, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

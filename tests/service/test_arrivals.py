@@ -46,6 +46,16 @@ class TestArrivalConfig:
             ArrivalConfig(max_arrivals=-1)
         with pytest.raises(ValueError):
             ArrivalConfig(horizon=0.0)
+        with pytest.raises(ValueError):
+            ArrivalConfig(horizon=float("nan"))  # used to cut nothing
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["qps_per_user", "pareto_alpha", "zipf_a", "size_scale"])
+    def test_nan_and_inf_rejected(self, field, bad):
+        # Either one ends in a zero port rate or a run that never ends.
+        with pytest.raises(ValueError, match=field):
+            ArrivalConfig(**{field: bad})
 
     def test_arrival_rate_composes_users_and_qps(self):
         cfg = ArrivalConfig(users=50, qps_per_user=0.2)
@@ -145,3 +155,6 @@ class TestCapacityMath:
             offered_load(ArrivalConfig(), 0.0)
         with pytest.raises(ValueError):
             rate_for_load(ArrivalConfig(), -1.0)
+        for load in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="load"):
+                rate_for_load(ArrivalConfig(), load)

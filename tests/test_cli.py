@@ -943,6 +943,50 @@ class TestServeCli:
                                   "--watermark", "-5"))
         assert rc == 2
 
+    _ARRIVAL_FLAGS = [
+        ["--qps", "nan"], ["--qps", "inf"],
+        ["--size-scale", "inf"], ["--size-scale", "nan"],
+        ["--process", "pareto", "--pareto-alpha", "nan"],
+        ["--process", "pareto", "--pareto-alpha", "inf"],
+        ["--process", "pareto", "--pareto-alpha", "1"],
+        ["--size-mix", "zipf", "--zipf-a", "nan"],
+        ["--size-mix", "zipf", "--zipf-a", "inf"],
+    ]
+
+    @staticmethod
+    def assert_flag_error(argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if ": error: " in line]
+        assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+
+    @pytest.mark.parametrize("flags", _ARRIVAL_FLAGS + [
+        ["--load", "inf"], ["--load", "nan"],
+    ], ids=" ".join)
+    def test_serve_rejects_non_finite_flags(self, flags, capsys):
+        # Each of these ended in a traceback, a deadlock, a hang or a
+        # run that silently ignored the value.
+        self.assert_flag_error(
+            ["serve", "--arrivals", "5", *flags], flags[-2], capsys)
+
+    @pytest.mark.parametrize("policy", ["bounded-queue", "load-shedding"])
+    def test_nan_watermark_exit_usage(self, policy, capsys):
+        # It used to pass every admission check and so defer nothing.
+        assert main(self.serve_args("--policy", policy,
+                                    "--watermark", "nan")) == 2
+        err = capsys.readouterr().err
+        assert "watermark_s must be positive" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", _ARRIVAL_FLAGS, ids=" ".join)
+    def test_capacity_rejects_non_finite_flags(self, flags, capsys):
+        self.assert_flag_error(
+            ["capacity", "load", "--budget", "60", "--arrivals", "5", *flags],
+            flags[-2], capsys)
+
     def test_capacity_load_rejects_rate(self, capsys):
         rc = main([
             "capacity", "load", "--budget", "60", "--rate", "1e6",
