@@ -98,8 +98,8 @@ class IncrementalPlanner:
         arr = np.asarray(arr, dtype=float).copy()
         if arr.shape != (self.n,):
             raise ValueError(f"{name} must have shape ({self.n},)")
-        if (arr < 0).any():
-            raise ValueError(f"{name} must be non-negative")
+        if not ((arr >= 0) & (arr < np.inf)).all():
+            raise ValueError(f"{name} must be finite and non-negative")
         return arr
 
     @property
@@ -135,10 +135,11 @@ class IncrementalPlanner:
         col = np.asarray(chunk_bytes, dtype=float)
         if col.shape != (self.n,):
             raise ValueError(f"chunk vector must have shape ({self.n},)")
-        if (col < 0).any():
-            raise ValueError("chunk bytes must be non-negative")
-        loads = self._loads
+        # ``not >= 0`` also catches NaN, and an infinite chunk makes the
+        # (non-negative) sum infinite.
+        s_k = float(col.sum())
+        if not ((col >= 0).all() and s_k < np.inf):
+            raise ValueError("chunk bytes must be finite and non-negative")
         allowed = None if self._allowed.all() else self._allowed
-        d = loads.step(col, float(col.sum()), self.locality_tiebreak,
-                       allowed, commit)
-        return d, float(loads.t[d])
+        return self._loads.step(col, s_k - col, self.locality_tiebreak,
+                                allowed, commit)

@@ -47,6 +47,12 @@ def group_by_destination(h: np.ndarray, dest: np.ndarray) -> np.ndarray:
     the blocking: ``reduceat`` sums each (row, group) segment on its own,
     and numpy's pairwise sum of a segment depends only on that segment's
     values, in order.
+
+    The gather passes ``mode="clip"``: under the default ``"raise"``
+    numpy stages every ``out=`` gather through a temporary buffer (so
+    that an out-of-range index leaves ``out`` untouched), which costs a
+    second copy of each block.  ``order`` is an argsort of ``p`` values,
+    a permutation of ``0..p-1``, so there is nothing to clip.
     """
     n, p = h.shape
     out = np.zeros((n, n))
@@ -68,7 +74,8 @@ def group_by_destination(h: np.ndarray, dest: np.ndarray) -> np.ndarray:
     buf = np.empty((min(rows, n), p), dtype=h.dtype)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        block = np.take(h[i0:i1], order, axis=1, out=buf[: i1 - i0])
+        block = np.take(h[i0:i1], order, axis=1, out=buf[: i1 - i0],
+                        mode="clip")
         out[i0:i1, groups] = np.add.reduceat(block, starts, axis=1)
     return out
 
@@ -269,8 +276,8 @@ class ShuffleModel:
         for nm, arr in (("egress", egress_rates), ("ingress", ingress_rates)):
             if arr.shape != (self.n,):
                 raise ValueError(f"{nm}_rates must have shape ({self.n},)")
-            if (arr <= 0).any():
-                raise ValueError(f"{nm}_rates must be strictly positive")
+            if not ((arr > 0) & (arr < np.inf)).all():
+                raise ValueError(f"{nm}_rates must be finite and strictly positive")
         m = self.evaluate(dest)
         return float(
             max(

@@ -59,8 +59,9 @@ class Fabric:
         for name, arr in (("egress", self.egress_rates), ("ingress", self.ingress_rates)):
             if arr.shape != (self.n_ports,):
                 raise ValueError(f"{name}_rates must have shape ({self.n_ports},)")
-            if (arr <= 0).any():
-                raise ValueError(f"{name}_rates must be strictly positive")
+            # ``not > 0`` also catches NaN, which ``<= 0`` would let in.
+            if not ((arr > 0) & (arr < np.inf)).all():
+                raise ValueError(f"{name}_rates must be finite and strictly positive")
 
     def egress_alive(self) -> np.ndarray:
         """Boolean mask of ports that can currently send (rate > 0).

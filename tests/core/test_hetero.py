@@ -48,6 +48,12 @@ class TestCctHetero:
             m.cct_hetero(dest, np.ones(2), np.ones(3))
         with pytest.raises(ValueError, match="positive"):
             m.cct_hetero(dest, np.zeros(3), np.ones(3))
+        for bad in (np.nan, np.inf):
+            rates = np.array([bad, 1.0, 1.0])
+            with pytest.raises(ValueError, match="finite and strictly"):
+                m.cct_hetero(dest, rates, np.ones(3))
+            with pytest.raises(ValueError, match="finite and strictly"):
+                m.cct_hetero(dest, np.ones(3), rates)
 
 
 class TestHeteroHeuristic:
@@ -96,3 +102,19 @@ class TestHeteroHeuristic:
             ccf_heuristic(m, egress_rates=np.ones(2))
         with pytest.raises(ValueError, match="positive"):
             ccf_heuristic(m, ingress_rates=np.zeros(3))
+        for bad in (np.nan, np.inf):
+            rates = np.array([bad, 1.0, 1.0])
+            with pytest.raises(ValueError, match="finite and strictly"):
+                ccf_heuristic(m, egress_rates=rates)
+            with pytest.raises(ValueError, match="finite and strictly"):
+                ccf_heuristic(m, ingress_rates=rates)
+
+    @pytest.mark.parametrize("h", [np.ones((1, 3)), np.ones((2, 0))],
+                             ids=["one-node", "no-partitions"])
+    def test_rates_checked_before_the_early_returns(self, h):
+        m = ShuffleModel(h=h, rate=1.0)
+        n = h.shape[0]
+        with pytest.raises(ValueError, match="finite and strictly"):
+            ccf_heuristic(m, egress_rates=np.full(n, -1.0))
+        with pytest.raises(ValueError, match="finite and strictly"):
+            ccf_heuristic(m, ingress_rates=np.full(n, np.nan))

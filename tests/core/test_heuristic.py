@@ -287,6 +287,134 @@ class TestRunnerUpOnDemand:
                 assert planner.assign(col) == d
 
 
+def patch_block(n, partitions):
+    """Make ``ccf_heuristic`` gather ``partitions`` columns per block."""
+    nbytes = np.dtype(float).itemsize * n * max(1, partitions)
+    return mock.patch.object(heuristic, "_GATHER_BLOCK_BYTES", nbytes)
+
+
+class TestColumnBlocks:
+    """Gathering the sorted columns in blocks changes no pick."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_models(), st.booleans(), st.booleans(), st.booleans(),
+           st.sampled_from(["1", "2", "3", "p-1", "p", "p+1"]), st.data())
+    def test_block_sizes_match(self, m, sort_p, loc, rated, size, data):
+        partitions = {"1": 1, "2": 2, "3": 3, "p-1": m.p - 1, "p": m.p,
+                      "p+1": m.p + 1}[size]
+        rates = {}
+        if rated:
+            draw = st.lists(st.sampled_from([1.0, 2.0, 4.0]),
+                            min_size=m.n, max_size=m.n)
+            rates = {"egress_rates": np.array(data.draw(draw)),
+                     "ingress_rates": np.array(data.draw(draw))}
+        with patch_block(m.n, partitions):
+            fast = ccf_heuristic(m, sort_partitions=sort_p,
+                                 locality_tiebreak=loc, **rates)
+        if rated:
+            slow = brute_force_seconds(
+                m, rates["egress_rates"], rates["ingress_rates"],
+                sort_partitions=sort_p, locality_tiebreak=loc)
+        else:
+            slow = ccf_heuristic_reference(
+                m, sort_partitions=sort_p, locality_tiebreak=loc)
+        np.testing.assert_array_equal(fast, slow)
+
+    @pytest.mark.parametrize("partitions", [1, 2, 3, 6, 7, 8])
+    def test_partial_last_block(self, partitions):
+        # p = 7: blocks of 2 and 3 leave a partial last block, 6 and 7
+        # end exactly or one short, 8 is one block larger than p.
+        rng = np.random.default_rng(partitions)
+        m = random_model(rng, 4, 7, sparse=0.3)
+        with patch_block(m.n, partitions):
+            fast = ccf_heuristic(m)
+        np.testing.assert_array_equal(fast, ccf_heuristic_reference(m))
+
+
+def pick_paths(model, dest, *, locality_tiebreak, sort_partitions=True):
+    """Replay ``dest`` and name the pick path each step needs.
+
+    ``common``: the argmax ``a1`` scores like every other node; within
+    it, ``min t above the floor``: no score is clamped, so the step's
+    guess that the minimum is the floor fails and it picks again.
+    ``a1 alone``: the runner-up lowers ``a1``'s score below ``m1`` by
+    more than the tie tolerance, so ``a1`` is the only tie.
+    ``runner-up ties``: it lowers it, but others tie with ``a1``.
+    ``zero fallback``: (with the tie-break) every tie holds ``0`` bytes
+    of the partition, so the first tie wins.
+    """
+    h, n = model.h, model.n
+    send, recv = (x.copy() for x in model.initial_loads())
+    order = (np.argsort(-h.max(axis=0), kind="stable") if sort_partitions
+             else np.arange(model.p))
+    paths = Counter()
+    for k in order:
+        col, s_k, d = h[:, k], model.partition_sizes[k], dest[k]
+        scores = np.empty(n)
+        for j in range(n):
+            s = send + col
+            s[j] = send[j]
+            r = recv.copy()
+            r[j] += s_k - col[j]
+            scores[j] = max(s.max(), r.max())
+        best = scores.min()
+        thr = best * (1 + 1e-12) + 1e-9 if locality_tiebreak else best
+        a1 = int((send + col).argmax())
+        m1 = (send + col)[a1]
+        t = recv + (s_k - col)
+        if not (recv.max() < m1 and t[a1] < m1):
+            paths["common"] += 1
+            if t.min() > max(m1, recv.max()):
+                paths["common, min t above the floor"] += 1
+        elif m1 > thr:
+            paths["a1 alone"] += 1
+        else:
+            paths["runner-up ties"] += 1
+        if locality_tiebreak and col[scores <= thr].max() <= 0:
+            paths["zero fallback"] += 1
+        send += col
+        send[d] -= col[d]
+        recv[d] += s_k - col[d]
+    return paths
+
+
+class TestPickPaths:
+    """A seeded corpus on which every way of picking a node occurs."""
+
+    @pytest.mark.parametrize("loc", [True, False])
+    def test_every_path_is_taken(self, loc):
+        rng = np.random.default_rng(11)
+        totals = Counter()
+        for trial in range(60):
+            n, p = int(rng.integers(2, 6)), int(rng.integers(3, 12))
+            h = rng.integers(0, 3, (n, p)).astype(float)
+            h[:, rng.random(p) < 0.2] = 0.0  # all-zero columns
+            m = ShuffleModel(h=h, rate=1.0)
+            with patch_block(n, int(rng.integers(1, p + 2))):
+                dest = ccf_heuristic(m, locality_tiebreak=loc)
+            np.testing.assert_array_equal(
+                dest, ccf_heuristic_reference(m, locality_tiebreak=loc))
+            totals += pick_paths(m, dest, locality_tiebreak=loc)
+        want = {"common", "common, min t above the floor", "a1 alone",
+                "runner-up ties"}
+        if loc:
+            want.add("zero fallback")
+        assert set(totals) == want, totals
+
+    def test_min_t_within_tolerance_above_the_floor(self):
+        # Every recv load grows past the floor r1 = 10, node 0's by 0.5e-9
+        # and node 1's by 1.2e-9: within the tie tolerance of node 0's
+        # score, not of the floor's.  A pick that trusted the floor would
+        # keep node 0; the tie-break must see node 1's larger chunk.
+        recv = np.array([7 + 0.5e-9, 9 + 1.2e-9, 10.0])
+        col = np.array([1.0, 3.0, 0.0])
+        planner = IncrementalPlanner(3, initial_recv=recv)
+        want = brute_force_peek(np.zeros(3), recv, col, np.ones(3, bool),
+                                True)
+        assert want[0] == 1
+        assert planner.peek(col) == want
+
+
 class TestQuality:
     def test_beats_or_matches_hash_and_mini_on_paper_workload(self):
         from repro.workloads.analytic import AnalyticJoinWorkload

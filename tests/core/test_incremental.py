@@ -77,6 +77,25 @@ class TestAPI:
         with pytest.raises(ValueError, match="non-negative"):
             planner.assign(np.array([-1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_chunks_rejected(self, bad):
+        # A NaN chunk once left ``bottleneck_bytes`` NaN for good, and an
+        # infinite one made ``peek`` report T = nan.
+        planner = IncrementalPlanner(n_nodes=3)
+        col = np.array([bad, 1.0, 2.0])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            planner.peek(col)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            planner.assign(col)
+        assert planner.partitions_assigned == 0
+        assert planner.bottleneck_bytes == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["initial_send", "initial_recv"])
+    def test_non_finite_initial_loads_rejected(self, side, bad):
+        with pytest.raises(ValueError, match=f"{side} must be finite"):
+            IncrementalPlanner(n_nodes=2, **{side: np.array([bad, 0.0])})
+
     def test_single_node(self):
         planner = IncrementalPlanner(n_nodes=1)
         assert planner.assign(np.array([5.0])) == 0

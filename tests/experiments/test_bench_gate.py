@@ -7,15 +7,20 @@ by fingerprint, never by wall time or memory.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+from repro.experiments import hotpath
 from repro.experiments.hotpath import (
     PlanSpec,
     TraceSpec,
     check_regression,
+    fleet_cases,
     load_baseline,
     plan_cases,
+    run_fleet_case,
     run_plan_case,
     run_trace_case,
     trace_cases,
@@ -252,3 +257,70 @@ def test_trace_case_is_deterministic():
     assert first["n_epochs"] == second["n_epochs"] > 0
     assert first["fingerprint"] == second["fingerprint"]
     assert len(first["fingerprint"]) == 64
+
+
+class _FakeFleetRuns:
+    """Stands in for ``run_service`` and the clock of :func:`run_fleet_case`.
+
+    Every ``off`` run takes 4 s and every ``on`` run 1 s, except that
+    the ``on`` run of each pair in ``slow_pairs`` takes 2 s; the run
+    numbered ``differs`` (0-based, off and on counted alike) returns
+    other CCTs.
+    """
+
+    def __init__(self, slow_pairs=(), differs=None):
+        self.slow_pairs, self.differs = set(slow_pairs), differs
+        self.now, self.runs = 0.0, 0
+
+    def perf_counter(self):
+        return self.now
+
+    def run_service(self, config):
+        pair, on = divmod(self.runs, 2)
+        self.now += (2.0 if pair in self.slow_pairs else 1.0) if on else 4.0
+        cct = 2.0 if self.runs == self.differs else 1.0
+        self.runs += 1
+        result = SimpleNamespace(ccts={0: cct}, completion_times={0: cct},
+                                 n_epochs=100, failed_coflows=[], failures=[])
+        report = SimpleNamespace(completed=1, shed=0, deferrals=3)
+        return report, result, None
+
+
+def _fake_fleet_case(monkeypatch, **kwargs):
+    fake = _FakeFleetRuns(**kwargs)
+    monkeypatch.setattr(hotpath, "run_service", fake.run_service)
+    monkeypatch.setattr(hotpath, "time",
+                        SimpleNamespace(perf_counter=fake.perf_counter))
+    spec = fleet_cases(quick=True)[0]
+    return spec.key, run_fleet_case(spec), fake.runs
+
+
+class TestFleetPairs:
+    """The fleet gate reads the median of three alternating off/on pairs."""
+
+    BASE = {"fleet": {fleet_cases(quick=True)[0].key: _case(4.0)}}
+
+    def test_one_slow_pair_passes(self, monkeypatch):
+        key, case, runs = _fake_fleet_case(monkeypatch, slow_pairs={1})
+        assert runs == 6
+        assert case["pair_speedups"] == [4.0, 2.0, 4.0]
+        assert case["speedup"] == 4.0
+        assert case["on"]["wall_s"] == 1.0 and case["off"]["wall_s"] == 4.0
+        assert case["bit_identical"]
+        current = {"fleet": {key: case}}
+        assert check_regression(current, self.BASE, say=print) == []
+
+    def test_every_pair_slow_fails(self, monkeypatch):
+        key, case, _ = _fake_fleet_case(monkeypatch, slow_pairs={0, 1, 2})
+        assert case["speedup"] == 2.0
+        problems = check_regression({"fleet": {key: case}}, self.BASE,
+                                    say=print)
+        assert len(problems) == 1 and "speedup 2.00x" in problems[0]
+
+    @pytest.mark.parametrize("run", range(6))
+    def test_any_differing_run_breaks_bit_identity(self, monkeypatch, run):
+        key, case, _ = _fake_fleet_case(monkeypatch, differs=run)
+        assert not case["bit_identical"]
+        problems = check_regression({"fleet": {key: case}}, self.BASE,
+                                    say=print)
+        assert problems == [f"{key}: batch_events off/on results differ"]

@@ -35,6 +35,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="strictly positive"):
             Fabric(n_ports=2, ingress_rates=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["egress_rates", "ingress_rates"])
+    def test_non_finite_port_rate_rejected(self, side, bad):
+        # A NaN port once passed and counted its flows as delivered.
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            Fabric(n_ports=2, **{side: np.array([bad, 1.0])})
+
 
 class TestValidateRates:
     def setup_method(self):
