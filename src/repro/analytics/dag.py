@@ -61,6 +61,7 @@ from repro.analytics.stagepolicy import (
     StagePolicy,
     make_stage_policy,
 )
+from repro.core.checks import non_negative
 from repro.core.framework import CCF, ShuffleWorkload
 from repro.core.model import ShuffleModel
 from repro.core.noise import NoisyEstimates
@@ -131,8 +132,7 @@ class JobDAG:
                     f"stage {name!r} references unknown parent {p!r} "
                     "(add parents first; this also keeps the graph acyclic)"
                 )
-        if min_start < 0:
-            raise ValueError("min_start must be >= 0")
+        non_negative("min_start", min_start)
         self._stages[name] = _Stage(
             name=name,
             workload=workload,

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.checks import in_range
+
 __all__ = ["LogicalPlan", "Scan", "Filter", "EquiJoin", "GroupByKey", "Distinct"]
 
 
@@ -67,8 +69,7 @@ class Filter(LogicalPlan):
     label: str = "pred"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.selectivity <= 1:
-            raise ValueError("selectivity must be in [0, 1]")
+        in_range("selectivity", self.selectivity, 0, 1)
 
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.child,)

@@ -19,6 +19,7 @@ from repro.analytics.logical import (
     LogicalPlan,
     Scan,
 )
+from repro.core.checks import at_least
 from repro.workloads.tpch import TPCHConfig, generate_tpch_relations
 
 __all__ = [
@@ -55,8 +56,7 @@ def active_customer_orders(*, key_modulus: int = 3) -> LogicalPlan:
     ``SELECT * FROM customer c JOIN orders o ON ... WHERE c.key % m = 0``
     -- models a dimension-table predicate pushed below the join.
     """
-    if key_modulus < 1:
-        raise ValueError("key_modulus must be >= 1")
+    at_least("key_modulus", key_modulus, 1)
 
     def pred(keys: np.ndarray) -> np.ndarray:
         return keys % key_modulus == 0

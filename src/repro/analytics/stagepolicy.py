@@ -37,6 +37,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.core.checks import non_negative
+
 __all__ = [
     "StageFailure",
     "StageFailureEvent",
@@ -154,8 +156,7 @@ class RetryStagePolicy(StagePolicy):
     name = "retry-stage"
 
     def __init__(self, *, max_stage_retries: int = 3) -> None:
-        if max_stage_retries < 0:
-            raise ValueError("max_stage_retries must be >= 0")
+        non_negative("max_stage_retries", max_stage_retries)
         self.max_stage_retries = max_stage_retries
 
     def decide(self, failure: StageFailure) -> StageDecision:

@@ -43,6 +43,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.core.checks import at_least, in_range, non_negative, positive
 from repro.experiments.registry import (
     EXPERIMENTS,
     FIGURE_SWEEPS,
@@ -90,23 +91,35 @@ EXIT_CODES: dict[int, str] = {
 }
 
 
-def _above(kind: type, low: float, what: str, name: str) -> Callable[[str], float]:
-    """An argparse type admitting only finite ``kind`` values above ``low``."""
+def _checked(name: str, kind: type, check: Callable, *bounds, **opts):
+    """An argparse type: the text as ``kind``, admitted only by ``check``
+    (a :mod:`repro.core.checks` helper), so a bad number is refused at
+    parse time with exit 2 and a message naming the option."""
 
     def parse(text: str):
-        value = kind(text)
-        if not low < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
-        return value
+        value = kind(text)  # not a number: argparse's "invalid ... value"
+        try:
+            return check("", value, *bounds, **opts)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     parse.__name__ = name
     return parse
 
 
-_positive_float = _above(float, 0, "positive", "positive_float")
-_positive_int = _above(int, 0, "positive", "positive_int")
+_positive_float = _checked("positive_float", float, positive)
+_positive_int = _checked("positive_int", int, positive)
+_non_negative_float = _checked("non_negative_float", float, non_negative)
+_non_negative_int = _checked("non_negative_int", int, non_negative)
 #: Tail indices and exponents whose mean must be finite.
-_above_one_float = _above(float, 1, "finite and > 1", "above_one_float")
+_above_one_float = _checked("above_one_float", float, in_range, 1, math.inf, "()")
+_fraction = _checked("fraction", float, in_range, 0, 1)
+_unit_float = _checked("unit_float", float, in_range, 0, 1, "[)")
+#: Failure and repair times: ``inf`` is a time that never comes.
+_time = _checked("time", float, non_negative, inf_ok=True)
+#: Watchdog budgets: ``inf`` is a budget that never fires.
+_budget = _checked("budget", float, positive, inf_ok=True)
+_gantt_width = _checked("gantt_width", int, at_least, 10)
 
 
 def _add_formats(p, *formats: str, what: str = "the table") -> None:
@@ -127,7 +140,7 @@ def _add_engine_cache(
 ) -> None:
     """Sweep-engine flags: worker processes and the on-disk cell cache."""
     p.add_argument(
-        "--jobs", type=int, default=jobs, metavar="N",
+        "--jobs", type=_positive_int, default=jobs, metavar="N",
         help=f"worker processes (default {why})",
     )
     p.add_argument(
@@ -170,14 +183,15 @@ def _add_watchdog(p, max_epochs: int | None = None) -> None:
     where a crash report goes."""
     if max_epochs is not None:
         p.add_argument(
-            "--max-epochs", type=int, default=max_epochs, metavar="N",
+            "--max-epochs", type=_positive_int, default=max_epochs,
+            metavar="N",
             help="watchdog: abort (with a crash report) after this many "
             f"epochs (default {max_epochs:,})",
         )
         p.add_argument(
-            "--wall-clock-budget", type=float, metavar="SECONDS",
+            "--wall-clock-budget", type=_budget, metavar="SECONDS",
             help="watchdog: abort (with a crash report) when the run "
-            "exceeds this much real time (default: unlimited)",
+            "exceeds this much real time (default or inf: unlimited)",
         )
     p.add_argument(
         "--crash-dir", default="crash-reports", metavar="DIR",
@@ -186,33 +200,23 @@ def _add_watchdog(p, max_epochs: int | None = None) -> None:
 
 
 def _watchdog_limits(args: argparse.Namespace) -> dict:
-    """The watchdog flags as simulator keyword arguments; a value the
-    simulator would reject is a usage error before any work starts."""
-    if args.max_epochs < 1:
-        raise _UsageError(f"--max-epochs must be >= 1, got {args.max_epochs}")
-    budget = args.wall_clock_budget
-    if budget is not None and not budget > 0:
-        raise _UsageError(
-            f"--wall-clock-budget must be positive, got {budget:g}"
-        )
-    limits = {"max_epochs": args.max_epochs, "wall_clock_budget_s": budget}
-    stall = getattr(args, "stall_epochs", None)  # simulate only
-    if stall is not None:
-        if stall < 0:
-            raise _UsageError(f"--stall-epochs must be >= 0, got {stall}")
-        limits["stall_epochs"] = stall
+    """The watchdog flags as simulator keyword arguments."""
+    limits = {"max_epochs": args.max_epochs,
+              "wall_clock_budget_s": args.wall_clock_budget}
+    if getattr(args, "stall_epochs", None) is not None:  # simulate only
+        limits["stall_epochs"] = args.stall_epochs
     return limits
 
 
 def _add_chaos(p, mttr: float, recovery: str | None) -> None:
     """Seeded random port failures and the flow recovery they call for."""
     p.add_argument(
-        "--chaos-mtbf", type=float,
+        "--chaos-mtbf", type=_positive_float,
         help="inject random port failures with this mean time between "
         "failures (s)",
     )
     p.add_argument(
-        "--chaos-mttr", type=float, default=mttr,
+        "--chaos-mttr", type=_positive_float, default=mttr,
         help=f"mean time to repair a chaos failure (s, default {mttr:g})",
     )
     p.add_argument(
@@ -267,7 +271,7 @@ def _add_arrival_args(p) -> None:
         help="stream length in coflows (default 1000)",
     )
     p.add_argument(
-        "--horizon", type=float,
+        "--horizon", type=_positive_float,
         help="stop generating arrivals after this many seconds",
     )
     p.add_argument("--seed", type=int, default=0, help="stream seed")
@@ -331,15 +335,14 @@ def _load_coflow_file(args: argparse.Namespace):
     if not coflows:
         _stderr("no coflows in file")
         return None
-    n_ports = max(c.max_port for c in coflows) + 1
+    # A file of flowless coflows still needs a one-port fabric.
+    n_ports = max(1, max(c.max_port for c in coflows) + 1)
     return coflows, Fabric(n_ports=n_ports, rate=args.rate)
 
 
 def _open_cache(args: argparse.Namespace):
-    """Check ``--jobs``; the cell cache ``--cache-dir`` / ``--no-cache``
-    select, and its root (``(None, None)`` under ``--no-cache``)."""
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    """The cell cache ``--cache-dir`` / ``--no-cache`` select, and its
+    root (``(None, None)`` under ``--no-cache``)."""
     if args.no_cache:
         return None, None
     from pathlib import Path
@@ -459,12 +462,12 @@ def _sweep_options(p) -> None:
     _add_figure_overrides(p)
     _add_formats(p, "markdown", "csv")
     p.add_argument(
-        "--retries", type=int, default=0, metavar="N",
+        "--retries", type=_non_negative_int, default=0, metavar="N",
         help="retry failed cells up to N extra times with exponential "
         "backoff and deterministic jitter (default 0 = fail fast)",
     )
     p.add_argument(
-        "--cell-timeout", type=float, metavar="SECONDS",
+        "--cell-timeout", type=_positive_float, metavar="SECONDS",
         help="hard wall-clock bound per cell attempt (default: unlimited)",
     )
 
@@ -475,12 +478,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.engine import derive_seed, run_sweep
     from repro.obs import MetricsRegistry
 
-    if args.retries < 0:
-        raise _UsageError(f"--retries must be >= 0, got {args.retries}")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        raise _UsageError(
-            f"--cell-timeout must be > 0, got {args.cell_timeout}"
-        )
     if args.no_cache and args.resume:
         raise _UsageError(
             "--no-cache and --resume are mutually exclusive: resuming "
@@ -689,9 +686,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _plan_options(p) -> None:
     p.add_argument("--nodes", type=int, default=50)
-    p.add_argument("--scale-factor", type=float, default=3.0)
-    p.add_argument("--zipf", type=float, default=0.8)
-    p.add_argument("--skew", type=float, default=0.2)
+    p.add_argument("--scale-factor", type=_positive_float, default=3.0)
+    p.add_argument("--zipf", type=_non_negative_float, default=0.8)
+    p.add_argument("--skew", type=_unit_float, default=0.2)
     p.add_argument(
         "--strategy", choices=["hash", "mini", "ccf", "ccf-exact"],
         default="ccf",
@@ -739,19 +736,20 @@ def _simulate_options(p) -> None:
         help="kill this port mid-run (repeatable)",
     )
     p.add_argument(
-        "--fail-at", type=float, default=1.0,
-        help="failure time in seconds (with --fail-port)",
+        "--fail-at", type=_time, default=1.0,
+        help="failure time in seconds (with --fail-port; inf: never)",
     )
     p.add_argument(
-        "--recover-at", type=float,
-        help="repair time in seconds (with --fail-port; default: never)",
+        "--recover-at", type=_time,
+        help="repair time in seconds (with --fail-port; default or inf: "
+        "never)",
     )
     p.add_argument(
         "--fail-direction", choices=["both", "ingress", "egress"],
         default="both", help="which side of the failed port dies",
     )
     p.add_argument(
-        "--chaos-horizon", type=float,
+        "--chaos-horizon", type=_positive_float,
         help="inject chaos failures only before this time (default: 10x MTBF)",
     )
     p.add_argument(
@@ -767,12 +765,12 @@ def _simulate_options(p) -> None:
         "mutually exclusive with the flow-level --recovery)",
     )
     p.add_argument(
-        "--estimate-noise", type=float, metavar="SIGMA",
+        "--estimate-noise", type=_non_negative_float, metavar="SIGMA",
         help="degrade the scheduler's view of remaining flow sizes with "
         "seeded lognormal noise of this sigma (true bytes still drain)",
     )
     p.add_argument(
-        "--censor", type=float, default=0.0, metavar="FRAC",
+        "--censor", type=_fraction, default=0.0, metavar="FRAC",
         help="fraction of flows whose size the scheduler cannot see "
         "(with --estimate-noise; default 0)",
     )
@@ -782,7 +780,7 @@ def _simulate_options(p) -> None:
     )
     _add_watchdog(p, max_epochs=10_000_000)
     p.add_argument(
-        "--stall-epochs", type=int, metavar="N",
+        "--stall-epochs", type=_non_negative_int, metavar="N",
         help="abort (with a crash report) after N consecutive epochs "
         "without simulation-clock progress (default 10,000; 0 disables)",
     )
@@ -792,7 +790,7 @@ def _simulate_options(p) -> None:
         "otherwise empty; memory grows with epochs)",
     )
     p.add_argument(
-        "--timeline-limit", type=int, metavar="N",
+        "--timeline-limit", type=_positive_int, metavar="N",
         help="with --timeline, keep only the most recent N epochs "
         "(ring buffer) so long runs stay bounded in memory",
     )
@@ -863,14 +861,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.estimate_noise is not None or args.censor:
         from repro.core.noise import NoisyEstimates
 
-        try:
-            noise = NoisyEstimates(
-                sigma=args.estimate_noise or 0.0,
-                censor_fraction=args.censor,
-                seed=args.noise_seed,
-            )
-        except ValueError as exc:
-            raise _UsageError(f"invalid estimate noise: {exc}")
+        noise = NoisyEstimates(  # both flags were checked while parsing
+            sigma=args.estimate_noise or 0.0,
+            censor_fraction=args.censor,
+            seed=args.noise_seed,
+        )
 
     tracer = None
     if args.trace:
@@ -909,13 +904,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "failure injection needs --recovery {abort,retry,replan} "
             "(flow-level) or --stage-policy (job-level)"
         )
-    if args.timeline_limit is not None:
-        if not args.timeline:
-            raise _UsageError("--timeline-limit only applies with --timeline")
-        if args.timeline_limit <= 0:
-            raise _UsageError(
-                f"--timeline-limit must be positive, got {args.timeline_limit}"
-            )
+    if args.timeline_limit is not None and not args.timeline:
+        raise _UsageError("--timeline-limit only applies with --timeline")
 
     sim = CoflowSimulator(
         fabric,
@@ -1207,7 +1197,7 @@ def _trace_gen_options(p) -> None:
     p.add_argument("--format", choices=["json", "coflowsim"], default="json")
     p.add_argument("--ports", type=int, default=40)
     p.add_argument("--coflows", type=int, default=100)
-    p.add_argument("--arrival-rate", type=float, default=2.0)
+    p.add_argument("--arrival-rate", type=_positive_float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -1262,7 +1252,7 @@ def _bench_options(p) -> None:
         "BENCH_simulator.json and exit non-zero on regression",
     )
     p.add_argument(
-        "--tolerance", type=float, default=0.3,
+        "--tolerance", type=_unit_float, default=0.3,
         help="allowed fractional speedup drop vs the baseline, in "
         "[0, 1) (default 0.3)",
     )
@@ -1278,12 +1268,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
     )
 
-    # ``nan`` or a value >= 1 would pass every speedup, a negative one
-    # fail every correct run.
-    if not 0.0 <= args.tolerance < 1.0:
-        raise _UsageError(
-            f"--tolerance must be in [0, 1), got {args.tolerance:g}"
-        )
     if args.out != "-":
         _check_writable(args.out)
     # Read the baseline first: ``--out`` may name the same file.
@@ -1355,15 +1339,13 @@ def _gantt_options(p) -> None:
     )
     _add_scheduler(p)
     p.add_argument("--rate", type=_positive_float, default=128e6)
-    p.add_argument("--width", type=int, default=60)
+    p.add_argument("--width", type=_gantt_width, default=60)
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
     """Print the Gantt chart: simulate a coflow file, or read a trace."""
     from repro.network.visualize import gantt
 
-    if args.width < 10:
-        raise _UsageError(f"--width must be at least 10, got {args.width}")
     if (args.coflow_file is None) == (args.from_trace is None):
         raise _UsageError(
             "gantt needs exactly one input: a coflow JSON file "
@@ -1446,7 +1428,7 @@ def _serve_options(p) -> None:
     _add_scheduler(p)
     _add_policy(p)
     p.add_argument(
-        "--watermark", type=float, metavar="SECONDS",
+        "--watermark", type=_positive_float, metavar="SECONDS",
         help="backlog watermark for bounded-queue / load-shedding "
         "(seconds of work outstanding)",
     )
@@ -1455,13 +1437,13 @@ def _serve_options(p) -> None:
         help="deferred-coflow cap for bounded-queue",
     )
     p.add_argument(
-        "--slo", type=float, metavar="SECONDS",
+        "--slo", type=_positive_float, metavar="SECONDS",
         help="steady-state p95 CCT budget; exit 4 when breached "
         "(also the default budget of --policy slo-guard)",
     )
     _add_chaos(p, mttr=1.0, recovery="retry")
     p.add_argument(
-        "--min-alive", type=int, default=2,
+        "--min-alive", type=_positive_int, default=2,
         help="chaos never takes the fabric below this many live ports",
     )
     _add_watchdog(p, max_epochs=50_000_000)
@@ -1600,7 +1582,7 @@ def _capacity_options(p) -> None:
         "budget; 'nodes' the smallest fabric (needs --rate)",
     )
     p.add_argument(
-        "--budget", type=float, required=True, metavar="SECONDS",
+        "--budget", type=_positive_float, required=True, metavar="SECONDS",
         help="p95 CCT budget the knee is measured against",
     )
     _add_arrival_args(p)
@@ -1612,11 +1594,11 @@ def _capacity_options(p) -> None:
     _add_scheduler(p)
     _add_policy(p)
     p.add_argument(
-        "--lo", type=float,
+        "--lo", type=_positive_float,
         help="search lower bound (default: 0.2 load / 4 nodes)",
     )
     p.add_argument(
-        "--hi", type=float,
+        "--hi", type=_positive_float,
         help="search upper bound (default: 2.0 load / 128 nodes)",
     )
     p.add_argument(

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import finite_entries
 from repro.core.model import _GATHER_BLOCK_BYTES, ShuffleModel
 
 __all__ = ["ccf_heuristic"]
@@ -270,8 +271,8 @@ def ccf_heuristic(
         )
         if e.shape != (n,) or i.shape != (n,):
             raise ValueError(f"per-port rates must have shape ({n},)")
-        if not ((e > 0) & (e < np.inf) & (i > 0) & (i < np.inf)).all():
-            raise ValueError("per-port rates must be finite and strictly positive")
+        finite_entries("egress_rates", e, strict=True)
+        finite_entries("ingress_rates", i, strict=True)
         inv_out, inv_in = 1.0 / e, 1.0 / i
 
     dest = np.zeros(p, dtype=np.int64)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import finite_entries, positive
 from repro.core.heuristic import _Loads
 
 __all__ = ["IncrementalPlanner"]
@@ -60,8 +61,7 @@ class IncrementalPlanner:
         locality_tiebreak: bool = True,
         allowed: np.ndarray | None = None,
     ) -> None:
-        if n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
+        positive("n_nodes", n_nodes)
         self.n = n_nodes
         self.locality_tiebreak = locality_tiebreak
         self._loads = _Loads(
@@ -98,9 +98,7 @@ class IncrementalPlanner:
         arr = np.asarray(arr, dtype=float).copy()
         if arr.shape != (self.n,):
             raise ValueError(f"{name} must have shape ({self.n},)")
-        if not ((arr >= 0) & (arr < np.inf)).all():
-            raise ValueError(f"{name} must be finite and non-negative")
-        return arr
+        return finite_entries(name, arr)
 
     @property
     def partitions_assigned(self) -> int:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checks import finite_entries, positive
 from repro.network.fabric import DEFAULT_PORT_RATE
 from repro.network.flow import Coflow, coflow_from_matrix
 
@@ -166,12 +167,10 @@ class ShuffleModel:
             self.v0 = np.asarray(self.v0, dtype=float)
             if self.v0.shape != (n, n):
                 raise ValueError(f"v0 must have shape ({n}, {n})")
-            if not (self.v0 >= 0).all() or not np.isfinite(self.v0).all():
-                raise ValueError("initial flow volumes must be finite and non-negative")
+            finite_entries("initial flow volumes v0", self.v0)
             if np.diagonal(self.v0).any():
                 raise ValueError("v0 diagonal (local flows) must be zero")
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        positive("rate", self.rate)
         for attr in ("extra_send", "extra_recv"):
             val = getattr(self, attr)
             if val is None:
@@ -180,9 +179,7 @@ class ShuffleModel:
                 val = np.asarray(val, dtype=float)
                 if val.shape != (n,):
                     raise ValueError(f"{attr} must have shape ({n},)")
-                if not (val >= 0).all() or not np.isfinite(val).all():
-                    raise ValueError(f"{attr} must be finite and non-negative")
-                setattr(self, attr, val)
+                setattr(self, attr, finite_entries(attr, val))
         self._partition_sizes = self.h.sum(axis=0)
         if not np.isfinite(self._partition_sizes).all():
             raise ValueError("chunk sizes must be finite")
@@ -276,8 +273,7 @@ class ShuffleModel:
         for nm, arr in (("egress", egress_rates), ("ingress", ingress_rates)):
             if arr.shape != (self.n,):
                 raise ValueError(f"{nm}_rates must have shape ({self.n},)")
-            if not ((arr > 0) & (arr < np.inf)).all():
-                raise ValueError(f"{nm}_rates must be finite and strictly positive")
+            finite_entries(f"{nm}_rates", arr, strict=True)
         m = self.evaluate(dest)
         return float(
             max(

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.checks import in_range, non_negative
 from repro.core.model import ShuffleModel
 
 __all__ = ["NoisyEstimates"]
@@ -57,10 +58,8 @@ class NoisyEstimates:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.sigma >= 0:  # also refuses NaN
-            raise ValueError("estimate-noise sigma must be >= 0")
-        if not 0.0 <= self.censor_fraction <= 1.0:
-            raise ValueError("censor fraction must be in [0, 1]")
+        non_negative("estimate-noise sigma", self.sigma)
+        in_range("censor fraction", self.censor_fraction, 0, 1)
 
     @property
     def is_null(self) -> bool:

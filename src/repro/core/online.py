@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checks import positive
 from repro.core.framework import CCF, ShuffleWorkload
 from repro.core.incremental import IncrementalPlanner
 from repro.core.model import ShuffleModel
@@ -132,9 +133,7 @@ class OnlineCCF:
         stage_policy: "object | str | None" = None,
         noise: NoisyEstimates | float | None = None,
     ) -> None:
-        if n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
-        self.n_nodes = n_nodes
+        self.n_nodes = positive("n_nodes", n_nodes)
         self.ccf = ccf or CCF()
         if stage_policy is not None:
             # Lazy import: stage policies live in the analytics layer,

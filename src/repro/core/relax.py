@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import at_least
 from repro.core.model import ShuffleModel
 
 __all__ = ["ccf_lp_rounding", "LPRoundingResult"]
@@ -127,8 +128,7 @@ def ccf_lp_rounding(
     seed:
         RNG seed for the randomized trials.
     """
-    if trials < 1:
-        raise ValueError("need at least one rounding trial")
+    at_least("trials", trials, 1)
     start = time.perf_counter()
     n, p = model.n, model.p
     if p == 0:

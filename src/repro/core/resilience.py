@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.core.checks import at_least, in_range, non_negative, positive
+
 __all__ = [
     "ResilienceError",
     "StallError",
@@ -161,21 +163,15 @@ class Backoff:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0:
-            raise ValueError("base_delay must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1 (monotone schedule)")
-        if self.max_delay < self.base_delay:
-            raise ValueError("max_delay must be >= base_delay")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+        at_least("max_attempts", self.max_attempts, 1)
+        non_negative("base_delay", self.base_delay)
+        at_least("multiplier", self.multiplier, 1)  # a monotone schedule
+        at_least("max_delay", self.max_delay, self.base_delay)
+        in_range("jitter", self.jitter, 0, 1, "[)")
 
     def base_schedule(self, attempt: int) -> float:
         """Un-jittered delay after the ``attempt``-th failure (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
+        at_least("attempt (1-based)", attempt, 1)
         return min(
             self.base_delay * self.multiplier ** (attempt - 1), self.max_delay
         )
@@ -253,8 +249,9 @@ class Deadline:
     Parameters
     ----------
     budget_s:
-        Seconds allowed from construction, or None for unlimited (every
-        check passes -- lets call sites keep one code path).
+        Seconds allowed from construction, or None (or ``inf``) for
+        unlimited (every check passes -- lets call sites keep one code
+        path).
     clock:
         Injectable monotonic clock for tests.
     """
@@ -265,8 +262,8 @@ class Deadline:
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if budget_s is not None and budget_s <= 0:
-            raise ValueError("budget_s must be strictly positive (or None)")
+        if budget_s is not None:
+            positive("budget_s", budget_s, inf_ok=True)
         self.budget_s = budget_s
         self._clock = clock
         self._start = clock()
@@ -306,8 +303,7 @@ class StallDetector:
     """
 
     def __init__(self, max_stalled: int) -> None:
-        if max_stalled < 1:
-            raise ValueError("max_stalled must be >= 1")
+        at_least("max_stalled", max_stalled, 1)
         self.max_stalled = max_stalled
         self.stalled = 0
         self._last: float | None = None
@@ -347,8 +343,7 @@ def run_with_timeout(
         or threading.current_thread() is not threading.main_thread()
     ):
         return fn(*args, **kwargs)
-    if timeout_s <= 0:
-        raise ValueError("timeout_s must be strictly positive (or None)")
+    positive("timeout_s", timeout_s)
 
     def _alarm(signum, frame):
         raise CellTimeout(f"{what} exceeded its timeout of {timeout_s:.6g}s")

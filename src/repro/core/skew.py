@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.checks import finite_entries, positive
 from repro.core.model import ShuffleModel
 
 __all__ = ["PartialDuplication", "SkewHandlingResult", "detect_skewed_keys"]
@@ -49,8 +50,7 @@ def detect_skewed_keys(
     numpy.ndarray
         Sorted array of skewed key values.
     """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    positive("factor", factor)
     if isinstance(key_counts, dict):
         keys = np.fromiter(key_counts.keys(), dtype=np.int64, count=len(key_counts))
         counts = np.fromiter(key_counts.values(), dtype=np.int64, count=len(key_counts))
@@ -151,9 +151,7 @@ class PartialDuplication:
             m = np.zeros(shape) if m is None else np.asarray(m, dtype=float)
             if m.shape != shape:
                 raise ValueError(f"{nm} must have shape {shape}")
-            if not (m >= 0).all():
-                raise ValueError(f"{nm} must be non-negative")
-            parts.append(m)
+            parts.append(finite_entries(nm, m))
         local, broadcast = parts
         hot = h_full[:, cols]
         removed = local + broadcast

@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from repro.core.checks import at_least, non_negative
 from repro.core.resilience import (
     Backoff,
     CellTimeout,
@@ -622,10 +623,8 @@ def run_sweep(
     SweepOutcome
         The assembled table plus cache-hit, fault and timing counters.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if max_pool_rebuilds < 0:
-        raise ValueError(f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}")
+    at_least("jobs", jobs, 1)
+    non_negative("max_pool_rebuilds", max_pool_rebuilds)
     start = time.perf_counter()
     say = progress or (lambda msg: None)
     n = len(spec.cells)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import in_range
 from repro.core.model import ShuffleModel
 from repro.join.partitioner import HashPartitioner
 from repro.join.relation import DistributedRelation
@@ -96,8 +97,7 @@ def refine_model(
     """
     if not relations:
         raise ValueError("need at least one relation")
-    if not 0 <= split_fraction <= 1:
-        raise ValueError("split_fraction must be in [0, 1]")
+    in_range("split_fraction", split_fraction, 0, 1)
     n = relations[0].n_nodes
     for rel in relations:
         if rel.n_nodes != n:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import positive
 from repro.core.model import ShuffleModel
 from repro.core.plan import ExecutionPlan
 from repro.join.partitioner import HashPartitioner
@@ -57,8 +58,7 @@ class KeyedRelation:
     def __post_init__(self) -> None:
         if not self.columns:
             raise ValueError("a keyed relation needs at least one column")
-        if self.payload_bytes <= 0:
-            raise ValueError("payload_bytes must be positive")
+        positive("payload_bytes", self.payload_bytes)
         lengths: list[int] | None = None
         for col, shards in self.columns.items():
             shards = [np.asarray(s, dtype=np.int64) for s in shards]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import positive
 from repro.core.plan import ExecutionPlan
 from repro.join.operators import DistributedJoin
 from repro.join.relation import DistributedRelation
@@ -136,8 +137,7 @@ def semijoin_reduction(
     """
     if small.n_nodes != big.n_nodes:
         raise ValueError("relations must span the same nodes")
-    if key_bytes <= 0:
-        raise ValueError("key_bytes must be positive")
+    positive("key_bytes", key_bytes)
     keys = np.unique(small.all_keys())
     reduced = big.only_keys(keys)
     dropped = big.total_tuples - reduced.total_tuples

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import positive
 from repro.join.relation import DistributedRelation
 
 __all__ = ["HashPartitioner"]
@@ -31,8 +32,7 @@ class HashPartitioner:
     p: int
 
     def __post_init__(self) -> None:
-        if self.p <= 0:
-            raise ValueError("number of partitions must be positive")
+        positive("number of partitions", self.p)
 
     def partition_of(self, keys: np.ndarray) -> np.ndarray:
         """Partition index of each key: ``k mod p`` (non-negative)."""

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checks import positive
+
 __all__ = ["DistributedRelation"]
 
 
@@ -37,8 +39,7 @@ class DistributedRelation:
     def __post_init__(self) -> None:
         if not self.shards:
             raise ValueError("a distributed relation needs at least one shard")
-        if self.payload_bytes <= 0:
-            raise ValueError("payload_bytes must be positive")
+        positive("payload_bytes", self.payload_bytes)
         self.shards = [np.asarray(s, dtype=np.int64) for s in self.shards]
 
     @property

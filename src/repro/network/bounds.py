@@ -45,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.checks import finite_entries, in_range
 from repro.network.fabric import Fabric
 from repro.network.flow import Coflow
 
@@ -181,10 +182,8 @@ def interval_indexed_lp(
     n_coflows, n_res = loads.shape
     if rates.shape != (n_res,):
         raise ValueError("rates must match the load matrix's port axis")
-    if (rates <= 0).any():
-        raise ValueError("port rates must be strictly positive")
-    if not growth > 1.0:
-        raise ValueError("growth factor must exceed 1")
+    finite_entries("port rates", rates, strict=True)
+    in_range("growth factor", growth, 1, math.inf, "()")
     if n_coflows == 0:
         return IntervalLPSolution(0.0, np.zeros(0), 0)
 

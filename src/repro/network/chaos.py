@@ -11,11 +11,11 @@ seeded, so the same configuration always yields the same schedule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import at_least, positive
 from repro.network.dynamics import FabricDynamics, RateEvent
 from repro.network.fabric import Fabric
 
@@ -55,14 +55,11 @@ class ChaosConfig:
     min_alive: int = 1
 
     def __post_init__(self) -> None:
-        # ``not x > 0`` also refuses NaN, on which chaos_schedule's
-        # ``t >= horizon`` exit never fires (nor on an infinite horizon).
-        if not self.mtbf > 0 or not self.mttr > 0:
-            raise ValueError("mtbf and mttr must be strictly positive")
-        if not 0 < self.horizon < math.inf:
-            raise ValueError("horizon must be strictly positive and finite")
-        if self.min_alive < 1:
-            raise ValueError("min_alive must be >= 1")
+        positive("mtbf", self.mtbf)
+        positive("mttr", self.mttr)
+        # chaos_schedule stops drawing failures at ``t >= horizon``.
+        positive("horizon", self.horizon)
+        at_least("min_alive", self.min_alive, 1)
 
 
 def chaos_schedule(config: ChaosConfig, fabric: Fabric) -> FabricDynamics:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checks import non_negative, positive
 from repro.network.fabric import Fabric
 
 __all__ = ["RateEvent", "FabricDynamics"]
@@ -29,7 +30,8 @@ class RateEvent:
     Parameters
     ----------
     time:
-        Simulation time (seconds) the change takes effect.
+        Simulation time (seconds) the change takes effect; ``inf``
+        schedules a change that never fires.
     port:
         Affected port index.
     egress, ingress:
@@ -46,13 +48,12 @@ class RateEvent:
     ingress: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.time >= 0:  # also refuses NaN
-            raise ValueError("event time must be >= 0")
+        non_negative("event time", self.time, inf_ok=True)
         if self.port < 0:
             raise ValueError("port must be non-negative")
         for v, nm in ((self.egress, "egress"), (self.ingress, "ingress")):
-            if v is not None and not v >= 0:
-                raise ValueError(f"{nm} rate must be non-negative")
+            if v is not None:
+                non_negative(f"{nm} rate", v)
         if self.egress is None and self.ingress is None:
             raise ValueError("event must change at least one direction")
 
@@ -71,8 +72,8 @@ class RateEvent:
         cls, time: float, port: int, *, egress: float, ingress: float
     ) -> "RateEvent":
         """A repair event restoring both directions of ``port``."""
-        if not egress > 0 or not ingress > 0:
-            raise ValueError("recovery must restore strictly positive rates")
+        positive("recovery egress rate", egress)
+        positive("recovery ingress rate", ingress)
         return cls(time=time, port=port, egress=egress, ingress=ingress)
 
 
@@ -181,8 +182,7 @@ class FabricDynamics:
         With ``recover_at`` set, matching events restore the original
         rates at that time.
         """
-        if factor <= 0:
-            raise ValueError("factor must be strictly positive")
+        positive("factor", factor)
         events = []
         for p in ports:
             orig_e = float(fabric.egress_rates[p])

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checks import finite_entries, positive
+
 __all__ = ["Fabric", "DEFAULT_PORT_RATE"]
 
 #: CoflowSim's default NIC speed: 1 Gbps expressed in bytes per second.
@@ -46,22 +48,14 @@ class Fabric:
     def __post_init__(self) -> None:
         if self.n_ports <= 0:
             raise ValueError("fabric needs at least one port")
-        if not self.rate > 0:
-            raise ValueError("port rate must be positive")
-        if self.egress_rates is None:
-            self.egress_rates = np.full(self.n_ports, float(self.rate))
-        else:
-            self.egress_rates = np.asarray(self.egress_rates, dtype=float).copy()
-        if self.ingress_rates is None:
-            self.ingress_rates = np.full(self.n_ports, float(self.rate))
-        else:
-            self.ingress_rates = np.asarray(self.ingress_rates, dtype=float).copy()
-        for name, arr in (("egress", self.egress_rates), ("ingress", self.ingress_rates)):
+        positive("port rate", self.rate)
+        for attr in ("egress_rates", "ingress_rates"):
+            arr = getattr(self, attr)
+            arr = (np.full(self.n_ports, float(self.rate)) if arr is None
+                   else np.asarray(arr, dtype=float).copy())
             if arr.shape != (self.n_ports,):
-                raise ValueError(f"{name}_rates must have shape ({self.n_ports},)")
-            # ``not > 0`` also catches NaN, which ``<= 0`` would let in.
-            if not ((arr > 0) & (arr < np.inf)).all():
-                raise ValueError(f"{name}_rates must be finite and strictly positive")
+                raise ValueError(f"{attr} must have shape ({self.n_ports},)")
+            setattr(self, attr, finite_entries(attr, arr, strict=True))
 
     def egress_alive(self) -> np.ndarray:
         """Boolean mask of ports that can currently send (rate > 0).

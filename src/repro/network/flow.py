@@ -14,6 +14,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.core.checks import non_negative, positive
+
 __all__ = ["Flow", "Coflow", "coflow_from_matrix"]
 
 
@@ -28,7 +30,7 @@ class Flow:
         rejected: local data movement consumes no network resources
         (CCF paper §III-A) and must be filtered out before simulation.
     volume:
-        Transfer size in bytes.  Must be strictly positive.
+        Transfer size in bytes.  Must be finite and strictly positive.
     flow_id:
         Unique identifier assigned by the owning :class:`Coflow`.
     """
@@ -43,8 +45,7 @@ class Flow:
             raise ValueError(
                 f"flow src == dst == {self.src}; local movement is not a network flow"
             )
-        if not self.volume > 0:
-            raise ValueError(f"flow volume must be > 0, got {self.volume}")
+        positive("flow volume", self.volume)
         if self.src < 0 or self.dst < 0:
             raise ValueError("port indices must be non-negative")
 
@@ -86,12 +87,10 @@ class Coflow:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be >= 0")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive (relative to arrival)")
-        if not self.weight > 0:
-            raise ValueError("weight must be positive")
+        non_negative("arrival_time", self.arrival_time)
+        if self.deadline is not None:
+            positive("deadline", self.deadline)
+        positive("weight", self.weight)
         merged: dict[tuple[int, int], float] = {}
         for f in self.flows:
             merged[(f.src, f.dst)] = merged.get((f.src, f.dst), 0.0) + f.volume
@@ -196,7 +195,7 @@ def coflow_from_matrix(
     vol = np.asarray(volumes, dtype=float)
     if vol.ndim != 2 or vol.shape[0] != vol.shape[1]:
         raise ValueError(f"volume matrix must be square, got shape {vol.shape}")
-    if (vol < 0).any():
+    if not (vol >= 0).all():
         raise ValueError("volume matrix entries must be non-negative")
     srcs, dsts = np.nonzero(vol > min_volume)
     flows = [

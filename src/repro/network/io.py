@@ -42,26 +42,27 @@ def coflow_to_dict(coflow: Coflow) -> dict[str, Any]:
 
 
 def coflow_from_dict(data: dict[str, Any]) -> Coflow:
-    """Inverse of :func:`coflow_to_dict` with validation."""
-    version = data.get("version", _FORMAT_VERSION)
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported coflow format version {version}")
+    """Inverse of :func:`coflow_to_dict`; the :class:`Flow` and
+    :class:`Coflow` constructors check every value."""
     try:
+        version = data.get("version", _FORMAT_VERSION)
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported coflow format version {version}")
         flows = [
             Flow(src=int(f["src"]), dst=int(f["dst"]), volume=float(f["volume"]))
             for f in data["flows"]
         ]
-    except (KeyError, TypeError) as exc:
+        deadline = data.get("deadline")
+        return Coflow(
+            flows=flows,
+            arrival_time=float(data.get("arrival_time", 0.0)),
+            coflow_id=int(data.get("coflow_id", -1)),
+            name=str(data.get("name", "")),
+            deadline=float(deadline) if deadline is not None else None,
+            weight=float(data.get("weight", 1.0)),
+        )
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise ValueError(f"malformed coflow record: {exc}") from exc
-    deadline = data.get("deadline")
-    return Coflow(
-        flows=flows,
-        arrival_time=float(data.get("arrival_time", 0.0)),
-        coflow_id=int(data.get("coflow_id", -1)),
-        name=str(data.get("name", "")),
-        deadline=float(deadline) if deadline is not None else None,
-        weight=float(data.get("weight", 1.0)),
-    )
 
 
 def save_coflows(coflows: list[Coflow], path: str | Path) -> None:
@@ -76,6 +77,6 @@ def save_coflows(coflows: list[Coflow], path: str | Path) -> None:
 def load_coflows(path: str | Path) -> list[Coflow]:
     """Read coflows from a JSON file written by :func:`save_coflows`."""
     data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or "coflows" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("coflows"), list):
         raise ValueError(f"{path}: not a coflow file")
     return [coflow_from_dict(c) for c in data["coflows"]]

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.checks import in_range, non_negative
 from repro.network.fabric import Fabric
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -292,10 +293,8 @@ class RetryPolicy(RecoveryPolicy):
         lost_progress_fraction: float = 1.0,
         backoff_base: float = 0.0,
     ) -> None:
-        if not 0.0 <= lost_progress_fraction <= 1.0:
-            raise ValueError("lost_progress_fraction must be in [0, 1]")
-        if backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
+        in_range("lost_progress_fraction", lost_progress_fraction, 0, 1)
+        non_negative("backoff_base", backoff_base)
         self.lost_progress_fraction = lost_progress_fraction
         self.backoff_base = backoff_base
 

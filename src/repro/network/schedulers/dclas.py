@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from repro.core.checks import at_least, in_range, positive
 from repro.network.events import SchedulingContext
 from repro.network.schedulers.base import CoflowScheduler, maxmin_fill_fast
 
@@ -55,10 +56,10 @@ class DCLASScheduler(CoflowScheduler):
         num_queues: int = 10,
         queue_weight_decay: float = 0.0,
     ) -> None:
-        if first_threshold <= 0 or multiplier <= 1 or num_queues < 1:
-            raise ValueError("invalid D-CLAS queue parameters")
-        if not 0 <= queue_weight_decay < 1:
-            raise ValueError("queue_weight_decay must be in [0, 1)")
+        positive("first_threshold", first_threshold)
+        in_range("multiplier", multiplier, 1, math.inf, "()")
+        at_least("num_queues", num_queues, 1)
+        in_range("queue_weight_decay", queue_weight_decay, 0, 1, "[)")
         self.first_threshold = float(first_threshold)
         self.multiplier = float(multiplier)
         self.num_queues = int(num_queues)

@@ -45,6 +45,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> network)
     from repro.core.noise import NoisyEstimates
 
+from repro.core.checks import at_least, non_negative, positive
 from repro.network.dynamics import FabricDynamics
 from repro.network.events import CoflowProgress, FlowGroups, SchedulingContext
 from repro.network.fabric import Fabric
@@ -166,8 +167,8 @@ class _TimelineCollector(Instrumentation):
     enabled = True
 
     def __init__(self, limit: int | None = None) -> None:
-        if limit is not None and limit <= 0:
-            raise ValueError(f"timeline limit must be positive, got {limit}")
+        if limit is not None:
+            positive("timeline limit", limit)
         self._limit = limit
         self.dropped = 0
         self.epochs: "deque[Epoch] | list[Epoch]" = (
@@ -354,7 +355,8 @@ class CoflowSimulator:
         epoch loop is still running after this many real seconds it
         aborts with :class:`repro.core.resilience.BudgetExceeded`
         carrying a crash report.  None (the default) disables the check
-        entirely -- the hot path pays nothing.
+        entirely -- the hot path pays nothing; ``inf`` is a budget that
+        never fires.
     stall_epochs:
         No-progress watchdog: abort with
         :class:`repro.core.resilience.StallError` after this many
@@ -392,17 +394,11 @@ class CoflowSimulator:
         stall_epochs: int | None = DEFAULT_STALL_EPOCHS,
         timeline_limit: int | None = None,
     ) -> None:
-        if max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
-        if wall_clock_budget_s is not None and not wall_clock_budget_s > 0:
-            raise ValueError(
-                f"wall_clock_budget_s must be strictly positive or None, "
-                f"got {wall_clock_budget_s}"
-            )
-        if stall_epochs is not None and stall_epochs < 0:
-            raise ValueError(
-                f"stall_epochs must be >= 0 or None, got {stall_epochs}"
-            )
+        at_least("max_epochs", max_epochs, 1)
+        if wall_clock_budget_s is not None:
+            positive("wall_clock_budget_s", wall_clock_budget_s, inf_ok=True)
+        if stall_epochs is not None:
+            non_negative("stall_epochs", stall_epochs)
         self.fabric = fabric
         self.scheduler = scheduler
         self.record_timeline = record_timeline

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import at_least, positive
 from repro.network.flow import Coflow
 
 __all__ = ["TwoLevelTopology"]
@@ -50,10 +51,10 @@ class TwoLevelTopology:
     oversubscription: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_hosts <= 0 or self.hosts_per_rack <= 0:
-            raise ValueError("n_hosts and hosts_per_rack must be positive")
-        if self.host_rate <= 0 or self.oversubscription < 1.0:
-            raise ValueError("host_rate > 0 and oversubscription >= 1 required")
+        positive("n_hosts", self.n_hosts)
+        positive("hosts_per_rack", self.hosts_per_rack)
+        positive("host_rate", self.host_rate)
+        at_least("oversubscription", self.oversubscription, 1)
 
     @property
     def n_racks(self) -> int:

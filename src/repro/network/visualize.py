@@ -7,6 +7,7 @@ these are meant for examples, debugging and log files.
 
 from __future__ import annotations
 
+from repro.core.checks import at_least, positive
 from repro.network.simulator import SimulationResult
 
 __all__ = ["gantt", "throughput_sparkline"]
@@ -33,8 +34,7 @@ def gantt(
     """
     if not result.completion_times:
         return "(no coflows)"
-    if width < 10:
-        raise ValueError("width must be at least 10")
+    at_least("width", width, 10)
     makespan = result.makespan
     if makespan <= 0:
         return "(instantaneous run)"
@@ -71,8 +71,7 @@ def throughput_sparkline(
             "no timeline recorded; construct the simulator with "
             "record_timeline=True"
         )
-    if width < 1:
-        raise ValueError("width must be positive")
+    positive("width", width)
     makespan = result.makespan
     if makespan <= 0:
         return ""

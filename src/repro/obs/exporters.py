@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.core.checks import positive
 from repro.obs.instrument import Tracer
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 
@@ -112,10 +113,7 @@ class StreamingTracer(Tracer):
         sample_ports: bool = True,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if flush_every <= 0:
-            raise ValueError(
-                f"flush_every must be positive, got {flush_every}"
-            )
+        positive("flush_every", flush_every)
         super().__init__(
             header=header, sample_ports=sample_ports, metrics=metrics
         )

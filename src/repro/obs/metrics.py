@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.checks import in_range, non_negative
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -40,8 +42,7 @@ class Counter:
     value: float = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0, got {amount}")
+        non_negative("counter increment", amount)
         self.value += amount
 
 
@@ -92,8 +93,7 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Approximate quantile from the bucket counts (upper bound)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        in_range("quantile", q, 0, 1)
         if self.n == 0:
             return math.nan
         target = q * self.n

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checks import at_least, in_range, positive
 from repro.core.resilience import Backoff
 from repro.network.fabric import Fabric
 from repro.network.flow import Coflow
@@ -158,10 +159,8 @@ class BoundedQueue(AdmissionPolicy):
     name = "bounded-queue"
 
     def __post_init__(self) -> None:
-        if not self.watermark_s > 0:  # also refuses NaN
-            raise ValueError("watermark_s must be positive")
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
+        positive("watermark_s", self.watermark_s)
+        at_least("queue_limit", self.queue_limit, 1)
 
     def decide(self, coflow, state, attempt):
         if state.backlog_seconds < self.watermark_s:
@@ -189,12 +188,9 @@ class LoadShedding(AdmissionPolicy):
     name = "load-shedding"
 
     def __post_init__(self) -> None:
-        if not self.watermark_s > 0:  # also refuses NaN
-            raise ValueError("watermark_s must be positive")
-        if self.large_bytes <= 0:
-            raise ValueError("large_bytes must be positive")
-        if self.hard_factor < 1:
-            raise ValueError("hard_factor must be >= 1")
+        positive("watermark_s", self.watermark_s)
+        positive("large_bytes", self.large_bytes)
+        at_least("hard_factor", self.hard_factor, 1)
 
     def decide(self, coflow, state, attempt):
         backlog = state.backlog_seconds
@@ -234,12 +230,9 @@ class SLOGuard(AdmissionPolicy):
     name = "slo-guard"
 
     def __post_init__(self) -> None:
-        if self.budget_s <= 0:
-            raise ValueError("budget_s must be positive")
-        if not 0 < self.margin <= 1:
-            raise ValueError("margin must be in (0, 1]")
-        if not 0 < self.backlog_factor <= 1:
-            raise ValueError("backlog_factor must be in (0, 1]")
+        positive("budget_s", self.budget_s)
+        in_range("margin", self.margin, 0, 1, "(]")
+        in_range("backlog_factor", self.backlog_factor, 0, 1, "(]")
         self._shedding = False
 
     def decide(self, coflow, state, attempt):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import at_least, in_range, non_negative, positive
 from repro.core.seeds import derive_seed
 from repro.network.flow import Coflow, Flow
 from repro.workloads.coflowmix import BIN_DEFINITIONS
@@ -105,31 +106,24 @@ class ArrivalConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_ports < 2:
-            raise ValueError("need at least two ports")
-        if self.users < 1:
-            raise ValueError("users must be >= 1")
-        # ``not low < x < inf`` also refuses NaN.
-        if not 0 < self.qps_per_user < math.inf:
-            raise ValueError("qps_per_user must be positive and finite")
+        at_least("n_ports", self.n_ports, 2)
+        at_least("users", self.users, 1)
+        positive("qps_per_user", self.qps_per_user)
         if self.process not in PROCESSES:
             raise ValueError(
                 f"unknown process {self.process!r}; pick from {PROCESSES}"
             )
-        if not 1.0 < self.pareto_alpha < math.inf:
-            raise ValueError("pareto_alpha must be finite and > 1 (finite mean)")
+        # The gaps' mean is finite only for alpha > 1.
+        in_range("pareto_alpha", self.pareto_alpha, 1, math.inf, "()")
         if self.size_mix not in SIZE_MIXES:
             raise ValueError(
                 f"unknown size_mix {self.size_mix!r}; pick from {SIZE_MIXES}"
             )
-        if not 1.0 < self.zipf_a < math.inf:
-            raise ValueError("zipf_a must be finite and > 1")
-        if not 0 < self.size_scale < math.inf:
-            raise ValueError("size_scale must be positive and finite")
-        if self.max_arrivals < 0:
-            raise ValueError("max_arrivals must be non-negative")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ValueError("horizon must be positive or None")
+        in_range("zipf_a", self.zipf_a, 1, math.inf, "()")
+        positive("size_scale", self.size_scale)
+        non_negative("max_arrivals", self.max_arrivals)
+        if self.horizon is not None:
+            positive("horizon", self.horizon)
 
     @property
     def arrival_rate(self) -> float:
@@ -169,8 +163,7 @@ def expected_coflow_bytes(config: ArrivalConfig) -> float:
 
 def offered_load(config: ArrivalConfig, rate: float) -> float:
     """Offered utilization ``rho`` of a fabric with per-port ``rate``."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    positive("rate", rate)
     return (
         config.arrival_rate
         * expected_coflow_bytes(config)
@@ -180,8 +173,7 @@ def offered_load(config: ArrivalConfig, rate: float) -> float:
 
 def rate_for_load(config: ArrivalConfig, load: float) -> float:
     """Port rate at which the stream offers utilization ``load``."""
-    if not 0 < load < math.inf:
-        raise ValueError("load must be positive and finite")
+    positive("load", load)
     return (
         config.arrival_rate
         * expected_coflow_bytes(config)

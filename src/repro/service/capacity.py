@@ -12,8 +12,10 @@ measured load/latency curve around the knee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
+from repro.core.checks import at_least, in_range, positive
 from repro.service.loop import ServiceConfig, run_service
 
 __all__ = [
@@ -123,10 +125,9 @@ def find_load_capacity(
     optionally shortens the probe streams (fewer arrivals per probe).
     Returns the best passing load (None if even ``lo`` breaches).
     """
-    if budget_s <= 0:
-        raise ValueError("budget_s must be positive")
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
+    positive("budget_s", budget_s)
+    positive("lo", lo)
+    in_range("hi", hi, lo, math.inf, "()")
     if config.rate is not None:
         raise ValueError(
             "load search needs config.rate=None (rate is derived from "
@@ -178,10 +179,9 @@ def find_node_capacity(
     Returns the smallest passing node count (None if even ``hi``
     breaches).
     """
-    if budget_s <= 0:
-        raise ValueError("budget_s must be positive")
-    if not 2 <= lo <= hi:
-        raise ValueError("need 2 <= lo <= hi")
+    positive("budget_s", budget_s)
+    at_least("lo", lo, 2)
+    at_least("hi", hi, lo)
     if config.rate is None:
         raise ValueError(
             "node search needs an explicit config.rate (a load-derived "

@@ -21,11 +21,11 @@ function of the config -- bit-reproducible given the seed.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.checks import at_least, positive
 from repro.core.seeds import derive_seed
 from repro.network.chaos import ChaosConfig, chaos_schedule
 from repro.network.fabric import Fabric
@@ -108,17 +108,12 @@ class ServiceConfig:
     window: int = 256
 
     def __post_init__(self) -> None:
-        # ``not 0 < x < inf`` also refuses NaN.
-        if not 0 < self.load < math.inf:
-            raise ValueError("load must be positive and finite")
-        if self.rate is not None and not self.rate > 0:
-            raise ValueError("rate must be positive")
-        if self.slo_p95 is not None and not self.slo_p95 > 0:
-            raise ValueError("slo_p95 must be positive or None")
-        if self.chaos_mtbf is not None and not self.chaos_mtbf > 0:
-            raise ValueError("chaos_mtbf must be positive or None")
-        if not self.chaos_mttr > 0:
-            raise ValueError("chaos_mttr must be positive")
+        positive("load", self.load)
+        for name in ("rate", "slo_p95", "chaos_mtbf"):
+            if getattr(self, name) is not None:
+                positive(name, getattr(self, name))
+        positive("chaos_mttr", self.chaos_mttr)
+        at_least("min_alive", self.min_alive, 1)
 
     @property
     def port_rate(self) -> float:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checks import in_range, positive
 from repro.core.model import ShuffleModel
 from repro.core.skew import PartialDuplication
 from repro.network.fabric import DEFAULT_PORT_RATE
@@ -76,18 +77,13 @@ class AnalyticJoinWorkload:
     _w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
+        positive("n_nodes", self.n_nodes)
         if self.partitions is None:
             self.partitions = 15 * self.n_nodes
-        if self.partitions <= 0:
-            raise ValueError("partitions must be positive")
-        if not 0 <= self.skew < 1:
-            raise ValueError("skew must be in [0, 1)")
-        if not (0 < self.scale_factor < np.inf and 0 < self.payload_bytes < np.inf):
-            raise ValueError(
-                "scale_factor and payload_bytes must be positive and finite"
-            )
+        positive("partitions", self.partitions)
+        in_range("skew", self.skew, 0, 1, "[)")
+        positive("scale_factor", self.scale_factor)
+        positive("payload_bytes", self.payload_bytes)
         self._w = zipf_weights(self.n_nodes, self.zipf_s)
 
     # -- derived sizes -------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checks import at_least, in_range, non_negative, positive
 from repro.network.flow import Coflow, Flow
 
 __all__ = ["CoflowMixConfig", "generate_coflow_mix", "BIN_DEFINITIONS"]
@@ -64,14 +65,10 @@ class CoflowMixConfig:
     deadline_slack: tuple[float, float] = (1.5, 4.0)
 
     def __post_init__(self) -> None:
-        if self.n_ports < 2:
-            raise ValueError("need at least two ports")
-        if self.n_coflows < 0:
-            raise ValueError("n_coflows must be non-negative")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
-        if not 0 <= self.deadline_fraction <= 1:
-            raise ValueError("deadline_fraction must be in [0, 1]")
+        at_least("n_ports", self.n_ports, 2)
+        non_negative("n_coflows", self.n_coflows)
+        positive("arrival_rate", self.arrival_rate)
+        in_range("deadline_fraction", self.deadline_fraction, 0, 1)
 
 
 def _draw_bin(rng: np.random.Generator) -> tuple[str, tuple[int, int], tuple[float, float]]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import at_least, in_range, positive
 from repro.core.framework import CCF
 from repro.join.multikey import KeyedEquiJoin, KeyedRelation
 from repro.join.partitioner import HashPartitioner
@@ -44,10 +45,9 @@ class GraphConfig:
     payload_bytes: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.n_nodes <= 0 or self.n_vertices <= 1:
-            raise ValueError("need at least one machine and two vertices")
-        if not 0 < self.edge_probability <= 1:
-            raise ValueError("edge_probability must be in (0, 1]")
+        positive("n_nodes", self.n_nodes)
+        at_least("n_vertices", self.n_vertices, 2)
+        in_range("edge_probability", self.edge_probability, 0, 1, "(]")
 
 
 def generate_edges(

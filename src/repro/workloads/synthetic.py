@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import at_least, in_range
 from repro.core.model import ShuffleModel
 
 __all__ = [
@@ -58,8 +59,7 @@ def lognormal_workload(
     composed pipelines (service mode, sweep cells) share one seeding
     scheme; omitted, behaviour is unchanged.
     """
-    if not 0 < density <= 1:
-        raise ValueError("density must be in (0, 1]")
+    in_range("density", density, 0, 1, "(]")
     if rng is None:
         rng = np.random.default_rng(seed)
     h = rng.lognormal(mean=mean, sigma=sigma, size=(n_nodes, partitions))
@@ -78,8 +78,7 @@ def clustered_workload(
     rng: np.random.Generator | None = None,
 ) -> ShuffleModel:
     """Each partition's bytes live on a few random holder nodes."""
-    if not 1 <= holders_per_partition <= n_nodes:
-        raise ValueError("holders_per_partition out of range")
+    in_range("holders_per_partition", holders_per_partition, 1, n_nodes)
     if rng is None:
         rng = np.random.default_rng(seed)
     h = np.zeros((n_nodes, partitions))
@@ -100,10 +99,8 @@ def bimodal_workload(
     rng: np.random.Generator | None = None,
 ) -> ShuffleModel:
     """Mostly small partitions plus a few ``ratio``-times-larger ones."""
-    if not 0 <= huge_fraction <= 1:
-        raise ValueError("huge_fraction must be in [0, 1]")
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
+    in_range("huge_fraction", huge_fraction, 0, 1)
+    at_least("ratio", ratio, 1)
     if rng is None:
         rng = np.random.default_rng(seed)
     base = rng.uniform(0.5, 1.5, size=(n_nodes, partitions)) * 1e6

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import in_range, positive
 from repro.join.relation import DistributedRelation
 from repro.workloads.analytic import CUSTOMERS_PER_SF, ORDERS_PER_SF
 from repro.workloads.zipf import place_tuples, zipf_weights
@@ -48,8 +49,7 @@ def inject_skew(
 
     Returns a new array; the input is not modified.
     """
-    if not 0 <= skew < 1:
-        raise ValueError("skew must be in [0, 1)")
+    in_range("skew", skew, 0, 1, "[)")
     out = np.asarray(keys, dtype=np.int64).copy()
     if skew == 0 or out.size == 0:
         return out
@@ -77,12 +77,9 @@ class TPCHConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
-        if self.scale_factor <= 0:
-            raise ValueError("scale_factor must be positive")
-        if not 0 <= self.skew < 1:
-            raise ValueError("skew must be in [0, 1)")
+        positive("n_nodes", self.n_nodes)
+        positive("scale_factor", self.scale_factor)
+        in_range("skew", self.skew, 0, 1, "[)")
 
     @property
     def n_customers(self) -> int:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import non_negative, positive
+
 __all__ = ["zipf_weights", "place_tuples"]
 
 
@@ -25,10 +27,8 @@ def zipf_weights(n: int, s: float) -> np.ndarray:
     s:
         Zipf exponent >= 0; 0 gives the uniform distribution.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if not s >= 0:  # also rejects NaN
-        raise ValueError("zipf exponent must be >= 0")
+    positive("n", n)
+    non_negative("zipf exponent", s)
     ranks = np.arange(1, n + 1, dtype=float)
     w = ranks ** (-s)
     return w / w.sum()
@@ -38,8 +38,7 @@ def place_tuples(
     m: int, weights: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw a home node for each of ``m`` tuples ~ Categorical(weights)."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    non_negative("m", m)
     weights = np.asarray(weights, dtype=float)
     if m == 0:
         return np.empty(0, dtype=np.int64)

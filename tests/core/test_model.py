@@ -60,6 +60,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="rate"):
             ShuffleModel(h=np.ones((2, 2)), rate=-1.0)
 
+    def test_rejects_infinite_rate(self):
+        # An infinite rate once made every CCT 0 for plans moving bytes.
+        with pytest.raises(ValueError, match="rate must be finite"):
+            ShuffleModel(h=[[1.0, 2.0], [3.0, 0.0]], rate=np.inf)
+
     def test_initial_loads(self):
         v0 = np.array([[0.0, 2.0], [3.0, 0.0]])
         m = ShuffleModel(h=np.zeros((2, 1)), v0=v0)

@@ -8,7 +8,7 @@ from repro.core.noise import NoisyEstimates
 class TestValidation:
     @pytest.mark.parametrize("sigma", [-0.1, float("nan")])
     def test_rejects_bad_sigma(self, sigma):
-        with pytest.raises(ValueError, match="sigma must be >= 0"):
+        with pytest.raises(ValueError, match="sigma must be finite and non-negative"):
             NoisyEstimates(sigma=sigma)
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])

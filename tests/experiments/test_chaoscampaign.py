@@ -188,8 +188,10 @@ class TestChaosCLI:
         assert "unknown scenario" in capsys.readouterr().err
 
     def test_zero_jobs_is_cli_misuse(self, capsys):
-        assert main(["chaos", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:  # refused while parsing
+            main(["chaos", "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "argument --jobs:" in capsys.readouterr().err
 
     def test_csv_output(self, capsys):
         code = main(

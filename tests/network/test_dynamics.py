@@ -31,7 +31,7 @@ class TestRateEvent:
         ids=["time", "egress", "ingress"],
     )
     def test_rejects_nan(self, kw):
-        with pytest.raises(ValueError, match="must be non-negative|>= 0"):
+        with pytest.raises(ValueError, match="non-negative"):
             RateEvent(port=0, **kw)
 
     def test_recovery_rejects_nan_rates(self):

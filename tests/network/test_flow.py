@@ -23,6 +23,11 @@ class TestFlow:
         with pytest.raises(ValueError, match="volume"):
             Flow(src=0, dst=1, volume=-3.0)
 
+    @pytest.mark.parametrize("volume", [np.inf, np.nan])
+    def test_non_finite_volume_rejected(self, volume):
+        with pytest.raises(ValueError, match="volume must be finite"):
+            Flow(src=0, dst=1, volume=volume)
+
     def test_negative_port_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             Flow(src=-1, dst=1, volume=1.0)
@@ -66,6 +71,18 @@ class TestCoflow:
         with pytest.raises(ValueError, match="arrival_time"):
             Coflow([Flow(0, 1, 1.0)], arrival_time=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("arrival_time", np.nan), ("arrival_time", np.inf),
+         ("deadline", np.nan), ("deadline", np.inf),
+         ("weight", np.nan), ("weight", np.inf)],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        # A NaN arrival once ran the simulator to its watchdog at t = nan,
+        # an infinite one reported CCT nan.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Coflow([Flow(0, 1, 1.0)], **{field: value})
+
     def test_volume_matrix_roundtrip(self):
         cf = Coflow([Flow(0, 1, 3.0), Flow(1, 2, 2.0)])
         mat = cf.volume_matrix(3)
@@ -98,6 +115,15 @@ class TestCoflowFromMatrix:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             coflow_from_matrix(np.array([[0.0, -1.0], [0.0, 0.0]]))
+
+    def test_nan_entry_rejected(self):
+        # It used to be dropped silently.
+        with pytest.raises(ValueError, match="non-negative"):
+            coflow_from_matrix(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+    def test_infinite_entry_rejected(self):
+        with pytest.raises(ValueError, match="volume must be finite"):
+            coflow_from_matrix(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
     def test_matches_coflow_port_loads(self):
         rng = np.random.default_rng(3)

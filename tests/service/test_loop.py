@@ -38,7 +38,7 @@ class TestServiceConfig:
     )
     def test_rejects_nan(self, field):
         # A NaN chaos_mtbf once reached chaos_schedule's unending loop.
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match="must be finite and strictly positive"):
             small_config(**{field: float("nan")})
 
     def test_port_rate_from_load(self):

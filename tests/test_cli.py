@@ -8,6 +8,23 @@ from repro.network import Coflow, Flow
 from repro.network.io import save_coflows
 
 
+def exit_code(argv):
+    """``main(argv)``'s exit status, also when the parser refuses a flag
+    (argparse exits 2 before any handler runs)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def error_lines(err):
+    """The lines of ``err`` that are not argparse's usage block."""
+    return [
+        line for line in err.strip().splitlines()
+        if not line.startswith(("usage:", " "))
+    ]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -115,11 +132,11 @@ class TestSimulateFailureInjection:
         assert "invalid failure schedule" in capsys.readouterr().err
 
     def test_bad_chaos_config_is_a_clean_error(self, plan_file, capsys):
-        assert main(
+        assert exit_code(
             ["simulate", plan_file, "--chaos-mtbf", "-1",
              "--recovery", "retry"]
         ) == 2
-        assert "invalid chaos configuration" in capsys.readouterr().err
+        assert "argument --chaos-mtbf:" in capsys.readouterr().err
 
 
 class TestSimulateWatchdog:
@@ -175,11 +192,11 @@ class TestSimulateWatchdog:
     ):
         crash_dir = tmp_path / "crashes"
         args = [plan_file] if command == "simulate" else ["--arrivals", "5"]
-        assert main(
+        assert exit_code(
             [command, *args, *flags, "--crash-dir", str(crash_dir)]
         ) == 2
         captured = capsys.readouterr()
-        assert len(captured.err.strip().splitlines()) == 1
+        assert len(error_lines(captured.err)) == 1
         assert flags[0] in captured.err
         assert captured.out == ""
         assert not crash_dir.exists()
@@ -216,13 +233,13 @@ class TestSweepSupervision:
         assert "--resume" in capsys.readouterr().err
 
     def test_negative_retries_is_cli_misuse(self, capsys):
-        assert main(
+        assert exit_code(
             ["sweep", "psweep", "--quick", "--retries", "-1"]
         ) == 2
         assert "--retries" in capsys.readouterr().err
 
     def test_zero_cell_timeout_is_cli_misuse(self, capsys):
-        assert main(
+        assert exit_code(
             ["sweep", "psweep", "--quick", "--cell-timeout", "0"]
         ) == 2
         assert "--cell-timeout" in capsys.readouterr().err
@@ -349,13 +366,13 @@ class TestBenchCheck:
             hotpath, "run_bench",
             lambda **kw: pytest.fail("benchmarked with a bad tolerance"),
         )
-        assert main(
+        assert exit_code(
             ["bench", "--quick", "--out", str(tmp_path / "b.json"),
              "--tolerance", tolerance]
         ) == 2
         err = capsys.readouterr().err
-        assert err.startswith("--tolerance must be in [0, 1)")
-        assert err.count("\n") == 1
+        assert "argument --tolerance: must be in [0, 1)" in err
+        assert len(error_lines(err)) == 1
 
     def test_zero_tolerance_is_accepted(self, monkeypatch, tmp_path, capsys):
         import json
@@ -465,16 +482,16 @@ class TestSimulateStagePolicy:
         assert "--recovery" in err and "--stage-policy" in err
 
     def test_bad_noise_is_a_clean_error(self, plan_file, capsys):
-        assert main(
+        assert exit_code(
             ["simulate", plan_file, "--estimate-noise", "-1"]
         ) == 2
-        assert "invalid estimate noise" in capsys.readouterr().err
+        assert "argument --estimate-noise:" in capsys.readouterr().err
 
     def test_bad_censor_is_a_clean_error(self, plan_file, capsys):
-        assert main(
+        assert exit_code(
             ["simulate", plan_file, "--censor", "1.5"]
         ) == 2
-        assert "invalid estimate noise" in capsys.readouterr().err
+        assert "argument --censor:" in capsys.readouterr().err
 
     def test_scheduler_view_noise_runs(self, plan_file, capsys):
         assert main(
@@ -532,10 +549,10 @@ class TestObservabilityCli:
         assert "--timeline-limit only applies with --timeline" in err
 
     def test_timeline_limit_must_be_positive(self, plan_file, capsys):
-        assert main(
+        assert exit_code(
             ["simulate", plan_file, "--timeline", "--timeline-limit", "0"]
         ) == 2
-        assert "must be positive" in capsys.readouterr().err
+        assert "must be finite and strictly positive" in capsys.readouterr().err
 
     @staticmethod
     def _drop_leading_epochs(trace_file, tmp_path, drop):
@@ -671,28 +688,38 @@ class TestObservabilityCli:
         assert "cannot read trace" in capsys.readouterr().err
 
 
+_TWO_FLOWS = (
+    '{"coflows": [{"flows": [{"src": 0, "dst": 1, "volume": 5}, '
+    '{"src": 1, "dst": 2, "volume": 7}]}]}'
+)
+
+
 class TestInputErrorsExitUsage:
     """Bad workload flags and unreadable files end in one stderr line and
     exit 2, not a traceback."""
 
     def assert_usage_error(self, argv, capsys, needle):
-        assert main(argv) == 2
+        assert exit_code(argv) == 2
         err = capsys.readouterr().err
         assert needle in err
         assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
+        assert len(error_lines(err)) == 1
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--nodes", "0"], ["--skew", "2"], ["--zipf", "-1"],
-         ["--nodes", "10", "--zipf", "nan"],
-         ["--nodes", "10", "--scale-factor", "nan"],
-         ["--nodes", "10", "--scale-factor", "inf"]],
+        "flags, needle",
+        [(["--nodes", "0"], "invalid workload"),
+         (["--skew", "2"], "argument --skew:"),
+         (["--zipf", "-1"], "argument --zipf:"),
+         (["--nodes", "10", "--zipf", "nan"], "argument --zipf:"),
+         (["--nodes", "10", "--scale-factor", "nan"],
+          "argument --scale-factor:"),
+         (["--nodes", "10", "--scale-factor", "inf"],
+          "argument --scale-factor:")],
         ids=["nodes", "skew", "zipf", "zipf-nan", "scale-factor-nan",
              "scale-factor-inf"],
     )
-    def test_plan_rejects_bad_workload(self, flags, capsys):
-        self.assert_usage_error(["plan", *flags], capsys, "invalid workload")
+    def test_plan_rejects_bad_workload(self, flags, needle, capsys):
+        self.assert_usage_error(["plan", *flags], capsys, needle)
 
     def test_plan_out_in_missing_directory(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "x.json")
@@ -707,8 +734,12 @@ class TestInputErrorsExitUsage:
             '{"coflows": [',
             '{"coflows": [{"flows": [{"src": 0, "dst": 1, "volume": -5}]}]}',
             '["not", "a", "coflow", "file"]',
+            _TWO_FLOWS.replace('"volume": 7', '"volume": Infinity'),
+            _TWO_FLOWS.replace("}]}]}", '}], "arrival_time": Infinity}]}'),
+            _TWO_FLOWS.replace("}]}]}", '}], "arrival_time": NaN}]}'),
         ],
-        ids=["missing", "garbled", "negative-volume", "wrong-shape"],
+        ids=["missing", "garbled", "negative-volume", "wrong-shape",
+             "volume-inf", "arrival-inf", "arrival-nan"],
     )
     @pytest.mark.parametrize("command", ["simulate", "gantt"])
     def test_unreadable_coflow_file(self, command, content, tmp_path, capsys):
@@ -737,7 +768,7 @@ class TestInputErrorsExitUsage:
               "{missing}/c.jsonl"], "cannot write"),
             (["chaos", "--quick", "--no-cache", "--report",
               "{missing}/c.md"], "cannot write"),
-            (["gantt", "{coflows}", "--width", "0"], "--width must be"),
+            (["gantt", "{coflows}", "--width", "0"], "argument --width:"),
         ],
         ids=[
             "trace-gen-out", "trace-gen-ports", "report-out",
@@ -761,21 +792,20 @@ class TestInputErrorsExitUsage:
     @pytest.mark.parametrize(
         "flags, needle",
         [
-            (["--chaos-mtbf", "nan"], "invalid chaos configuration"),
+            (["--chaos-mtbf", "nan"], "argument --chaos-mtbf:"),
             (["--chaos-mtbf", "1", "--chaos-horizon", "nan"],
-             "invalid chaos configuration"),
+             "argument --chaos-horizon:"),
             (["--chaos-mtbf", "1", "--chaos-horizon", "inf"],
-             "invalid chaos configuration"),
-            (["--fail-port", "1", "--fail-at", "nan"],
-             "invalid failure schedule"),
-            (["--estimate-noise", "nan"], "invalid estimate noise"),
+             "argument --chaos-horizon:"),
+            (["--fail-port", "1", "--fail-at", "nan"], "argument --fail-at:"),
+            (["--estimate-noise", "nan"], "argument --estimate-noise:"),
         ],
         ids=["chaos-mtbf", "chaos-horizon-nan", "chaos-horizon-inf",
              "fail-at", "estimate-noise"],
     )
     def test_nonfinite_fault_flag(self, flags, needle, tmp_path, capsys):
-        # Refused by the config constructors; a NaN chaos MTBF or horizon
-        # once sent chaos_schedule into a loop that never ended.
+        # Refused while parsing; a NaN chaos MTBF or horizon once sent
+        # chaos_schedule into a loop that never ended.
         coflows = tmp_path / "coflows.json"
         save_coflows([Coflow([Flow(0, 1, 4.0), Flow(1, 2, 4.0)])], coflows)
         self.assert_usage_error(
@@ -799,7 +829,7 @@ class TestInputErrorsExitUsage:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "must be positive" in err
+        assert "must be finite and strictly positive" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -827,7 +857,7 @@ class TestInputErrorsExitUsage:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--rate: must be positive" in err
+        assert "--rate: must be finite and strictly positive" in err
         assert "Traceback" not in err
 
 
@@ -851,6 +881,26 @@ class TestInputErrorsExitUsage:
              "psweep-scale-factor", "fig5-nodes", "sweep-fig5-nodes"],
     )
     def test_run_refuses_overrides_it_cannot_take(self, argv, needle, capsys):
+        self.assert_usage_error(argv, capsys, needle)
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["sweep", "crossover", "--quick", "--no-cache",
+              "--cell-timeout", "nan"], "argument --cell-timeout:"),
+            (["sweep", "crossover", "--quick", "--no-cache",
+              "--cell-timeout", "inf"], "argument --cell-timeout:"),
+            (["serve", "--arrivals", "5", "--chaos-mtbf", "5",
+              "--min-alive", "0"], "argument --min-alive:"),
+            (["serve", "--arrivals", "5", "--chaos-mtbf", "5",
+              "--min-alive=-1"], "argument --min-alive:"),
+        ],
+        ids=["cell-timeout-nan", "cell-timeout-inf", "min-alive-0",
+             "min-alive-neg"],
+    )
+    def test_refused_while_parsing(self, argv, needle, capsys):
+        # Each ended in a traceback from the signal timer or the chaos
+        # configuration, exit 1.
         self.assert_usage_error(argv, capsys, needle)
 
 
@@ -939,8 +989,8 @@ class TestServeCli:
         assert payload["slo_ok"] is True
 
     def test_bad_policy_params_exit_usage(self, capsys):
-        rc = main(self.serve_args("--policy", "bounded-queue",
-                                  "--watermark", "-5"))
+        rc = exit_code(self.serve_args("--policy", "bounded-queue",
+                                       "--watermark", "-5"))
         assert rc == 2
 
     _ARRIVAL_FLAGS = [
@@ -975,11 +1025,11 @@ class TestServeCli:
     @pytest.mark.parametrize("policy", ["bounded-queue", "load-shedding"])
     def test_nan_watermark_exit_usage(self, policy, capsys):
         # It used to pass every admission check and so defer nothing.
-        assert main(self.serve_args("--policy", policy,
-                                    "--watermark", "nan")) == 2
+        assert exit_code(self.serve_args("--policy", policy,
+                                         "--watermark", "nan")) == 2
         err = capsys.readouterr().err
-        assert "watermark_s must be positive" in err
-        assert len(err.strip().splitlines()) == 1
+        assert "argument --watermark: must be finite and strictly positive" in err
+        assert len(error_lines(err)) == 1
 
     @pytest.mark.parametrize("flags", _ARRIVAL_FLAGS, ids=" ".join)
     def test_capacity_rejects_non_finite_flags(self, flags, capsys):

@@ -23,8 +23,10 @@ class TestParser:
 
 class TestValidation:
     def test_jobs_zero_rejected(self, capsys):
-        assert main(["sweep", "psweep", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "psweep", "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "argument --jobs:" in capsys.readouterr().err
 
     def test_no_cache_resume_conflict(self, capsys):
         assert main(["sweep", "psweep", "--no-cache", "--resume"]) == 2

@@ -189,6 +189,27 @@ def test_cli_loads_no_numpy(tmp_path):
     assert not [m for m in loaded if m.partition(".")[0] == "numpy"]
 
 
+def test_scheduler_package_imports_every_discipline(tmp_path):
+    # perfbench/perf_trace.py wraps ``allocate`` on the classes it finds
+    # by walking ``CoflowScheduler.__subclasses__()`` once, right after
+    # this import: a discipline module loaded later would go untraced.
+    _loaded_modules("""
+        import repro.network.schedulers as schedulers
+        from repro.network.schedulers.base import CoflowScheduler
+
+        seen, todo = set(), [CoflowScheduler]
+        while todo:
+            cls = todo.pop()
+            seen.add(cls)
+            todo.extend(cls.__subclasses__())
+        missing = [
+            name for name in schedulers.SCHEDULER_NAMES
+            if type(schedulers.make_scheduler(name)) not in seen
+        ]
+        assert not missing, missing
+    """, tmp_path)
+
+
 def _module_files() -> dict[str, Path]:
     """Dotted name -> source file of every module under ``src/repro``."""
     files = {}
